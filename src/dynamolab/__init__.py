@@ -51,16 +51,13 @@ from .nogo import (
     NoGoReport,
     StructureFunctions,
     asymptotic_l_increment,
-    b1_closed_form,
     build_R,
     builtin_pair_family,
     degenerate_case_check,
     intertwining_defect,
     nogo_certificate,
-    ode_residual,
     product_invariant_diagnostic,
     rho_sup_norm,
-    structure_functions,
 )
 from .operator import (
     DynamoMatrix,
@@ -108,7 +105,6 @@ __all__ = [
     "TridiagOp",
     "assemble",
     "asymptotic_l_increment",
-    "b1_closed_form",
     "build_R",
     "build_grid",
     "builtin_pair_family",
@@ -128,7 +124,6 @@ __all__ = [
     "locate_ep",
     "mre_linear_solve",
     "nogo_certificate",
-    "ode_residual",
     "parse_profile",
     "partner_mode",
     "pencil_coefficients",
@@ -139,7 +134,6 @@ __all__ = [
     "rho_sup_norm",
     "riccati_residual",
     "sharp",
-    "structure_functions",
     "sweep",
     "verify_isospectral",
 ]

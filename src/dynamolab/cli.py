@@ -24,21 +24,10 @@ import numpy as np
 
 from .branches import SweepConfig, sweep
 from .darboux import Potential1D, darboux_partner, verify_isospectral
-from .errors import (
-    ConfigurationError,
-    DegenerateQError,
-    DomainError,
-    DynamoLabError,
-    ShapeError,
-)
+from .errors import ConfigurationError, DomainError, DynamoLabError, ShapeError
 from .grid import build_grid
 from .mre import mre_linear_solve, riccati_residual
-from .nogo import (
-    AlphaPair,
-    Q_FLOOR,
-    nogo_certificate,
-    structure_functions,
-)
+from .nogo import AlphaPair, StructureFunctions, nogo_certificate
 from .operator import assemble, lambda_pm, pencil_coefficients, pencil_psi2
 from .profiles import parse_profile
 from .spectral import classify_pairs, eigen
@@ -201,17 +190,11 @@ def _cmd_nogo(args) -> int:
     alpha1 = parse_profile(args.alpha1)
     lo, hi = args.window
     pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l1 - 1, l1=args.l1, e=args.E)
-    sf = structure_functions(pair)
+    sf = StructureFunctions(pair)
     rs = np.linspace(lo, hi, args.samples)
-    q = np.atleast_1d(sf.q(rs))
-    keep = np.abs(q) >= Q_FLOOR
+    q, keep = sf.q_admissible(rs)
     lines = ["r,q,b1,b2,rho"]
     kept = rs[keep]
-    if kept.size == 0:
-        raise DegenerateQError(
-            "q vanishes on the whole window (proportional profiles); "
-            "the closed form b1 has no admissible evaluation point"
-        )
     b1 = np.atleast_1d(sf.b1(kept))
     b2 = np.atleast_1d(sf.b2(kept))
     rho = np.atleast_1d(sf.rho(kept))

@@ -28,6 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
 from .grid import RadialGrid, TridiagOp
+from .mre import rk4
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def verify_isospectral(pair: DarbouxPair, levels: int, tol: float) -> Isospectra
 
 
 def _central_difference(w: np.ndarray, h: float) -> np.ndarray:
-    """Central difference with Dirichlet zero-padding outside the interior."""
+    """Central difference along axis 0 with Dirichlet zero-padding outside the interior."""
     out = np.zeros_like(w)
     out[1:-1] = (w[2:] - w[:-2]) / (2 * h)
     out[0] = w[1] / (2 * h)
@@ -265,31 +266,17 @@ def partner_mode(pair: DarbouxPair) -> np.ndarray:
     grid = pair.grid
     x = grid.nodes
     idx0 = int(np.argmin(np.abs(x - 0.5)))
-    xc = x[idx0]
     chi_c = float(pair.chi0[idx0])
-    y0 = 1.0 / chi_c
-    dy0 = float(pair.f(xc)) / chi_c
+    y0 = np.array([1.0 / chi_c, float(pair.f(x[idx0])) / chi_c])
+    w_nodes = np.asarray(pair.v1(x), dtype=float) - pair.energy
+    w_mids = np.asarray(pair.v1(grid.half_nodes[1:-1]), dtype=float) - pair.energy
 
-    def rhs(xx, state):
-        y, dy = state
-        return np.array([dy, (float(pair.v1(xx)) - pair.energy) * y])
+    def rhs(w, state):
+        return np.array([state[1], w * state[0]])
 
     chi1 = np.empty(grid.n)
-    chi1[idx0] = y0
-    for direction in (+1, -1):
-        state = np.array([y0, dy0])
-        xx = xc
-        j = idx0
-        step = direction * grid.h
-        while 0 <= j + direction < grid.n:
-            k1 = rhs(xx, state)
-            k2 = rhs(xx + step / 2, state + step / 2 * k1)
-            k3 = rhs(xx + step / 2, state + step / 2 * k2)
-            k4 = rhs(xx + step, state + step * k3)
-            state = state + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            xx += step
-            j += direction
-            chi1[j] = state[0]
+    chi1[idx0:] = rk4(rhs, w_nodes[idx0:], w_mids[idx0:], y0, grid.h)[:, 0]
+    chi1[: idx0 + 1] = rk4(rhs, w_nodes[idx0::-1], w_mids[:idx0][::-1], y0, -grid.h)[::-1, 0]
     return chi1
 
 

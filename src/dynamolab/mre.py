@@ -132,6 +132,25 @@ class MatrixODESolution:
 COND_LOG_MAX = 12.0
 
 
+def rk4(rhs, coef_nodes, coef_mids, y0, h):
+    """Classical fixed-step RK4 for y' = rhs(c, y), returning the whole trajectory.
+
+    coef_nodes[k] and coef_mids[k] are the coefficients at node k and at the
+    midpoint of step k; step k evaluates rhs at node k, twice at midpoint k
+    and at node k+1, so len(coef_mids) steps are taken (h may be negative).
+    """
+    ys = np.empty((len(coef_mids) + 1,) + y0.shape, dtype=y0.dtype)
+    ys[0] = y = y0
+    for k, c_mid in enumerate(coef_mids):
+        k1 = rhs(coef_nodes[k], y)
+        k2 = rhs(c_mid, y + 0.5 * h * k1)
+        k3 = rhs(c_mid, y + 0.5 * h * k2)
+        k4 = rhs(coef_nodes[k + 1], y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys[k + 1] = y
+    return ys
+
+
 def series_start_bottom(
     l1: int, c1: float, a1: float, r0: float, e: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -208,27 +227,22 @@ def mre_linear_solve(
             raise ConfigurationError("explicit initial data must be two 2x2 blocks")
 
     sign = 1.0 if which == U_SYSTEM else -1.0
-    tops = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    bots = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    tops[0] = top0
-    bots[0] = bot0
-    top, bot = top0, bot0
-    for i in range(n_steps):
-        mA, kA = m_nodes[i], kinv_nodes[i]
-        mM, kM = m_mids[i], kinv_mids[i]
-        mB, kB = m_nodes[i + 1], kinv_nodes[i + 1]
-        k1t = sign * (mA @ bot)
-        k1b = sign * (kA @ top)
-        k2t = sign * (mM @ (bot + 0.5 * h * k1b))
-        k2b = sign * (kM @ (top + 0.5 * h * k1t))
-        k3t = sign * (mM @ (bot + 0.5 * h * k2b))
-        k3b = sign * (kM @ (top + 0.5 * h * k2t))
-        k4t = sign * (mB @ (bot + h * k3b))
-        k4b = sign * (kB @ (top + h * k3t))
-        top = top + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-        bot = bot + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        tops[i + 1] = top
-        bots[i + 1] = bot
+
+    def rhs(c, y):
+        # c = (M, K^-1), y = (top, bot)
+        out = np.empty_like(y)
+        out[0] = sign * (c[0] @ y[1])
+        out[1] = sign * (c[1] @ y[0])
+        return out
+
+    traj = rk4(
+        rhs,
+        np.stack([m_nodes, kinv_nodes], axis=1),
+        np.stack([m_mids, kinv_mids], axis=1),
+        np.stack([top0, bot0]),
+        h,
+    )
+    tops, bots = traj[:, 0], traj[:, 1]
 
     cond_log = cond2_log10(bots)
     ok = cond_log < cond_log_max
@@ -277,32 +291,20 @@ def riccati_residual(sol: MatrixODESolution, r_min: float = None) -> Tuple[float
         ok = ok & (sol.rs >= r_min)
     per_node = np.full(sol.rs.size, np.nan)
     sign = sol.sign
-    h = sol.step
-    i = 0
-    s = sol.rs.size
-    while i < s:
-        if not ok[i]:
-            i += 1
+
+    def rhs(c, u):
+        # c = (M, K^-1)
+        return sign * (c[0] - u @ c[1] @ u)
+
+    coef_nodes = np.stack([sol.m_nodes, sol.kinv_nodes], axis=1)
+    coef_mids = np.stack([sol.m_mids, sol.kinv_mids], axis=1)
+    idx = np.flatnonzero(ok)
+    for seg in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
+        if seg.size == 0:
             continue
-        j = i
-        while j + 1 < s and ok[j + 1]:
-            j += 1
-        u = sol.affine[i]
-        per_node[i] = 0.0
-        for k in range(i, j):
-            mA, kA = sol.m_nodes[k], sol.kinv_nodes[k]
-            mM, kM = sol.m_mids[k], sol.kinv_mids[k]
-            mB, kB = sol.m_nodes[k + 1], sol.kinv_nodes[k + 1]
-            f1 = sign * (mA - u @ kA @ u)
-            u2 = u + 0.5 * h * f1
-            f2 = sign * (mM - u2 @ kM @ u2)
-            u3 = u + 0.5 * h * f2
-            f3 = sign * (mM - u3 @ kM @ u3)
-            u4 = u + h * f3
-            f4 = sign * (mB - u4 @ kB @ u4)
-            u = u + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
-            per_node[k + 1] = float(np.max(np.abs(u - sol.affine[k + 1])))
-        i = j + 1
+        i, j = seg[0], seg[-1]
+        traj = rk4(rhs, coef_nodes[i : j + 1], coef_mids[i:j], sol.affine[i], sol.step)
+        per_node[i : j + 1] = np.max(np.abs(traj - sol.affine[i : j + 1]), axis=(1, 2))
     finite = per_node[np.isfinite(per_node)]
     sup = float(np.max(finite)) if finite.size else np.nan
     return sup, per_node

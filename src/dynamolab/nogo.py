@@ -36,6 +36,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .darboux import _central_difference
 from .errors import ConfigurationError, DegenerateQError, DomainError, ShapeError
 from .grid import build_grid
 from .mre import (
@@ -50,21 +51,10 @@ from .mre import (
     mmat,
     mre_linear_solve,
 )
-from .operator import assemble
+from .operator import assemble, sharp
 from .profiles import AlphaProfile
 
 Q_FLOOR = 1e-10
-
-
-def sharp_batched(c: np.ndarray) -> np.ndarray:
-    """The #-involution applied to a batch of 2x2 matrices."""
-    c = np.asarray(c)
-    out = np.empty_like(c)
-    out[..., 0, 0] = np.conj(c[..., 1, 1])
-    out[..., 0, 1] = np.conj(c[..., 0, 1])
-    out[..., 1, 0] = np.conj(c[..., 1, 0])
-    out[..., 1, 1] = np.conj(c[..., 0, 0])
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,10 +144,9 @@ class StructureFunctions:
     by numerical differentiation.
     """
 
-    def __init__(self, pair: AlphaPair, gauge: GaugeChoice = DEFAULT_GAUGE, q_floor: float = Q_FLOOR):
+    def __init__(self, pair: AlphaPair, gauge: GaugeChoice = DEFAULT_GAUGE):
         self.pair = pair
         self.gauge = gauge
-        self.q_floor = q_floor
 
     # -- scalar building blocks --------------------------------------------
 
@@ -221,9 +210,23 @@ class StructureFunctions:
         la0 = self.pair.alpha0.d1(r) / self.pair.alpha0(r)
         return -0.5 * (la0 * np.tan(eps) + deps / np.cos(eps) ** 2)
 
-    def _q_guarded(self, r):
+    def q_admissible(self, r) -> Tuple[np.ndarray, np.ndarray]:
+        """q(r) and the mask |q| >= Q_FLOOR of the radii where b1 and rho are defined.
+
+        Raises DegenerateQError when the floor excludes every radius.
+        """
         q = np.atleast_1d(self.q(r))
-        if np.any(np.abs(q) < self.q_floor):
+        keep = np.abs(q) >= Q_FLOOR
+        if not np.any(keep):
+            raise DegenerateQError(
+                f"q vanishes on the whole window for {self.pair.label} (proportional "
+                "profiles); the closed form b1 has no admissible evaluation point"
+            )
+        return q, keep
+
+    def _q_guarded(self, r):
+        q, keep = self.q_admissible(r)
+        if not np.all(keep):
             raise DegenerateQError(
                 "q(r) vanishes inside the requested window; proportional profiles "
                 "belong to degenerate_case_check"
@@ -270,40 +273,21 @@ class StructureFunctions:
         return 2.0 * self.b1prime(r) - rhs
 
 
-def structure_functions(pair: AlphaPair, gauge: GaugeChoice = DEFAULT_GAUGE) -> StructureFunctions:
-    return StructureFunctions(pair, gauge)
-
-
-def b1_closed_form(sf: StructureFunctions, r) -> Tuple[np.ndarray, np.ndarray]:
-    """Value and analytic derivative of the forced b1(r)."""
-    return sf.b1(r), sf.b1prime(r)
-
-
-def ode_residual(pair: AlphaPair, gauge: GaugeChoice, r) -> np.ndarray:
-    """rho(r) for one pair (see StructureFunctions.rho)."""
-    return structure_functions(pair, gauge).rho(r)
-
-
 def rho_sup_norm(
     pair: AlphaPair,
     gauge: GaugeChoice = DEFAULT_GAUGE,
     window: Tuple[float, float] = (0.1, 1.0),
     samples: int = 512,
-    q_floor: float = Q_FLOOR,
 ) -> Tuple[float, int]:
     """Sup of |rho| over the window, excluding q-degenerate neighborhoods.
 
     Returns the sup and the number of excluded sample points; raises
     DegenerateQError when the whole window is excluded.
     """
-    sf = StructureFunctions(pair, gauge, q_floor=q_floor)
+    sf = StructureFunctions(pair, gauge)
     rs = np.linspace(window[0], window[1], samples)
-    q = np.atleast_1d(sf.q(rs))
-    keep = np.abs(q) >= q_floor
-    if not np.any(keep):
-        raise DegenerateQError("q vanishes on the whole window; use degenerate_case_check")
-    vals = np.atleast_1d(sf.rho(rs[keep]))
-    return float(np.max(np.abs(vals))), int(np.sum(~keep))
+    _, keep = sf.q_admissible(rs)
+    return float(np.max(np.abs(sf.rho(rs[keep])))), int(np.sum(~keep))
 
 
 # --------------------------------------------------------------------------
@@ -408,9 +392,7 @@ def _singular_mismatch_c2(l1_cand: int, l0: int, c1: float, e: float) -> float:
 def asymptotic_l_increment(
     l0: int,
     c0: float = 1.0,
-    a0s: float = 0.0,
     c1: float = 1.0,
-    a1s: float = 0.0,
     e: float = 0.0,
 ) -> AsymptoticRecord:
     """Forced (l1, a1-series) from the small-r limit, with a numerical cross-check.
@@ -473,9 +455,8 @@ def product_invariant_diagnostic(
         raise ShapeError("both solutions must share the same radial grid")
     rs = sol_u.rs
     r_mat = build_R(pair, gauge, rs)
-    p = sharp_batched(sol_b.bot) @ sharp_batched(r_mat) @ sol_u.bot
-    h = sol_u.step
-    dp = (p[2:] - p[:-2]) / (2 * h)
+    p = sharp(sol_b.bot) @ sharp(r_mat) @ sol_u.bot
+    dp = _central_difference(p, sol_u.step)[1:-1]
     norm_p = np.max(np.abs(p[1:-1]), axis=(-2, -1))
     drift = np.max(np.abs(dp), axis=(-2, -1)) / np.where(norm_p > 0, norm_p, np.inf)
     det_p = p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
@@ -566,20 +547,15 @@ def intertwining_defect(
             )
 
     r_mat = build_R(pair, gauge, nodes)
-    r_sharp = sharp_batched(r_mat)
-    q_sharp = sharp_batched(b_nodes) @ inv2(r_mat)
+    r_sharp = sharp(r_mat)
+    q_sharp = sharp(b_nodes) @ inv2(r_mat)
 
     h0 = assemble(grid, pair.alpha0, pair.l0).matrix
     h1 = assemble(grid, pair.alpha1, pair.l1).matrix
 
     def apply_a_sharp(u: np.ndarray) -> np.ndarray:
         um = np.stack([u[: grid.n], u[grid.n :]], axis=1)[..., None]
-        v = (r_sharp @ um)[..., 0]
-        dv = np.zeros_like(v)
-        dv[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        dv[0] = v[1] / (2 * h)
-        dv[-1] = -v[-2] / (2 * h)
-        w = -dv + (q_sharp @ um)[..., 0]
+        w = -_central_difference((r_sharp @ um)[..., 0], h) + (q_sharp @ um)[..., 0]
         return np.concatenate([w[:, 0], w[:, 1]])
 
     per_test = np.empty(n_test)
@@ -696,17 +672,15 @@ def nogo_certificate(
     excluded = np.empty(len(family), dtype=int)
     for i, pair in enumerate(family):
         sf_i = StructureFunctions(pair, gauge)
-        qv = np.atleast_1d(sf_i.q(radii_all))
-        keep = np.abs(qv) >= Q_FLOOR
-        if not np.any(keep):
-            raise DegenerateQError(f"pair {pair.label} has q == 0 on the whole window")
-        rho_samples[i, keep] = np.atleast_1d(sf_i.rho(radii_all[keep]))
+        _, keep = sf_i.q_admissible(radii_all)
+        rho_samples[i, keep] = sf_i.rho(radii_all[keep])
         sups[i] = float(np.max(np.abs(rho_samples[i, keep])))
         excluded[i] = int(np.sum(~keep))
 
     pair0 = family[0]
-    sf = structure_functions(pair0, gauge)
+    sf = StructureFunctions(pair0, gauge)
     radii = np.linspace(window[0], window[1], shift_radii)
+    radii = radii[sf.q_admissible(radii)[1]]
     shift = sf.rho(radii, l1=pair0.l1 + 1) - sf.rho(radii, l1=pair0.l1)
     l_shift_dev = float(np.max(np.abs(shift - 2.0 / radii**2)))
 
@@ -716,9 +690,7 @@ def nogo_certificate(
     asym = asymptotic_l_increment(
         l0=pair0.l1 - 1,
         c0=float(pair0.alpha0(0.0)),
-        a0s=float(pair0.alpha0.d1(0.0)),
         c1=float(pair0.alpha1(0.0)),
-        a1s=float(pair0.alpha1.d1(0.0)),
         e=pair0.e,
     )
     defects = [

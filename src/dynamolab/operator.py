@@ -33,17 +33,21 @@ import numpy as np
 from .errors import DegeneratePencilError, DomainError, ShapeError, SolverError
 from .grid import RadialGrid, TridiagOp, diffusion_alpha, inner_product, laplacian_l
 
+
 def sharp(c: np.ndarray) -> np.ndarray:
-    """The 2x2 involution C -> J C^dagger J (swap diagonal, conjugate all entries)."""
+    """The involution C -> J C^dagger J (swap diagonal, conjugate all entries).
+
+    Batched over leading axes: c has shape (..., 2, 2).
+    """
     c = np.asarray(c)
-    if c.shape != (2, 2):
-        raise ShapeError(f"sharp is defined for 2x2 matrices, got shape {c.shape}")
-    return np.array(
-        [
-            [np.conj(c[1, 1]), np.conj(c[0, 1])],
-            [np.conj(c[1, 0]), np.conj(c[0, 0])],
-        ]
-    )
+    if c.shape[-2:] != (2, 2):
+        raise ShapeError(f"sharp is defined for (..., 2, 2) arrays, got shape {c.shape}")
+    out = np.empty_like(c)
+    out[..., 0, 0] = np.conj(c[..., 1, 1])
+    out[..., 0, 1] = np.conj(c[..., 0, 1])
+    out[..., 1, 0] = np.conj(c[..., 1, 0])
+    out[..., 1, 1] = np.conj(c[..., 0, 0])
+    return out
 
 
 @dataclass(frozen=True)

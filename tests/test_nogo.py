@@ -4,27 +4,31 @@ import numpy as np
 import pytest
 
 from dynamolab import AlphaProfile, ConfigurationError, DegenerateQError, DomainError
+from dynamolab.cli import main
 from dynamolab.mre import kmat, mre_linear_solve
 from dynamolab.nogo import (
     AlphaPair,
     GaugeChoice,
+    StructureFunctions,
     asymptotic_l_increment,
-    b1_closed_form,
     build_R,
     builtin_pair_family,
     degenerate_case_check,
     intertwining_defect,
     nogo_certificate,
-    ode_residual,
     product_invariant_diagnostic,
     rho_sup_norm,
-    sharp_batched,
-    structure_functions,
 )
+from dynamolab.operator import sharp
 
 GAUGE0 = GaugeChoice()
 ONE = AlphaProfile.constant(1.0)
 EXP_R = AlphaProfile.exponential(1.0, 1.0)
+# q(r) = r/(1+r^2) - 0.4 vanishes exactly at r = 0.5, a point of
+# linspace(0.1, 1, 10) and of linspace(0.1, 1, 100)
+Q_ZERO_PAIR = AlphaPair(
+    AlphaProfile.polynomial([1.0, 0.0, 1.0]), AlphaProfile.exponential(1.0, 0.8), 1, 2
+)
 
 
 def pair_of(a0, a1, l0=1, l1=2, e=0.0):
@@ -54,7 +58,7 @@ class TestBuildR:
         pair = pair_of(ONE, ONE)
         r = build_R(pair, GAUGE0, 0.5)
         assert np.allclose(r, [[1.0, 0.0], [-0.5, 1.0]])
-        k0 = r @ sharp_batched(r)
+        k0 = r @ sharp(r)
         assert np.allclose(k0, [[1.0, 0.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_ratio_four(self):
@@ -79,8 +83,8 @@ class TestBuildR:
             r = build_R(pair, gauge, rs)
             k0 = kmat(pair.alpha0(rs))
             k1 = kmat(pair.alpha1(rs))
-            assert np.max(np.abs(r @ sharp_batched(r) - k0)) <= 1e-12
-            assert np.max(np.abs(sharp_batched(r) @ r - k1)) <= 1e-12
+            assert np.max(np.abs(r @ sharp(r) - k0)) <= 1e-12
+            assert np.max(np.abs(sharp(r) @ r - k1)) <= 1e-12
 
     def test_nonpositive_rejected(self):
         # a duck-typed pair dodges the constructor's positivity validation,
@@ -95,23 +99,23 @@ class TestBuildR:
 
 class TestStructureFunctions:
     def test_exponential_profile_values(self):
-        sf = structure_functions(pair_of(ONE, EXP_R))
+        sf = StructureFunctions(pair_of(ONE, EXP_R))
         rs = np.array([0.0, 0.3, 0.8])
         assert np.allclose(sf.q(rs), -0.5)
         assert np.allclose(sf.b2(rs), -np.exp(-rs))
 
     def test_equal_profiles_q_zero(self):
-        sf = structure_functions(pair_of(EXP_R, EXP_R))
+        sf = StructureFunctions(pair_of(EXP_R, EXP_R))
         assert np.allclose(sf.q(np.linspace(0.1, 1, 9)), 0.0)
         assert np.allclose(sf.b2(np.linspace(0.1, 1, 9)), 0.0)
 
     def test_quadratic_profile_values(self):
-        sf = structure_functions(pair_of(AlphaProfile.polynomial([1.0, 0.0, 1.0]), ONE))
+        sf = StructureFunctions(pair_of(AlphaProfile.polynomial([1.0, 0.0, 1.0]), ONE))
         assert sf.q(0.5) == pytest.approx(0.4)
         assert sf.b2(0.5) == pytest.approx(0.8)
 
     def test_default_gauge_real_f_and_zero_b4(self):
-        sf = structure_functions(pair_of(AlphaProfile.polynomial([1.0, 0.5]), EXP_R))
+        sf = StructureFunctions(pair_of(AlphaProfile.polynomial([1.0, 0.5]), EXP_R))
         rs = np.linspace(0.1, 1, 16)
         f = sf.f(rs)
         a0 = sf.pair.alpha0
@@ -120,7 +124,7 @@ class TestStructureFunctions:
         assert np.allclose(sf.b4(rs), 0.0)
 
     def test_nmat_structure(self):
-        sf = structure_functions(pair_of(ONE, EXP_R))
+        sf = StructureFunctions(pair_of(ONE, EXP_R))
         n = sf.nmat(0.4)
         assert n[0, 1] == 0.0
         assert n[0, 0] == pytest.approx(0.5)  # -q with q = -1/2
@@ -132,7 +136,7 @@ class TestStructureFunctions:
             deps=lambda r: 1.2 * np.cos(2.0 * np.asarray(r)),
         )
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.3, 0.2]), EXP_R)
-        sf = structure_functions(pair, gauge)
+        sf = StructureFunctions(pair, gauge)
         rs = np.linspace(0.1, 1.0, 17)
         assert np.allclose(sf.b4(rs), sf.f(rs).imag / pair.alpha1(rs), atol=1e-13)
         # the closed form for b4 in terms of the gauge functions
@@ -144,19 +148,21 @@ class TestStructureFunctions:
 
 class TestB1:
     def test_plugin_exponential(self):
-        sf = structure_functions(pair_of(ONE, EXP_R))
-        b1, _ = b1_closed_form(sf, 0.0)
+        sf = StructureFunctions(pair_of(ONE, EXP_R))
+        b1 = sf.b1(0.0)
         assert b1 == pytest.approx(0.75)
 
     def test_plugin_quadratic(self):
-        sf = structure_functions(pair_of(AlphaProfile.polynomial([1.0, 0.0, 1.0]), ONE))
-        b1, _ = b1_closed_form(sf, 0.5)
+        sf = StructureFunctions(pair_of(AlphaProfile.polynomial([1.0, 0.0, 1.0]), ONE))
+        b1 = sf.b1(0.5)
         assert b1 == pytest.approx(-1.00078125)
 
     def test_degenerate_q_rejected(self):
-        sf = structure_functions(pair_of(ONE, ONE))
+        sf = StructureFunctions(pair_of(ONE, ONE))
         with pytest.raises(DegenerateQError):
-            b1_closed_form(sf, 0.5)
+            sf.b1(0.5)
+        with pytest.raises(DegenerateQError):
+            sf.b1prime(0.5)
 
     def test_b1_derivative_complex_step_oracle(self):
         # independent route: complex-step differentiation of the closed form
@@ -185,9 +191,9 @@ class TestB1:
         pair = pair_of(
             AlphaProfile.polynomial([1.0, 0.2, 0.4]), AlphaProfile.exponential(1.2, -0.5)
         )
-        sf = structure_functions(pair)
+        sf = StructureFunctions(pair)
         for r in (0.2, 0.5, 0.77):
-            b1, b1p = b1_closed_form(sf, r)
+            b1, b1p = sf.b1(r), sf.b1prime(r)
             assert b1 == pytest.approx(b1_c(r + 0j).real, abs=1e-12)
             cs = (b1_c(r + 1j * h) / h).imag
             assert b1p == pytest.approx(cs, abs=1e-10 * max(1.0, abs(cs)))
@@ -196,7 +202,7 @@ class TestB1:
 class TestOdeResidual:
     def test_l_shift_identity(self):
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.2, 0.4]), EXP_R)
-        sf = structure_functions(pair)
+        sf = StructureFunctions(pair)
         for r in (0.1, 0.25, 0.5, 0.9):
             shift = sf.rho(r, l1=pair.l1 + 1) - sf.rho(r, l1=pair.l1)
             assert abs(shift - 2.0 / r**2) <= 1e-10
@@ -238,7 +244,7 @@ class TestOdeResidual:
             - q**2
         )
         oracle = 2.0 * b1p - rhs
-        val = ode_residual(pair_of(ONE, EXP_R, l1=l1), GAUGE0, 0.5)
+        val = StructureFunctions(pair_of(ONE, EXP_R, l1=l1), GAUGE0).rho(0.5)
         assert np.isfinite(val)
         assert val == pytest.approx(oracle, abs=1e-10 * max(1.0, abs(oracle)))
 
@@ -255,7 +261,7 @@ class TestOdeResidual:
         count = 0
         for i, a0 in enumerate(profiles):
             for a1 in profiles[i + 1 :]:
-                sf = structure_functions(pair_of(a0, a1))
+                sf = StructureFunctions(pair_of(a0, a1))
                 rs = rng.uniform(0.1, 1.0, 11)
                 lhs = 2 * sf.b1(rs) * sf.b2(rs) + sf.pair.alpha1(rs) * (1 + sf.b2(rs) ** 2)
                 rhs = -2 * sf.b1(rs) * sf.b2(rs) - sf.pair.alpha0(rs) ** 2 / sf.pair.alpha1(rs)
@@ -268,6 +274,21 @@ class TestOdeResidual:
             sup, excluded = rho_sup_norm(pair)
             assert sup > 0.0
             assert excluded == 0  # q vanishes only at r = 0 for these pairs
+
+    def test_partial_exclusion_agrees_across_entry_points(self, tmp_path):
+        sup, excluded = rho_sup_norm(Q_ZERO_PAIR, samples=10)
+        assert (sup, excluded) == (405.56679199110215, 1)
+        fam = builtin_pair_family()
+        rep = nogo_certificate(family=[fam[0], Q_ZERO_PAIR] + fam[1:], samples=10, defect_samples=0)
+        assert rep.excluded_samples[1] == 1
+        assert rep.rho_sup[1] == sup
+        assert np.sum(np.isnan(rep.rho_samples[1])) == 1
+        out = tmp_path / "nogo.csv"
+        argv = ["nogo", "--alpha0", "poly:1,0,1", "--alpha1", "exp:1,0.8", "--samples", "10"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 9 + 2
+        assert lines[-2:] == [f"min_abs_rho_inf={sup!r}", "excluded_samples=1"]
 
     def test_rho_sup_rejects_proportional(self):
         with pytest.raises(DegenerateQError):
@@ -385,6 +406,12 @@ class TestCertificate:
         for rec in report.defects:
             assert rec.defect > 1e-3
 
+    def test_interior_q_zero_in_first_pair(self):
+        # the l-shift radii go through the same q floor as the sup step
+        rep = nogo_certificate(family=[Q_ZERO_PAIR] + builtin_pair_family(), defect_samples=0)
+        assert rep.excluded_samples[0] == 0
+        assert rep.l_shift_max_dev <= 1e-10
+
     def test_small_family_rejected(self):
         with pytest.raises(ConfigurationError):
             nogo_certificate(family=builtin_pair_family()[:10])
@@ -404,7 +431,7 @@ class TestCertificate:
         # M carries the centrifugal, shift and coupling structure of the
         # shifted operator; spot-check the batched evaluators entrywise
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.0, 0.5]), EXP_R, e=0.7)
-        sf = structure_functions(pair)
+        sf = StructureFunctions(pair)
         r = 0.4
         m0 = sf.m0(np.array([r]))[0]
         cent = pair.l0 * (pair.l0 + 1) / r**2

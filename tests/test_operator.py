@@ -7,6 +7,7 @@ from dynamolab import (
     DegeneratePencilError,
     DomainError,
     PencilCoefficients,
+    ShapeError,
     assemble,
     build_grid,
     inner_product,
@@ -49,6 +50,17 @@ class TestSharp:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.allclose(sharp(a @ b), sharp(b) @ sharp(a), atol=1e-14)
+
+    def test_batched_matches_per_matrix(self):
+        rng = np.random.default_rng(13)
+        batch = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+        expected = np.array([[sharp(c) for c in row] for row in batch])
+        assert np.array_equal(sharp(batch), expected)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (5, 3, 3)])
+    def test_non_2x2_trailing_shape_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            sharp(np.zeros(shape))
 
 
 class TestAssemble:
