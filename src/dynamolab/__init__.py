@@ -5,7 +5,7 @@ Subpackages map onto the main concerns:
 - grid:      radial discretization in u = r*psi coordinates
 - profiles:  alpha(r) profile families and the CLI literal syntax
 - operator:  dynamo matrix assembly, J-symmetry, quadratic pencil
-- spectral:  dense eigensolves, pair classification, Jordan probes
+- spectral:  dense or certified local eigensolves, pair classification, Jordan probes
 - branches:  eigenvalue branch sweeps and exceptional-point bisection
 - darboux:   scalar Darboux/intertwining positive control
 - mre:       matrix Riccati equations and their linearization

@@ -1,44 +1,51 @@
 """Eigenvalue branch tracking under profile scaling and exceptional-point bisection.
 
 A sweep scales a base profile, alpha_C(r) = C * alpha*(r), solves the full
-spectrum at each C, and follows the leading branches by nearest-neighbor
-matching in the complex plane.  Where a matched step moves a branch farther
-than a quarter of the distance to its neighbors, the step is halved (up to six
-times) before matching, so branch identities cannot silently jump between
-well-separated modes.  A pair of branches that collides and turns into a
-conjugate pair is the tracked phenomenon, not a matching failure: such pairs
-are exempt from the refinement criterion and are recorded as events.
+spectrum at the first C (which defines the leading branches by Re) and at
+every later C only the eigenvalues near the previous branch values, and
+follows the leading branches by nearest-neighbor matching in the complex
+plane.  A local solve comes with a disk that holds every eigenvalue inside
+it; its match is accepted only when no branch moves as far as the disk
+reaches past the previous values, which makes it the match the full spectrum
+gives, and otherwise that C is solved densely.  Where a matched step moves a
+branch farther than a quarter of the distance to its neighbors, the step is
+halved (up to six times) before matching, so branch identities cannot
+silently jump between well-separated modes.  A pair of branches that
+collides and turns into a conjugate pair is the tracked phenomenon, not a
+matching failure: such pairs are exempt from the refinement criterion and
+are recorded as events.
 
 locate_ep bisects the signed indicator g(C) = max|Im| - |Re gap|/2 of a
 selected eigenvalue pair; g changes sign exactly where the pair switches
-between two real branches and one conjugate pair.
+between two real branches and one conjugate pair.  With a reference value
+the pair comes from a local solve near it, under the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import BracketError, ConfigurationError, TrackingError
 from .grid import build_grid
-from .operator import assemble
+from .operator import DynamoMatrix, assemble
 from .profiles import AlphaProfile
-from .spectral import eigen
+from .spectral import Spectrum, eigen
 
-MatrixFamily = Callable[[float], np.ndarray]
+MatrixFamily = Callable[[float], Union[DynamoMatrix, np.ndarray]]
 
 MAX_REFINEMENTS = 6
 MOVE_GAP_RATIO = 0.25
 
 
 def dynamo_family(base: AlphaProfile, l: int, n: int) -> MatrixFamily:
-    """Matrix family C -> dynamo matrix for the scaled profile C * alpha*."""
+    """Matrix family C -> dynamo operator for the scaled profile C * alpha*."""
     grid = build_grid(n)
 
-    def family(c: float) -> np.ndarray:
-        return assemble(grid, base.scaled(float(c)), l).matrix
+    def family(c: float) -> DynamoMatrix:
+        return assemble(grid, base.scaled(float(c)), l)
 
     return family
 
@@ -76,11 +83,11 @@ class BranchEvent:
 @dataclass(frozen=True)
 class BranchTrace:
     c_values: np.ndarray
-    spectra: list
     branches: np.ndarray  # (track_count, steps) complex
     events: list
     step_bounds: np.ndarray  # per-interval recorded movement bound
     pair_tol: float
+    dense_solves: int  # solves that took the dense path, the first C included
 
     @property
     def track_count(self) -> int:
@@ -125,16 +132,23 @@ def _transition_pairs(prev: np.ndarray, matched: np.ndarray, pair_tol: float) ->
 
 
 def _advance(
-    spectrum_at: Callable[[float], np.ndarray],
+    spectrum_at: Callable[..., Spectrum],
     prev: np.ndarray,
     c_a: float,
     c_b: float,
     pair_tol: float,
     depth: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Match branches from c_a to c_b, refining the step when movement is ambiguous."""
-    vals = spectrum_at(c_b)
-    matched, movement = _greedy_assign(prev, vals)
+    """Match branches from c_a to c_b, refining the step when movement is ambiguous.
+
+    Every value the greedy match picks lies within max(movement) of prev, so
+    when a local spectrum lists every eigenvalue that near prev (covers),
+    the match is the one on the full spectrum; otherwise C is solved densely.
+    """
+    spec = spectrum_at(c_b, prev)
+    matched, movement = _greedy_assign(prev, spec.eigenvalues)
+    if not spec.covers(prev, movement.max()):
+        matched, movement = _greedy_assign(prev, spectrum_at(c_b).eigenvalues)
     exempt = _transition_pairs(prev, matched, pair_tol)
     floor = 1e-9 * (1.0 + np.max(np.abs(prev)))
     t = prev.shape[0]
@@ -189,15 +203,21 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
     if family is None:
         family = dynamo_family(cfg.base, cfg.l, cfg.n)
     cache: dict = {}
+    dense_solves = 0
 
-    def spectrum_at(c: float) -> np.ndarray:
+    def spectrum_at(c: float, near: Optional[np.ndarray] = None) -> Spectrum:
+        """The cached spectrum at c; local near ``near`` if given, else dense."""
+        nonlocal dense_solves
         key = float(c)
-        if key not in cache:
-            cache[key] = eigen(family(key)).eigenvalues
-        return cache[key]
+        spec = cache.get(key)
+        if spec is None or (near is None and spec.disk is not None):
+            spec = eigen(family(key), near=near)
+            dense_solves += spec.disk is None
+            cache[key] = spec
+        return spec
 
     cs = np.linspace(cfg.c_min, cfg.c_max, cfg.steps)
-    first = spectrum_at(cs[0])
+    first = spectrum_at(cs[0]).eigenvalues
     track = min(cfg.track_count, first.shape[0])
     branches = np.empty((track, cfg.steps), dtype=complex)
     branches[:, 0] = first[:track]
@@ -213,11 +233,11 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
         arr.setflags(write=False)
     return BranchTrace(
         c_values=cs,
-        spectra=[spectrum_at(c) for c in cs],
         branches=branches,
         events=events,
         step_bounds=bounds,
         pair_tol=cfg.pair_tol,
+        dense_solves=dense_solves,
     )
 
 
@@ -284,9 +304,10 @@ def locate_ep(
 ) -> Tuple[float, complex]:
     """Bisect a real <-> complex transition of one eigenvalue pair to width tol_c.
 
-    The pair is chosen nearest to lambda_ref when given, otherwise as the
-    closest mutual pair in the spectrum.  Returns the bracket midpoint and the
-    mean of the coalescing pair there.
+    The pair is chosen nearest to lambda_ref when given, from a local solve
+    that covers it (dense otherwise), or else as the closest mutual pair in
+    the full spectrum.  Returns the bracket midpoint and the mean of the
+    coalescing pair there.
     """
     c_lo, c_hi = (float(bracket[0]), float(bracket[1]))
     if not (c_lo < c_hi):
@@ -294,12 +315,18 @@ def locate_ep(
     if tol_c <= 0:
         raise BracketError("tol_c must be positive")
 
+    def nearest_pair(vals: np.ndarray) -> np.ndarray:
+        idx = np.argsort(np.abs(vals - lambda_ref), kind="stable")[:2]
+        return vals[np.sort(idx)]
+
     def pair_at(c: float) -> np.ndarray:
-        vals = eigen(family(c)).eigenvalues
-        if lambda_ref is not None:
-            idx = np.argsort(np.abs(vals - lambda_ref), kind="stable")[:2]
-            return vals[np.sort(idx)]
-        return _closest_pair(vals)
+        if lambda_ref is None:
+            return _closest_pair(eigen(family(c)).eigenvalues)
+        spec = eigen(family(c), near=[lambda_ref])
+        pair = nearest_pair(spec.eigenvalues)
+        if not spec.covers([lambda_ref], np.max(np.abs(pair - lambda_ref))):
+            pair = nearest_pair(eigen(family(c)).eigenvalues)
+        return pair
 
     def indicator(c: float) -> float:
         a, b = pair_at(c)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
@@ -107,6 +106,8 @@ def darboux_partner(
     log-spline differentiation, so the two modes agree wherever the discrete
     ground state matches the supplied seed.
     """
+    from scipy.interpolate import CubicSpline, make_interp_spline  # on use: slow to import
+
     if isinstance(mode, GroundState):
         h0 = schrodinger_tridiag(grid, v0)
         vals, vecs = eigh_tridiagonal(h0.diag, h0.sub, select="i", select_range=(0, 0))

@@ -26,6 +26,7 @@ J-symmetric operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -52,14 +53,19 @@ def sharp(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DynamoMatrix:
-    """Dense real representation of the dynamo operator for one (alpha, l, n)."""
+    """The dynamo operator for one (alpha, l, n), kept as its blocks.
+
+    ``matrix`` is the dense real 2n x 2n array, built from the blocks on
+    first use and read-only; ``to_csc`` gives the same operator in sparse
+    form for the local eigensolve.
+    """
 
     grid: RadialGrid
     l: int
     alpha: Callable[[np.ndarray], np.ndarray]
     lap: TridiagOp
     q_alpha: TridiagOp
-    matrix: np.ndarray
+    alpha_nodes: np.ndarray
 
     @property
     def n(self) -> int:
@@ -69,22 +75,56 @@ class DynamoMatrix:
     def size(self) -> int:
         return 2 * self.grid.n
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n = self.n
+        m = np.zeros((2 * n, 2 * n))
+        lap_dense = self.lap.to_dense()
+        m[:n, :n] = lap_dense
+        m[n:, n:] = lap_dense
+        m[:n, n:] = np.diag(self.alpha_nodes)
+        m[n:, :n] = self.q_alpha.to_dense()
+        m.setflags(write=False)
+        return m
+
+    def to_csc(self, shift: float = 0.0):
+        """H - shift * I as a scipy.sparse CSC array, built from the blocks."""
+        from scipy.sparse import csc_array
+
+        n = self.n
+        lap_shifted = TridiagOp(self.lap.sub, self.lap.diag - shift, self.lap.sup)
+        rows, cols, vals = (
+            np.concatenate(parts)
+            for parts in zip(
+                _tridiag_entries(lap_shifted, 0, 0),
+                (np.arange(n), np.arange(n, 2 * n), self.alpha_nodes),
+                _tridiag_entries(self.q_alpha, n, 0),
+                _tridiag_entries(lap_shifted, n, n),
+            )
+        )
+        order = np.lexsort((rows, cols))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=2 * n))))
+        return csc_array((vals[order], rows[order], indptr), shape=(2 * n, 2 * n))
+
+
+def _tridiag_entries(t: TridiagOp, row0: int, col0: int) -> tuple:
+    """(rows, cols, values) of a tridiagonal block placed at (row0, col0)."""
+    i = np.arange(t.n)
+    j = np.arange(t.n - 1)
+    rows = np.concatenate([i, j + 1, j]) + row0
+    cols = np.concatenate([i, j, j + 1]) + col0
+    return rows, cols, np.concatenate([t.diag, t.sub, t.sup])
+
 
 def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
-    """Assemble the 2n x 2n dynamo matrix; alpha may be any bounded real profile."""
+    """Assemble the 2n x 2n dynamo operator; alpha may be any bounded real profile."""
     if l < 1:
         raise DomainError(f"angular mode number must satisfy l >= 1, got l={l}")
     lap = laplacian_l(grid, l)
     q_a = diffusion_alpha(grid, alpha, l)
-    n = grid.n
-    m = np.zeros((2 * n, 2 * n))
-    lap_dense = lap.to_dense()
-    m[:n, :n] = lap_dense
-    m[n:, n:] = lap_dense
-    m[:n, n:] = np.diag(np.asarray(alpha(grid.nodes), dtype=float))
-    m[n:, :n] = q_a.to_dense()
-    m.setflags(write=False)
-    return DynamoMatrix(grid=grid, l=l, alpha=alpha, lap=lap, q_alpha=q_a, matrix=m)
+    a_nodes = np.array(alpha(grid.nodes), dtype=float)
+    a_nodes.setflags(write=False)
+    return DynamoMatrix(grid=grid, l=l, alpha=alpha, lap=lap, q_alpha=q_a, alpha_nodes=a_nodes)
 
 
 def pseudo_hermiticity_residual(m: DynamoMatrix | np.ndarray) -> float:

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, DomainError
 
@@ -131,6 +130,8 @@ class AlphaProfile:
 
     @staticmethod
     def from_samples(r: np.ndarray, values: np.ndarray, label: str = "spline:<samples>") -> "AlphaProfile":
+        from scipy.interpolate import CubicSpline  # on use: slow to import
+
         r = np.asarray(r, dtype=float)
         values = np.asarray(values, dtype=float)
         if r.ndim != 1 or r.shape != values.shape or r.size < 4:

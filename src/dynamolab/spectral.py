@@ -1,4 +1,4 @@
-"""Dense eigensolves, conjugate-pair classification, and Jordan-chain probing.
+"""Eigensolves (dense or certified local), conjugate-pair classification, Jordan probes.
 
 The assembled dynamo matrix is real, so its spectrum is closed under complex
 conjugation; J-symmetry sharpens that statement to "real or conjugate pairs".
@@ -6,12 +6,25 @@ This module computes spectra with a standard dense nonsymmetric solver,
 classifies each eigenvalue as real or as one partner of a conjugate pair, and
 provides a diagnostic probe for Jordan-Keldysh chains (eigenvector plus
 associated vector) near two-fold degeneracies.
+
+A caller that needs only the eigenvalues near a few known points (branch
+tracking, exceptional-point bisection) passes them as ``near``.  For an
+assembled dynamo operator ``eigen`` then runs ARPACK in shift-invert mode
+(Lehoucq, Sorensen & Yang, 1998) on the sparse operator and returns the
+eigenvalues nearest a real shift sigma, together with a disk |lambda - sigma|
+< radius that contains every eigenvalue of the operator inside it.  A caller
+accepts a local result only when its decision provably depends on nothing
+outside that disk (``Spectrum.covers``), and otherwise asks for the dense one.
+The disk rests on ARPACK's converged Ritz values being the eigenvalues of
+largest |1/(lambda - sigma)|; a Krylov method cannot see the multiplicity of
+a double eigenvalue, so at alpha == 0, where every eigenvalue is double, the
+solve stays dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -27,13 +40,16 @@ class Spectrum:
     """Eigenvalues sorted by (Re desc, Im desc), optional eigenvectors, pair tags.
 
     pair_index[i] is REAL_TAG (-1) for a real eigenvalue and the index of the
-    conjugate partner otherwise; None until classify_pairs has run.
+    conjugate partner otherwise; None until classify_pairs has run.  disk is
+    None for a full spectrum; for a local one it is (sigma, radius), and every
+    eigenvalue of the operator with |lambda - sigma| < radius is listed.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
     pair_index: Optional[np.ndarray]
     pair_tol: Optional[float]
+    disk: Optional[Tuple[float, float]] = None
 
     @property
     def size(self) -> int:
@@ -47,6 +63,13 @@ class Spectrum:
     def leading(self, count: int) -> np.ndarray:
         return self.eigenvalues[:count]
 
+    def covers(self, points, reach: float) -> bool:
+        """True when every eigenvalue within ``reach`` of any of ``points`` is listed."""
+        if self.disk is None:
+            return True
+        sigma, radius = self.disk
+        return bool(reach < radius - np.max(np.abs(np.asarray(points) - sigma)))
+
 
 def _as_matrix(m) -> np.ndarray:
     if isinstance(m, DynamoMatrix):
@@ -58,15 +81,68 @@ def _as_matrix(m) -> np.ndarray:
 
 
 _RESIDUAL_BOUND = 1e-8
+_V0_SEED = 20020813  # fixed ARPACK start vector: repeated runs give identical bytes
+# Shift-invert Ritz values converge to ARPACK's default relative tolerance
+# (machine epsilon) in 1/(lambda - sigma); the certified radius stays this
+# far inside the farthest returned eigenvalue so rounding cannot reorder them.
+_DISK_MARGIN = 1e-10
 
 
-def eigen(m, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a dynamo matrix (or any square array), deterministically sorted.
+def _local_eigen(m: DynamoMatrix, near: np.ndarray) -> Optional[Spectrum]:
+    """Eigenvalues nearest a real shift at the middle of Re(near), or None.
+
+    ARPACK returns the k eigenvalues of largest |1/(lambda - sigma)|, so no
+    other eigenvalue is nearer to sigma than the farthest one returned.  k
+    starts at len(near) + 4 and doubles until that radius is twice the spread
+    of ``near`` around sigma; None when k reaches the ARPACK limit N - 1 or
+    ARPACK fails, and the caller solves densely.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+
+    size = m.size
+    sigma = 0.5 * (float(near.real.min()) + float(near.real.max()))
+    spread = float(np.max(np.abs(near - sigma)))
+    shifted = m.to_csc(shift=sigma)
+    v0 = np.random.default_rng(_V0_SEED).standard_normal(size)
+    k = near.size + 4
+    try:
+        inverse = LinearOperator(shifted.shape, matvec=splu(shifted).solve, dtype=float)
+    except RuntimeError:  # sigma is an eigenvalue to working precision
+        return None
+    while k < size - 1:
+        try:
+            # with OPinv given, eigs uses only the shape and dtype of its first argument
+            vals = eigs(shifted, k, sigma=sigma, OPinv=inverse, v0=v0, return_eigenvectors=False)
+        except ArpackError:  # ArpackNoConvergence included
+            return None
+        radius = float(np.max(np.abs(vals - sigma))) * (1.0 - _DISK_MARGIN)
+        if radius > 2.0 * spread:
+            vals = vals[np.lexsort((-vals.imag, -vals.real))]
+            vals.setflags(write=False)
+            return Spectrum(vals, None, None, None, disk=(sigma, radius))
+        k *= 2
+    return None
+
+
+def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = None) -> Spectrum:
+    """Spectrum of a dynamo matrix (or any square array), deterministically sorted.
 
     With want_vectors the columns of ``eigenvectors`` match the sorted
     eigenvalues and are verified against the residual contract
     ||M v - lambda v|| <= 1e-8 ||M|| ||v||.
+
+    With ``near`` (and no vectors) an assembled dynamo operator with alpha not
+    identically zero gets the local shift-invert solve: the eigenvalues
+    nearest the points, with ``disk`` set.  Every other case, and a local
+    solve that cannot finish, gives the full dense spectrum.
     """
+    if near is not None and not want_vectors and isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
+        near = np.asarray(near, dtype=complex).ravel()
+        if near.size == 0:
+            raise ShapeError("near must hold at least one point")
+        local = _local_eigen(m, near)
+        if local is not None:
+            return local
     a = _as_matrix(m)
     try:
         if want_vectors:

@@ -91,9 +91,8 @@ class TestSweepConstantAlpha:
         assert crossing == pytest.approx(k1, abs=0.01)
 
     def test_start_matches_unscaled_spectrum(self, const_trace):
-        assert np.array_equal(
-            const_trace.branches[:, 0], const_trace.spectra[0][: const_trace.track_count]
-        )
+        unscaled = eigen(dynamo_family(ONE, 1, 100)(0.0)).eigenvalues
+        assert np.array_equal(const_trace.branches[:, 0], unscaled[: const_trace.track_count])
 
     def test_step_bounds_invariant(self, const_trace):
         diffs = np.abs(np.diff(const_trace.branches, axis=1))
@@ -220,3 +219,113 @@ class TestDynamoExceptionalPoint:
         grid = build_grid(EP_N)
         coeffs = pencil_coefficients(grid, EP_BASE.scaled(c_star), EP_L, psi1)
         assert abs(coeffs.discriminant) <= 1e-2 * coeffs.a1**2
+
+
+# --------------------------------------------------------------------------
+# local shift-invert solves against the dense path
+# --------------------------------------------------------------------------
+
+
+def counted_sweep(monkeypatch, cfg, family=None):
+    """Run sweep with a counter on every eigen call; returns (trace, calls)."""
+    import dynamolab.branches as branches
+
+    calls = []
+    original = branches.eigen
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(branches, "eigen", counting)
+        trace = sweep(cfg, family=family)
+    return trace, len(calls)
+
+
+def dense_family(base, l, n):
+    """The same matrices as plain arrays, which always take the dense path."""
+    family = dynamo_family(base, l, n)
+    return lambda c: family(c).matrix
+
+
+def assert_columns_equal_as_sets(a, b, rel):
+    assert a.shape == b.shape
+    for k in range(a.shape[1]):
+        x, y = a[:, k], b[:, k]
+        d = np.abs(x[:, None] - y[None, :])
+        tol = rel * np.max(np.abs(y))
+        assert d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol, k
+
+
+README_EP = SweepConfig(base=EP_BASE, c_min=9.0, c_max=11.0, steps=17, l=EP_L, n=EP_N)
+THRESHOLD_60 = SweepConfig(base=ONE, c_min=0.0, c_max=6.0, steps=61, l=1, n=60)
+
+
+class TestLocalSolveOracle:
+    @pytest.mark.parametrize("cfg", [README_EP, THRESHOLD_60], ids=["readme-ep", "threshold-n60"])
+    def test_local_path_matches_dense_path(self, monkeypatch, cfg):
+        local, local_calls = counted_sweep(monkeypatch, cfg)
+        dense, dense_calls = counted_sweep(monkeypatch, cfg, dense_family(cfg.base, cfg.l, cfg.n))
+        assert local.events == dense.events
+        assert local_calls == dense_calls
+        assert_columns_equal_as_sets(local.branches, dense.branches, 1e-9)
+        # only the first C is solved densely; a path that silently always
+        # falls back would count every solve here
+        assert local.dense_solves == 1
+        assert dense.dense_solves == dense_calls
+
+    def test_locate_ep_matches_dense_path(self, dyn_family, dyn_trace):
+        # the RealToComplex bracket of the README EP sweep
+        ev = next(e for e in dyn_trace.events if e.kind == "RealToComplex")
+        bracket = (ev.c_lo, ev.c_hi)
+        local = locate_ep(dyn_family, bracket, 1e-6, lambda_ref=-38 + 0j)
+        dense = locate_ep(lambda c: dyn_family(c).matrix, bracket, 1e-6, lambda_ref=-38 + 0j)
+        assert local[0] == dense[0]
+        assert local[1] == pytest.approx(dense[1], rel=1e-9)
+
+    def test_local_spectrum_covers_its_disk(self, dyn_family):
+        m = dyn_family(9.7)
+        near = np.array([-38.0, -20.0 + 1.0j])
+        local = eigen(m, near=near)
+        full = eigen(m).eigenvalues
+        sigma, radius = local.disk
+        inside = full[np.abs(full - sigma) < radius]
+        assert local.size < full.size
+        assert np.max(np.min(np.abs(inside[:, None] - local.eigenvalues[None, :]), axis=1)) <= 1e-9
+        assert local.covers(near, 0.0) and not local.covers(near, radius)
+        assert eigen(m).disk is None and eigen(m, want_vectors=True, near=near).disk is None
+
+
+class TestLocalSolveFallback:
+    def test_alpha_zero_mid_sweep(self, monkeypatch):
+        # C = 0 is the eleventh grid point of 21: the decoupled operator has
+        # every eigenvalue double there and must be solved densely
+        cfg = SweepConfig(base=ONE, c_min=-1.0, c_max=1.0, steps=21, l=1, n=60)
+        local, local_calls = counted_sweep(monkeypatch, cfg)
+        dense, dense_calls = counted_sweep(monkeypatch, cfg, dense_family(ONE, 1, 60))
+        assert local.dense_solves >= 2
+        assert local.events == dense.events
+        assert local_calls == dense_calls
+        assert_columns_equal_as_sets(local.branches, dense.branches, 1e-9)
+
+    def test_track_count_beyond_arpack(self):
+        # ARPACK needs k = track_count + 4 below N - 1 = 15 at n = 8
+        cfg = SweepConfig(base=ONE, c_min=0.5, c_max=1.0, steps=5, l=1, n=8, track_count=11)
+        local = sweep(cfg)
+        dense = sweep(cfg, family=dense_family(ONE, 1, 8))
+        assert local.dense_solves == dense.dense_solves >= 5
+        assert np.array_equal(local.branches, dense.branches)
+        assert local.events == dense.events
+
+    def test_arpack_failure_gives_the_dense_spectrum(self, monkeypatch, dyn_family):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        m = dyn_family(9.7)
+        spec = eigen(m, near=[-38.0])
+        assert spec.disk is None
+        assert np.array_equal(spec.eigenvalues, eigen(m).eigenvalues)

@@ -73,12 +73,19 @@ class TestSweep:
         assert svg.exists() and svg.read_text().startswith("<svg")
 
     def test_sweep_determinism(self, tmp_path):
-        outs = []
-        for name in ("s1.csv", "s2.csv"):
-            out = tmp_path / name
-            main(["sweep", "--alpha", "const:1", "--scale", "0,3,7", "--n", "60", "--out", str(out)])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        configs = [
+            ["--alpha", "const:1", "--scale", "0,3,7", "--n", "60"],
+            # the README EP sweep: every step after the first is a local
+            # ARPACK solve, whose start vector must be fixed
+            ["--alpha", "poly:1,-3", "--l", "1", "--scale", "9,11,17", "--n", "100"],
+        ]
+        for k, argv in enumerate(configs):
+            outs = []
+            for name in ("s1.csv", "s2.csv"):
+                out = tmp_path / f"{k}_{name}"
+                assert main(["sweep"] + argv + ["--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
 
 class TestPencilCheck:

@@ -75,6 +75,13 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(build_grid(10), ONE, 0)
 
+    def test_csc_form_equals_dense_matrix(self):
+        m = assemble(build_grid(17), AlphaProfile.polynomial([1.0, -3.0]), 2)
+        assert m.matrix is m.matrix and not m.matrix.flags.writeable
+        size = m.size
+        assert np.array_equal(m.to_csc().toarray(), m.matrix)
+        assert np.array_equal(m.to_csc(shift=-2.5).toarray(), m.matrix + 2.5 * np.eye(size))
+
     def test_pseudo_hermiticity_exact_zero(self):
         cases = [
             (ONE, 1, 100),
