@@ -186,6 +186,8 @@ def _cmd_darboux(args) -> int:
 
 
 def _cmd_nogo(args) -> int:
+    if args.samples < 1:
+        raise ConfigurationError("--samples must be at least 1")
     alpha0 = parse_profile(args.alpha0)
     alpha1 = parse_profile(args.alpha1)
     lo, hi = args.window
@@ -211,6 +213,8 @@ def _cmd_nogo(args) -> int:
 
 
 def _cmd_mre_check(args) -> int:
+    if args.stride < 1:
+        raise ConfigurationError("--stride must be at least 1")
     alpha0 = parse_profile(args.alpha0)
     alpha1 = parse_profile(args.alpha1)
     pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l0, l1=args.l1, e=args.E)

@@ -27,7 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
 from .grid import RadialGrid, TridiagOp
-from .mre import rk4
+from .mre import rk4_linear
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,12 @@ def partner_mode(pair: DarbouxPair) -> np.ndarray:
     w_mids = np.asarray(pair.v1(grid.half_nodes[1:-1]), dtype=float) - pair.energy
 
     def rhs(w, state):
-        return np.array([state[1], w * state[0]])
+        # (chi, chi')' = (chi', w chi), batched over w and the columns of state
+        return np.stack(np.broadcast_arrays(state[..., 1, :], w[..., None] * state[..., 0, :]), -2)
 
-    chi1 = np.empty(grid.n)
-    chi1[idx0:] = rk4(rhs, w_nodes[idx0:], w_mids[idx0:], y0, grid.h)[:, 0]
-    chi1[: idx0 + 1] = rk4(rhs, w_nodes[idx0::-1], w_mids[:idx0][::-1], y0, -grid.h)[::-1, 0]
-    return chi1
+    fwd = rk4_linear(rhs, w_nodes[idx0:], w_mids[idx0:], y0, grid.h)
+    back = rk4_linear(rhs, w_nodes[idx0::-1], w_mids[:idx0][::-1], y0, -grid.h)
+    return np.concatenate([back[:0:-1, 0], fwd[:, 0]])
 
 
 def product_invariant_check(

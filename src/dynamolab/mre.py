@@ -12,11 +12,12 @@ linearize through homogeneous coordinates U = V W^-1 (resp. B = X Y^-1):
     (X, Y)' = -[[0, M1], [K1^-1, 0]] (X, Y).
 
 A fixed-step RK4 integrates the linear eight-dimensional flow; the affine
-coordinate is formed wherever the bottom block is well conditioned.  The
-Riccati residual is measured against an independent direct RK4 integration of
-the nonlinear equation restarted on every well-conditioned segment, so both
-routes converge at fourth order and the residual shrinks ~16x per step
-halving.
+coordinate is formed wherever the bottom block is well conditioned.  One RK4
+step of this real linear flow is a fixed real 4x4 propagator; rk4_linear
+builds them batched and chains them.  The Riccati residual is measured against
+an independent sequential RK4 (rk4) of the nonlinear equation, which has no
+propagator, restarted on every well-conditioned segment, so both routes
+converge at fourth order and the residual shrinks ~16x per step halving.
 
 Differentiating once more, the bottom block solves the second-order form
 (d/dr K d/dr - M) W = 0, which after the substitution u = r*psi is the
@@ -52,10 +53,7 @@ def kmat(alpha_vals: np.ndarray) -> np.ndarray:
 
 def kmat_inv(alpha_vals: np.ndarray) -> np.ndarray:
     """K^-1 = I + alpha sigma_minus (nilpotent inverse, exact)."""
-    a = np.atleast_1d(np.asarray(alpha_vals, dtype=float))
-    out = np.tile(IDENT2, (a.shape[0], 1, 1))
-    out[:, 1, 0] = a
-    return out
+    return kmat(-np.asarray(alpha_vals, dtype=float))
 
 
 def mmat(alpha_vals: np.ndarray, l: int, e: float, r: np.ndarray) -> np.ndarray:
@@ -130,6 +128,16 @@ class MatrixODESolution:
 
 
 COND_LOG_MAX = 12.0
+PROPAGATOR_BLOCK = 256  # steps whose propagators rk4_linear builds in one batch
+
+
+def _rk4_step(rhs, c_node, c_mid, c_next, y, h):
+    """One classical RK4 step; broadcasts over a leading batch axis of c and y."""
+    k1 = rhs(c_node, y)
+    k2 = rhs(c_mid, y + 0.5 * h * k1)
+    k3 = rhs(c_mid, y + 0.5 * h * k2)
+    k4 = rhs(c_next, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def rk4(rhs, coef_nodes, coef_mids, y0, h):
@@ -138,16 +146,33 @@ def rk4(rhs, coef_nodes, coef_mids, y0, h):
     coef_nodes[k] and coef_mids[k] are the coefficients at node k and at the
     midpoint of step k; step k evaluates rhs at node k, twice at midpoint k
     and at node k+1, so len(coef_mids) steps are taken (h may be negative).
+    Sequential, for the nonlinear Riccati check; linear flows use rk4_linear.
     """
     ys = np.empty((len(coef_mids) + 1,) + y0.shape, dtype=y0.dtype)
     ys[0] = y = y0
     for k, c_mid in enumerate(coef_mids):
-        k1 = rhs(coef_nodes[k], y)
-        k2 = rhs(c_mid, y + 0.5 * h * k1)
-        k3 = rhs(c_mid, y + 0.5 * h * k2)
-        k4 = rhs(coef_nodes[k + 1], y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[k + 1] = y
+        ys[k + 1] = y = _rk4_step(rhs, coef_nodes[k], c_mid, coef_nodes[k + 1], y, h)
+    return ys
+
+
+def rk4_linear(rhs, coef_nodes, coef_mids, y0, h):
+    """rk4 for a flow y' = rhs(c, y) linear in y, through real one-step propagators.
+
+    For y0 of shape (D,) or (D, m), rhs must broadcast a leading batch axis of
+    c against y of shape (..., D, D): the stage formula applied to the
+    identity gives the propagators P[k], PROPAGATOR_BLOCK steps at a time to
+    bound memory, chained in place as y[k+1] = P[k] @ y[k].
+    """
+    n = len(coef_mids)
+    ys = np.empty((n + 1,) + y0.shape, dtype=np.result_type(y0, np.float64))
+    ys[0] = y0
+    cols = ys.reshape(n + 1, len(y0), -1).view(np.float64)  # complex: re/im columns interleaved
+    for s in range(0, n, PROPAGATOR_BLOCK):
+        nodes = coef_nodes[s : s + PROPAGATOR_BLOCK + 1]
+        mids = coef_mids[s : s + PROPAGATOR_BLOCK]
+        props = _rk4_step(rhs, nodes[:-1], mids, nodes[1:], np.eye(len(y0)), h)
+        for k, p in enumerate(props, start=s):
+            np.matmul(p, cols[k], out=cols[k + 1])
     return ys
 
 
@@ -192,6 +217,8 @@ def mre_linear_solve(
     """
     if which not in (U_SYSTEM, B_SYSTEM):
         raise ConfigurationError(f"unknown system {which!r} (expected 'U' or 'B')")
+    if not step > 0:
+        raise ConfigurationError(f"step must be positive, got {step}")
     if r_start < 1e-3:
         raise DomainError(f"r_start must be >= 1e-3 (singular origin), got {r_start}")
     if not r_start < r_end <= 1.0:
@@ -229,26 +256,24 @@ def mre_linear_solve(
     sign = 1.0 if which == U_SYSTEM else -1.0
 
     def rhs(c, y):
-        # c = (M, K^-1), y = (top, bot)
-        out = np.empty_like(y)
-        out[0] = sign * (c[0] @ y[1])
-        out[1] = sign * (c[1] @ y[0])
-        return out
+        # c = (M, K^-1) (batched or not), y = (top; bot) stacked as 4 rows
+        top, bot = y[..., :2, :], y[..., 2:, :]
+        return sign * np.concatenate([c[..., 0, :, :] @ bot, c[..., 1, :, :] @ top], axis=-2)
 
-    traj = rk4(
+    traj = rk4_linear(
         rhs,
         np.stack([m_nodes, kinv_nodes], axis=1),
         np.stack([m_mids, kinv_mids], axis=1),
-        np.stack([top0, bot0]),
+        np.concatenate([top0, bot0]),
         h,
     )
-    tops, bots = traj[:, 0], traj[:, 1]
+    tops, bots = traj[:, :2], traj[:, 2:]
 
     cond_log = cond2_log10(bots)
     ok = cond_log < cond_log_max
-    affine = np.full_like(tops, np.nan)
-    if np.any(ok):
-        affine[ok] = tops[ok] @ inv2(bots[ok])
+    with np.errstate(invalid="ignore", over="ignore"):
+        affine = tops @ inv2(bots)
+    affine[~ok] = np.nan
     warnings = []
     if not np.all(ok):
         last_ok = rs[ok][-1] if np.any(ok) else None

@@ -195,6 +195,30 @@ class TestExitCodes:
         rc = main(["spectrum", "--alpha", "const:1", "--n", "60", "--pair-tol", "-1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mre-check", "--stride", "0"],
+            ["mre-check", "--stride", "-5"],
+            ["mre-check", "--step", "0"],
+        ],
+        ids=["stride-zero", "stride-negative", "step-zero"],
+    )
+    def test_mre_check_bad_sampling(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--alpha0", "const:1", "--alpha1", "const:1", "--out", str(out)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nogo_bad_samples(self, tmp_path, capsys, samples):
+        out = tmp_path / "x.csv"
+        argv = ["nogo", "--alpha0", "poly:1,0,0.5", "--alpha1", "const:1", "--samples", samples]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_conjugation_of_real_matrices(self, tmp_path):
         # LAPACK returns bit-exact conjugate pairs for real input, so even a
         # pair tolerance at the underflow limit classifies cleanly
