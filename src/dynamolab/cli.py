@@ -219,19 +219,17 @@ def _cmd_mre_check(args) -> int:
     alpha1 = parse_profile(args.alpha1)
     pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l0, l1=args.l1, e=args.E)
     if args.init == "series":
-        sol = mre_linear_solve(
-            args.system, pair, 1e-3, 1.0, step=args.step, init="series"
-        )
-        r_min = 0.1
+        init, default_start, r_min = "series", 1e-3, 0.1
     else:
         init = (
             np.array([[0.3 + 0.1j, -0.2], [0.1, 0.4]], dtype=complex),
             np.eye(2, dtype=complex),
         )
-        sol = mre_linear_solve(
-            args.system, pair, args.r_start, 1.0, step=args.step, init=init
-        )
-        r_min = None
+        default_start, r_min = 0.1, None
+    r_start = default_start if args.r_start is None else args.r_start
+    sol = mre_linear_solve(args.system, pair, r_start, 1.0, step=args.step, init=init)
+    for warning in sol.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     _, per_node = riccati_residual(sol, r_min=r_min)
     lines = ["r,riccati_residual,cond_log"]
     for k in range(0, sol.rs.size, args.stride):
@@ -329,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--l1", type=int, default=2)
     mc.add_argument("--E", type=float, default=0.0)
     mc.add_argument("--system", choices=("U", "B"), default="U")
-    mc.add_argument("--r-start", dest="r_start", type=float, default=0.1)
+    mc.add_argument(
+        "--r-start", dest="r_start", type=float, default=None,
+        help="start radius (default 0.1 for --init generic, 1e-3 for --init series)",
+    )
     mc.add_argument("--step", type=float, default=1e-4)
     mc.add_argument("--init", choices=("generic", "series"), default="generic")
     mc.add_argument("--stride", type=int, default=10)

@@ -15,9 +15,12 @@ A fixed-step RK4 integrates the linear eight-dimensional flow; the affine
 coordinate is formed wherever the bottom block is well conditioned.  One RK4
 step of this real linear flow is a fixed real 4x4 propagator; rk4_linear
 builds them batched and chains them.  The Riccati residual is measured against
-an independent sequential RK4 (rk4) of the nonlinear equation, which has no
-propagator, restarted on every well-conditioned segment, so both routes
-converge at fourth order and the residual shrinks ~16x per step halving.
+an independent RK4 of the nonlinear equation, which has no propagator,
+restarted on every well-conditioned segment, so both routes converge at
+fourth order and the residual shrinks ~16x per step halving.  That nonlinear
+recurrence is solved by multiple shooting: short windows run as one batch
+through the sequential driver rk4, and Newton updates chained along each
+segment make their starts agree with the step-by-step trajectory to rounding.
 
 Differentiating once more, the bottom block solves the second-order form
 (d/dr K d/dr - M) W = 0, which after the substitution u = r*psi is the
@@ -33,7 +36,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, SolverError
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -86,6 +89,17 @@ def inv2(m: np.ndarray, det_floor: float = 0.0) -> np.ndarray:
     return out
 
 
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched 2x2 product a @ b written out elementwise (matmul is slow on 2x2 stacks)."""
+    return np.stack(
+        [
+            a[..., 0, 0, None] * b[..., 0, :] + a[..., 0, 1, None] * b[..., 1, :],
+            a[..., 1, 0, None] * b[..., 0, :] + a[..., 1, 1, None] * b[..., 1, :],
+        ],
+        axis=-2,
+    )
+
+
 def cond2_log10(m: np.ndarray) -> np.ndarray:
     """log10 of the 2-norm condition number of batched 2x2 matrices."""
     m = np.asarray(m)
@@ -129,6 +143,8 @@ class MatrixODESolution:
 
 COND_LOG_MAX = 12.0
 PROPAGATOR_BLOCK = 256  # steps whose propagators rk4_linear builds in one batch
+SHOOTING_WINDOW = 8  # RK4 steps per multiple-shooting window of riccati_residual
+SHOOTING_RTOL = 1e-14  # Newton update of a window start, relative to it, taken as rounding
 
 
 def _rk4_step(rhs, c_node, c_mid, c_next, y, h):
@@ -146,7 +162,8 @@ def rk4(rhs, coef_nodes, coef_mids, y0, h):
     coef_nodes[k] and coef_mids[k] are the coefficients at node k and at the
     midpoint of step k; step k evaluates rhs at node k, twice at midpoint k
     and at node k+1, so len(coef_mids) steps are taken (h may be negative).
-    Sequential, for the nonlinear Riccati check; linear flows use rk4_linear.
+    Sequential over steps; riccati_residual batches short windows through it,
+    and linear flows use rk4_linear.
     """
     ys = np.empty((len(coef_mids) + 1,) + y0.shape, dtype=y0.dtype)
     ys[0] = y = y0
@@ -301,7 +318,9 @@ def mre_linear_solve(
     )
 
 
-def riccati_residual(sol: MatrixODESolution, r_min: float = None) -> Tuple[float, np.ndarray]:
+def riccati_residual(
+    sol: MatrixODESolution, r_min: Optional[float] = None
+) -> Tuple[float, np.ndarray]:
     """Max-norm deviation of the affine coordinate from direct nonlinear integration.
 
     The nonlinear Riccati equation is re-integrated with the same RK4 step,
@@ -310,29 +329,108 @@ def riccati_residual(sol: MatrixODESolution, r_min: float = None) -> Tuple[float
     together with their supremum (NaN nodes excluded).  r_min restricts the
     check to the tail of the trajectory (singular-start solutions are stiff
     near the origin, where the affine coordinate behaves like l/r).
+
+    The sequential RK4 recurrence is solved by multiple shooting.  Every
+    segment is cut into windows of SHOOTING_WINDOW steps, the windows of all
+    segments run as one batch through rk4, and Newton updates of the window
+    starts are chained along each segment.  Window 0 starts at the affine
+    value and the others at the linear trajectory's top @ inv2(bot), so an
+    affine node enters no residual but its own.  The first pass also carries
+    the four tangent directions, which gives each window's Jacobian of the
+    (holomorphic) step map; later passes reuse it and integrate the
+    trajectory only.  At least one correction is always applied: a small
+    mismatch at every window boundary can still hide error built up along
+    the segment.  The iteration stops when the chained update is at rounding
+    level: below SHOOTING_RTOL relative to every window start, or no longer
+    shrinking while inside the worst-case rounding of the sequential
+    recurrence (each window's eps * sum |u|, chained through the Jacobian
+    norms).  In exact arithmetic m corrections make the first m + 1 starts
+    exact, so the passes are capped at the largest window count of a
+    segment (at least 2).  An unconverged or non-finite result on a checked
+    node raises SolverError instead of leaving a NaN that sup would drop.
     """
     ok = np.isfinite(sol.affine[:, 0, 0])
     if r_min is not None:
         ok = ok & (sol.rs >= r_min)
     per_node = np.full(sol.rs.size, np.nan)
+    idx = np.flatnonzero(ok)
+    if idx.size == 0:
+        return np.nan, per_node
+    cut = np.flatnonzero(np.diff(idx) > 1) + 1
+    seg_lo, seg_hi = idx[np.r_[0, cut]], idx[np.r_[cut - 1, -1]]
+
+    # windows of all segments, in order; the last one of a segment may be short
+    n = SHOOTING_WINDOW
+    counts = (seg_hi - seg_lo + n - 1) // n
+    seg = np.repeat(np.arange(seg_lo.size), counts)
+    local = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = seg_lo[seg] + n * local
+    lengths = np.minimum(n, seg_hi[seg] - starts)
+    chained = np.flatnonzero(local > 0)
+    # every window takes n steps; a short one runs on past its segment end,
+    # on clipped coefficients, and those values are discarded
+    nodes = np.minimum(starts + np.arange(n + 1)[:, None], sol.rs.size - 1)
+    coef_nodes = np.stack([sol.m_nodes[nodes], sol.kinv_nodes[nodes]], axis=2)
+    mids = np.minimum(nodes[:-1], sol.rs.size - 2)
+    coef_mids = np.stack([sol.m_mids[mids], sol.kinv_mids[mids]], axis=2)
     sign = sol.sign
 
-    def rhs(c, u):
-        # c = (M, K^-1)
-        return sign * (c[0] - u @ c[1] @ u)
+    def rhs(c, y):
+        # c = (M, K^-1) per window; y[:, 0] is the trajectory, y[:, 1:] its tangents
+        m, kinv = c[:, None, 0], c[:, None, 1]
+        u = y[:, :1]
+        uk = _mul2(u, kinv)
+        f = sign * (m - _mul2(uk, u))
+        if y.shape[1] == 1:
+            return f
+        du = y[:, 1:]
+        df = -sign * (_mul2(du, _mul2(kinv, u)) + _mul2(uk, du))
+        return np.concatenate([f, df], axis=1)
 
-    coef_nodes = np.stack([sol.m_nodes, sol.kinv_nodes], axis=1)
-    coef_mids = np.stack([sol.m_mids, sol.kinv_mids], axis=1)
-    idx = np.flatnonzero(ok)
-    for seg in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
-        if seg.size == 0:
-            continue
-        i, j = seg[0], seg[-1]
-        traj = rk4(rhs, coef_nodes[i : j + 1], coef_mids[i:j], sol.affine[i], sol.step)
-        per_node[i : j + 1] = np.max(np.abs(traj - sol.affine[i : j + 1]), axis=(1, 2))
-    finite = per_node[np.isfinite(per_node)]
-    sup = float(np.max(finite)) if finite.size else np.nan
-    return sup, per_node
+    start = _mul2(sol.top[starts], inv2(sol.bot[starts]))
+    start[local == 0] = sol.affine[starts[local == 0]]
+    tangents = np.broadcast_to(np.eye(4).reshape(4, 2, 2), (seg.size, 4, 2, 2))
+    y0 = np.concatenate([start[:, None], tangents], axis=1)
+    prev = np.inf
+    for p in range(max(2, int(counts.max()))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = rk4(rhs, coef_nodes, coef_mids, y0, sol.step)
+        if p == 0:
+            # column j of a window's Jacobian is the image of tangent direction j;
+            # bound chains the same way each window's worst-case rounding
+            jac = ys[n, :, 1:].reshape(-1, 4, 4).swapaxes(1, 2)
+            growth = np.max(np.sum(np.abs(jac), axis=2), axis=1)
+            sizes = np.max(np.abs(ys[:, :, 0]), axis=(2, 3))
+            noise = np.finfo(float).eps * np.sum(sizes, axis=0)
+            bound = np.zeros(seg.size)
+            for w in chained:
+                bound[w] = noise[w - 1] + growth[w - 1] * bound[w - 1]
+        gap = (ys[n, :-1, 0] - start[1:]).reshape(-1, 4)
+        update = np.zeros((seg.size, 4), dtype=complex)
+        for w in chained:
+            update[w] = gap[w - 1] + jac[w - 1] @ update[w - 1]
+        size = np.max(np.abs(update), axis=1)
+        if not np.all(np.isfinite(size)):
+            raise SolverError("nonlinear Riccati integration is not finite on a checked segment")
+        rel = float(np.max(size / np.max(np.abs(start), axis=(1, 2)), initial=0.0))
+        stalled = rel > prev / 2 and np.all(size <= bound)
+        if p > 0 and (rel <= SHOOTING_RTOL or stalled):
+            break
+        prev = rel
+        start = start + update.reshape(-1, 2, 2)
+        y0 = start[:, None]
+    else:
+        raise SolverError(f"Riccati multiple shooting unconverged after {p + 1} passes")
+
+    steps = np.arange(1, n + 1)
+    taken = steps <= lengths[:, None]
+    traj = np.empty_like(sol.affine)
+    traj[(starts[:, None] + steps)[taken]] = ys[1:, :, 0].swapaxes(0, 1)[taken]
+    traj[seg_lo] = sol.affine[seg_lo]
+    per_node[idx] = np.max(np.abs(traj[idx] - sol.affine[idx]), axis=(1, 2))
+    if not np.all(np.isfinite(per_node[idx])):
+        raise SolverError("nonlinear Riccati integration is not finite on a checked node")
+    return float(np.max(per_node[idx])), per_node
 
 
 def eigenfunction_equivalence(sol: MatrixODESolution) -> float:

@@ -159,6 +159,35 @@ class TestMreCheck:
         vals = [float(ln.split(",")[1]) for ln in lines[2:]]
         assert max(v for v in vals if np.isfinite(v)) <= 1e-5
 
+    @pytest.mark.parametrize("r_start, first_r", [(None, "0.001"), ("0.05", "0.05")])
+    def test_series_start_radius(self, tmp_path, r_start, first_r):
+        out = tmp_path / "mre.csv"
+        argv = [
+            "mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "const:1",
+            "--system", "B", "--init", "series", "--step", "1e-3", "--out", str(out),
+        ]
+        if r_start is not None:
+            argv += ["--r-start", r_start]
+        assert main(argv) == 0
+        assert read_lines(out)[1].split(",")[0] == first_r
+
+    def test_warnings_reported(self, tmp_path, capsys):
+        # a well-conditioned run prints nothing to stderr
+        argv = ["mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "poly:1,0,0.5"]
+        assert main(argv + ["--step", "1e-3", "--out", str(tmp_path / "ok.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        # alpha0 = 100 at l0 = 10: the bottom block is singular on hundreds of
+        # nodes, and the explicit nonlinear RK4 blows up next to them
+        argv = [
+            "mre-check", "--alpha0", "const:100", "--alpha1", "poly:1,0,0.5", "--l0", "10",
+            "--step", "1e-3", "--out", str(tmp_path / "ill.csv"),
+        ]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: bottom block numerically singular on ")
+        assert "last well-conditioned r = " in err[0]
+        assert err[1].startswith("numerical failure: ")
+
 
 class TestCertificateCommand:
     def test_summary(self, tmp_path):

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynamolab import AlphaProfile, ConfigurationError, DomainError
+from dynamolab import AlphaProfile, ConfigurationError, DomainError, SolverError
+from dynamolab import mre
 from dynamolab.darboux import Potential1D, darboux_partner, partner_mode
 from dynamolab.grid import build_grid
 from dynamolab.mre import (
+    SHOOTING_WINDOW,
     cond2_log10,
     eigenfunction_equivalence,
     inv2,
@@ -243,6 +245,130 @@ class TestPropagatorEquivalence:
         coarse, fine = final_errors(10), final_errors(20)
         for c, f in zip(coarse, fine):
             assert c / f >= 12.0
+
+
+def sequential_residual(sol, r_min=None):
+    """Per-node Riccati residual with rk4 stepping each whole segment as a batch of 1."""
+    ok = np.isfinite(sol.affine[:, 0, 0])
+    if r_min is not None:
+        ok = ok & (sol.rs >= r_min)
+    sign = sol.sign
+
+    def rhs(c, u):
+        return sign * (c[:, 0] - u @ c[:, 1] @ u)
+
+    coef_nodes = np.stack([sol.m_nodes, sol.kinv_nodes], axis=1)[:, None]
+    coef_mids = np.stack([sol.m_mids, sol.kinv_mids], axis=1)[:, None]
+    per_node = np.full(sol.rs.size, np.nan)
+    idx = np.flatnonzero(ok)
+    for seg in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
+        i, j = seg[0], seg[-1]
+        traj = rk4(rhs, coef_nodes[i : j + 1], coef_mids[i:j], sol.affine[i][None], sol.step)
+        per_node[i : j + 1] = np.max(np.abs(traj[:, 0] - sol.affine[i : j + 1]), axis=(1, 2))
+    return per_node
+
+
+def segment_count(per_node):
+    ok = np.isfinite(per_node)
+    return int(ok[0]) + int(np.sum(ok[1:] & ~ok[:-1]))
+
+
+def count_rk4_steps(monkeypatch):
+    """Record the number of steps of every mre.rk4 call."""
+    steps = []
+
+    def counted(rhs, coef_nodes, coef_mids, y0, h):
+        steps.append(len(coef_mids))
+        return rk4(rhs, coef_nodes, coef_mids, y0, h)
+
+    monkeypatch.setattr(mre, "rk4", counted)
+    return steps
+
+
+class TestShootingEquivalence:
+    """Multiple shooting reproduces the sequential nonlinear RK4 to rounding."""
+
+    def assert_matches_sequential(self, sol, r_min=None):
+        ref = sequential_residual(sol, r_min)
+        sup, per_node = riccati_residual(sol, r_min)
+        assert np.array_equal(np.isnan(per_node), np.isnan(ref))
+        kept = np.isfinite(ref)
+        scale = np.max(np.abs(sol.affine[kept]), axis=(1, 2))
+        assert np.all(np.abs(per_node[kept] - ref[kept]) <= 1e-13 * scale)
+        assert sup == np.max(per_node[kept])
+        return ref
+
+    @pytest.mark.parametrize(
+        "which, r_start, init, r_min",
+        [
+            ("U", 0.1, GENERIC_INIT, None),
+            ("B", 0.1, GENERIC_INIT, None),
+            ("B", 1e-3, "series", 0.1),
+        ],
+        ids=["U-generic", "B-generic", "B-series"],
+    )
+    def test_benchmark_configurations(self, which, r_start, init, r_min):
+        sol = mre_linear_solve(which, PAIR, r_start, 1.0, step=1e-4, init=init)
+        ref = self.assert_matches_sequential(sol, r_min)
+        assert segment_count(ref) == 1
+
+    def test_segment_shorter_than_window(self):
+        sol = mre_linear_solve("U", PAIR, 0.5, 0.505, step=1e-3, init=GENERIC_INIT)
+        assert sol.rs.size - 1 < SHOOTING_WINDOW
+        self.assert_matches_sequential(sol)
+
+    def test_ill_conditioned_nodes_split_segments(self):
+        # E = -300 makes the real series trajectory oscillate; a condition
+        # bound of 1e2 cuts it into segments of varying length
+        pair = dataclasses.replace(PAIR, e=-300.0)
+        sol = mre_linear_solve("B", pair, 1e-3, 1.0, step=1e-4, init="series", cond_log_max=2.0)
+        ref = self.assert_matches_sequential(sol, r_min=0.1)
+        assert segment_count(ref) >= 3
+
+    def test_poor_starting_guess(self, monkeypatch):
+        # window starts come from top @ inv2(bot); perturbing those by 1e-3
+        # (affine unchanged) costs passes, not accuracy
+        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        rng = np.random.default_rng(11)
+        noisy = dataclasses.replace(
+            sol,
+            top=sol.top * (1.0 + 1e-3 * rng.standard_normal(sol.top.shape)),
+            bot=sol.bot * (1.0 + 1e-3 * rng.standard_normal(sol.bot.shape)),
+        )
+        steps = count_rk4_steps(monkeypatch)
+        self.assert_matches_sequential(noisy)
+        assert len(steps) > 2
+
+    def test_window_start_checks_its_own_node(self):
+        # windows start from the linear trajectory, not from affine: a
+        # perturbed affine value at a window start shows at that node only
+        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
+        _, base = riccati_residual(sol)
+        k = 3 * SHOOTING_WINDOW
+        affine = sol.affine.copy()
+        affine[k] *= 1.0 + 1e-6
+        _, per_node = riccati_residual(dataclasses.replace(sol, affine=affine))
+        assert per_node[k] >= 5e-7 * np.max(np.abs(sol.affine[k]))
+        others = np.arange(sol.rs.size) != k
+        assert np.array_equal(per_node[others], base[others])
+
+    def test_calls_stay_batched(self, monkeypatch):
+        # the README U configuration: a handful of window-long rk4 calls, never
+        # one long sequential integration
+        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        steps = count_rk4_steps(monkeypatch)
+        riccati_residual(sol)
+        assert 1 <= len(steps) <= 3
+        assert max(steps) <= SHOOTING_WINDOW <= 16
+
+    def test_non_finite_integration_raises(self):
+        # alpha0 = 100 at l0 = 10: the explicit nonlinear RK4 overflows on
+        # nodes the condition bound keeps, which must not be dropped silently
+        pair = AlphaPair(AlphaProfile.constant(100.0), PAIR.alpha1, 10, 11, 0.0)
+        sol = mre_linear_solve("U", pair, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
+        assert sol.warnings
+        with pytest.raises(SolverError):
+            riccati_residual(sol)
 
 
 class TestEigenfunctionEquivalence:
