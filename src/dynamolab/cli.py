@@ -145,11 +145,11 @@ def _cmd_pencil_check(args) -> int:
         psi1 = vec[: grid.n]
         if np.linalg.norm(psi1) <= 1e-8:
             continue
-        c = pencil_coefficients(grid, alpha, args.l, psi1)
+        c = pencil_coefficients(m, psi1)
         scale = max(abs(c.a2 * lam**2), abs(c.a1 * lam), abs(c.a0), 1e-300)
         pencil_res = abs(c.a2 * lam**2 + c.a1 * lam + c.a0) / scale
         psi2 = vec[grid.n :]
-        rec = pencil_psi2(grid, alpha, args.l, psi1, lam)
+        rec = pencil_psi2(m, psi1, lam)
         psi2_res = float(
             np.linalg.norm(rec - psi2) / max(np.linalg.norm(psi2), 1e-300)
         )

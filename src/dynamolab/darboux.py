@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
 from .grid import RadialGrid, TridiagOp
@@ -66,7 +65,7 @@ def schrodinger_tridiag(grid: RadialGrid, v: Potential1D) -> TridiagOp:
     off = np.full(grid.n - 1, -1.0 / h2)
     diag.setflags(write=False)
     off.setflags(write=False)
-    return TridiagOp(sub=off, diag=diag, sup=off, symmetric=True)
+    return TridiagOp(diag=diag, off=off)
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,11 @@ def darboux_partner(
     ground state matches the supplied seed.
     """
     from scipy.interpolate import CubicSpline, make_interp_spline  # on use: slow to import
+    from scipy.linalg import eigh_tridiagonal
 
     if isinstance(mode, GroundState):
         h0 = schrodinger_tridiag(grid, v0)
-        vals, vecs = eigh_tridiagonal(h0.diag, h0.sub, select="i", select_range=(0, 0))
+        vals, vecs = eigh_tridiagonal(h0.diag, h0.off, select="i", select_range=(0, 0))
         energy = float(vals[0])
         chi0 = _nodeless_or_raise(vecs[:, 0])
     elif isinstance(mode, GivenSeed):
@@ -184,10 +184,12 @@ def verify_isospectral(pair: DarbouxPair, levels: int, tol: float) -> Isospectra
         raise ConfigurationError("isospectrality check supports at most 20 levels")
     if levels < 1:
         raise ConfigurationError("need at least one level")
+    from scipy.linalg import eigh_tridiagonal  # on use: slow to import
+
     h0 = schrodinger_tridiag(pair.grid, pair.v0)
     h1 = schrodinger_tridiag(pair.grid, pair.v1)
-    e0 = eigh_tridiagonal(h0.diag, h0.sub, select="i", select_range=(0, levels))[0]
-    e1 = eigh_tridiagonal(h1.diag, h1.sub, select="i", select_range=(0, levels - 1))[0]
+    e0 = eigh_tridiagonal(h0.diag, h0.off, select="i", select_range=(0, levels))[0]
+    e1 = eigh_tridiagonal(h1.diag, h1.off, select="i", select_range=(0, levels - 1))[0]
     rows = []
     for m in range(levels):
         rel = abs(e1[m] - e0[m + 1]) / abs(e0[m + 1])

@@ -68,23 +68,18 @@ def build_grid(n: int) -> RadialGrid:
 
 @dataclass(frozen=True)
 class TridiagOp:
-    """Real tridiagonal operator with sub/super diagonals of length n-1.
+    """Real symmetric tridiagonal operator: a diagonal and one off-diagonal of length n-1.
 
-    When ``symmetric`` is set the sub- and superdiagonal are the same array,
-    so symmetry holds bit-exactly by construction.
+    The one off-diagonal array is both the sub- and the superdiagonal, so
+    symmetry holds bit-exactly by construction.
     """
 
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
-    symmetric: bool = False
+    off: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.diag.shape[0]
-        if self.sub.shape[0] != n - 1 or self.sup.shape[0] != n - 1:
-            raise ShapeError("off-diagonals must have length n-1")
-        if self.symmetric and not np.array_equal(self.sub, self.sup):
-            raise ShapeError("symmetric flag set but sub != sup")
+        if self.off.shape[0] != self.diag.shape[0] - 1:
+            raise ShapeError("the off-diagonal must have length n-1")
 
     @property
     def n(self) -> int:
@@ -95,27 +90,12 @@ class TridiagOp:
         if v.shape[0] != self.n:
             raise ShapeError(f"vector length {v.shape[0]} != operator size {self.n}")
         out = self.diag * v
-        out[1:] += self.sub * v[:-1]
-        out[:-1] += self.sup * v[1:]
+        out[1:] += self.off * v[:-1]
+        out[:-1] += self.off * v[1:]
         return out
 
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        m[idx + 1, idx] = self.sub
-        m[idx, idx + 1] = self.sup
-        return m
-
-    def scaled(self, c: float) -> "TridiagOp":
-        return TridiagOp(
-            sub=_freeze(c * self.sub),
-            diag=_freeze(c * self.diag),
-            sup=_freeze(c * self.sup),
-            symmetric=self.symmetric,
-        )
-
     def __neg__(self) -> "TridiagOp":
-        return self.scaled(-1.0)
+        return TridiagOp(diag=_freeze(-self.diag), off=_freeze(-self.off))
 
 
 def laplacian_l(grid: RadialGrid, l: int) -> TridiagOp:
@@ -131,7 +111,7 @@ def laplacian_l(grid: RadialGrid, l: int) -> TridiagOp:
     centrifugal = l * (l + 1) / grid.nodes ** 2
     diag = _freeze(-(2.0 / h2) - centrifugal)
     off = _freeze(np.full(grid.n - 1, 1.0 / h2))
-    return TridiagOp(sub=off, diag=diag, sup=off, symmetric=True)
+    return TridiagOp(diag=diag, off=off)
 
 
 def diffusion_alpha(grid: RadialGrid, alpha: Callable[[np.ndarray], np.ndarray], l: int) -> TridiagOp:
@@ -149,7 +129,7 @@ def diffusion_alpha(grid: RadialGrid, alpha: Callable[[np.ndarray], np.ndarray],
     centrifugal = l * (l + 1) / grid.nodes ** 2
     diag = _freeze((a_half[:-1] + a_half[1:]) / h2 + a_node * centrifugal)
     off = _freeze(-a_half[1:-1] / h2)
-    return TridiagOp(sub=off, diag=diag, sup=off, symmetric=True)
+    return TridiagOp(diag=diag, off=off)
 
 
 def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex:

@@ -550,8 +550,8 @@ def intertwining_defect(
     r_sharp = sharp(r_mat)
     q_sharp = sharp(b_nodes) @ inv2(r_mat)
 
-    h0 = assemble(grid, pair.alpha0, pair.l0).matrix
-    h1 = assemble(grid, pair.alpha1, pair.l1).matrix
+    h0 = assemble(grid, pair.alpha0, pair.l0)
+    h1 = assemble(grid, pair.alpha1, pair.l1)
 
     def apply_a_sharp(u: np.ndarray) -> np.ndarray:
         um = np.stack([u[: grid.n], u[grid.n :]], axis=1)[..., None]
@@ -562,9 +562,9 @@ def intertwining_defect(
     unnorm = np.empty(n_test)
     for i, phi2 in enumerate(_bump_profiles(nodes, support, n_test)):
         phi = test_scale * np.concatenate([phi2[0], phi2[1]]).astype(complex)
-        t1 = apply_a_sharp(h0 @ phi - e_val * phi)
+        t1 = apply_a_sharp(h0.matvec(phi) - e_val * phi)
         a_phi = apply_a_sharp(phi)
-        t2 = h1 @ a_phi - e_val * a_phi
+        t2 = h1.matvec(a_phi) - e_val * a_phi
         d = np.linalg.norm(t1 - t2)
         unnorm[i] = d
         per_test[i] = d / (np.linalg.norm(t1) + np.linalg.norm(t2))

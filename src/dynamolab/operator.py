@@ -21,13 +21,18 @@ lambda^2 A2 + lambda A1 + A0 with
 real for every complex u1 because the A_j are symmetric, and the two roots
 lambda_pm of a2 l^2 + a1 l + a0 = 0 reproduce the eigenvalue pairing of the
 J-symmetric operator.
+
+H is kept as its blocks and nothing else: lap_l and Q_alpha as symmetric
+tridiagonal operators, diag(alpha) as node samples.  ``DynamoMatrix``
+derives H v, the dense matrix and the sparse form from them, and the pencil
+functionals read the same blocks, so the layout of H is known here alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,14 +60,12 @@ def sharp(c: np.ndarray) -> np.ndarray:
 class DynamoMatrix:
     """The dynamo operator for one (alpha, l, n), kept as its blocks.
 
-    ``matrix`` is the dense real 2n x 2n array, built from the blocks on
-    first use and read-only; ``to_csc`` gives the same operator in sparse
-    form for the local eigensolve.
+    ``matvec`` applies H block by block.  ``matrix`` (the dense real
+    2n x 2n array, built on first use and read-only) and ``to_csc`` (the
+    sparse form for the local eigensolve) are filled from one entries table.
     """
 
     grid: RadialGrid
-    l: int
-    alpha: Callable[[np.ndarray], np.ndarray]
     lap: TridiagOp
     q_alpha: TridiagOp
     alpha_nodes: np.ndarray
@@ -75,45 +78,44 @@ class DynamoMatrix:
     def size(self) -> int:
         return 2 * self.grid.n
 
+    def _entries(self, shift: float = 0.0) -> tuple:
+        """(rows, cols, values) of H - shift * I."""
+        n = self.n
+        i = np.arange(n)
+        j = np.arange(n - 1)
+        tri_rows = np.concatenate([i, j + 1, j])
+        tri_cols = np.concatenate([i, j, j + 1])
+        lap = np.concatenate([self.lap.diag - shift, self.lap.off, self.lap.off])
+        q_a = np.concatenate([self.q_alpha.diag, self.q_alpha.off, self.q_alpha.off])
+        rows = np.concatenate([tri_rows, i, tri_rows + n, tri_rows + n])
+        cols = np.concatenate([tri_cols, i + n, tri_cols, tri_cols + n])
+        return rows, cols, np.concatenate([lap, self.alpha_nodes, q_a, lap])
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        n = self.n
-        m = np.zeros((2 * n, 2 * n))
-        lap_dense = self.lap.to_dense()
-        m[:n, :n] = lap_dense
-        m[n:, n:] = lap_dense
-        m[:n, n:] = np.diag(self.alpha_nodes)
-        m[n:, :n] = self.q_alpha.to_dense()
+        rows, cols, vals = self._entries()
+        m = np.zeros((self.size, self.size))
+        m[rows, cols] = vals
         m.setflags(write=False)
         return m
 
     def to_csc(self, shift: float = 0.0):
-        """H - shift * I as a scipy.sparse CSC array, built from the blocks."""
+        """H - shift * I as a scipy.sparse CSC array."""
         from scipy.sparse import csc_array
 
-        n = self.n
-        lap_shifted = TridiagOp(self.lap.sub, self.lap.diag - shift, self.lap.sup)
-        rows, cols, vals = (
-            np.concatenate(parts)
-            for parts in zip(
-                _tridiag_entries(lap_shifted, 0, 0),
-                (np.arange(n), np.arange(n, 2 * n), self.alpha_nodes),
-                _tridiag_entries(self.q_alpha, n, 0),
-                _tridiag_entries(lap_shifted, n, n),
-            )
-        )
+        rows, cols, vals = self._entries(shift)
         order = np.lexsort((rows, cols))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=2 * n))))
-        return csc_array((vals[order], rows[order], indptr), shape=(2 * n, 2 * n))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.size))))
+        return csc_array((vals[order], rows[order], indptr), shape=(self.size, self.size))
 
-
-def _tridiag_entries(t: TridiagOp, row0: int, col0: int) -> tuple:
-    """(rows, cols, values) of a tridiagonal block placed at (row0, col0)."""
-    i = np.arange(t.n)
-    j = np.arange(t.n - 1)
-    rows = np.concatenate([i, j + 1, j]) + row0
-    cols = np.concatenate([i, j, j + 1]) + col0
-    return rows, cols, np.concatenate([t.diag, t.sub, t.sup])
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v for a real or complex vector of length 2n, without forming H."""
+        v = np.asarray(v)
+        if v.shape != (self.size,):
+            raise ShapeError(f"vector must have length {self.size}, got shape {v.shape}")
+        u1, u2 = v[: self.n], v[self.n :]
+        top = self.lap.matvec(u1) + self.alpha_nodes * u2
+        return np.concatenate([top, self.q_alpha.matvec(u1) + self.lap.matvec(u2)])
 
 
 def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
@@ -124,7 +126,7 @@ def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
     q_a = diffusion_alpha(grid, alpha, l)
     a_nodes = np.array(alpha(grid.nodes), dtype=float)
     a_nodes.setflags(write=False)
-    return DynamoMatrix(grid=grid, l=l, alpha=alpha, lap=lap, q_alpha=q_a, alpha_nodes=a_nodes)
+    return DynamoMatrix(grid=grid, lap=lap, q_alpha=q_a, alpha_nodes=a_nodes)
 
 
 def pseudo_hermiticity_residual(m: DynamoMatrix | np.ndarray) -> float:
@@ -155,30 +157,27 @@ class PencilCoefficients:
 _IMAG_TOL = 1e-10
 
 
-def pencil_coefficients(grid: RadialGrid, alpha, l: int, psi1: np.ndarray) -> PencilCoefficients:
+def pencil_coefficients(m: DynamoMatrix, psi1: np.ndarray) -> PencilCoefficients:
     """Evaluate the pencil functionals a_j = (A_j psi1, psi1) for a trial field psi1."""
     psi1 = np.asarray(psi1)
-    if psi1.shape != (grid.n,):
-        raise ShapeError(f"psi1 must have length {grid.n}, got shape {psi1.shape}")
+    if psi1.shape != (m.n,):
+        raise ShapeError(f"psi1 must have length {m.n}, got shape {psi1.shape}")
     if not np.any(np.abs(psi1) > 0):
         raise DomainError("psi1 must be nonzero")
-    a_nodes = np.asarray(alpha(grid.nodes), dtype=float)
-    if np.any(a_nodes == 0.0):
+    if np.any(m.alpha_nodes == 0.0):
         raise DomainError(
             "alpha vanishes on a grid node; the quadratic pencil needs alpha != 0"
         )
-    q1 = -laplacian_l(grid, l)
-    q_a = diffusion_alpha(grid, alpha, l)
-
-    inv_a = 1.0 / a_nodes
+    q1 = -m.lap
+    inv_a = 1.0 / m.alpha_nodes
     a2_vec = inv_a * psi1
     q1_psi = q1.matvec(psi1)
     a1_vec = q1.matvec(inv_a * psi1) + inv_a * q1_psi
-    a0_vec = q1.matvec(inv_a * q1_psi) - q_a.matvec(psi1)
+    a0_vec = q1.matvec(inv_a * q1_psi) - m.q_alpha.matvec(psi1)
 
     out = []
     for vec in (a0_vec, a1_vec, a2_vec):
-        raw = inner_product(grid, vec, psi1)
+        raw = inner_product(m.grid, vec, psi1)
         if abs(raw.imag) > _IMAG_TOL * max(abs(raw), 1e-300):
             raise SolverError(
                 f"pencil functional has non-real value {raw!r}; "
@@ -204,10 +203,8 @@ def lambda_pm(c: PencilCoefficients) -> Tuple[complex, complex]:
     )
 
 
-def pencil_psi2(grid: RadialGrid, alpha, l: int, psi1: np.ndarray, lam: complex) -> np.ndarray:
+def pencil_psi2(m: DynamoMatrix, psi1: np.ndarray, lam: complex) -> np.ndarray:
     """Reconstruct the second component u2 = (1/alpha)(Q1 + lambda) u1."""
-    a_nodes = np.asarray(alpha(grid.nodes), dtype=float)
-    if np.any(a_nodes == 0.0):
+    if np.any(m.alpha_nodes == 0.0):
         raise DomainError("alpha vanishes on a grid node; cannot reconstruct psi2")
-    q1 = -laplacian_l(grid, l)
-    return (q1.matvec(psi1) + lam * np.asarray(psi1)) / a_nodes
+    return ((-m.lap).matvec(psi1) + lam * np.asarray(psi1)) / m.alpha_nodes

@@ -11,7 +11,8 @@ and shared with the CLI literal mini-language:
 
 Derivative evaluators are analytic for the closed-form families and come from
 the spline object otherwise; on construction they are cross-checked against a
-central difference at 32 deterministic sample points.
+central difference at 32 deterministic sample points, relative to
+max(1, max|alpha|, |alpha'|).
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ class AlphaProfile:
         pts = rng.uniform(0.01, 0.99, _N_DERIV_SAMPLES)
         cd = (np.asarray(self._f(pts + step)) - np.asarray(self._f(pts - step))) / (2 * step)
         d1 = np.asarray(self._d1(pts), dtype=float)
-        scale = np.maximum(1.0, np.abs(d1))
-        if np.max(np.abs(cd - d1) / scale) > tol:
+        # the difference quotient's rounding and truncation errors grow with the
+        # size of alpha, not only with |alpha'|
+        scale = np.maximum(max(1.0, float(np.max(np.abs(vals)))), np.abs(d1))
+        worst = np.max(np.abs(cd - d1) / scale)
+        if worst > tol:
             raise DomainError(
                 f"profile {self.label!r}: derivative evaluator inconsistent with "
-                f"central differences (worst rel. error {np.max(np.abs(cd - d1) / scale):.3e})"
+                f"central differences (worst rel. error {worst:.3e})"
             )
 
     def __call__(self, r):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ClassificationError, ShapeError, SolverError
 from .operator import DynamoMatrix
@@ -143,6 +142,8 @@ def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = Non
         local = _local_eigen(m, near)
         if local is not None:
             return local
+    import scipy.linalg  # on use: slow to import
+
     a = _as_matrix(m)
     try:
         if want_vectors:

@@ -138,14 +138,14 @@ def test_c05_pencil_consistency(spec_const1):
         psi1 = vec[: g.n]
         if np.linalg.norm(psi1) <= 1e-8:
             continue
-        c = pencil_coefficients(g, m.alpha, m.l, psi1)
+        c = pencil_coefficients(m, psi1)
         scale = max(abs(c.a2 * lam**2), abs(c.a1 * lam), abs(c.a0))
         worst_q = max(worst_q, abs(c.a2 * lam**2 + c.a1 * lam + c.a0) / scale)
         lp, lm_ = lambda_pm(c)
         lam_scale = max(abs(lp), abs(lm_))
         worst_match = max(worst_match, min(abs(lam - lp), abs(lam - lm_)) / lam_scale)
         psi2 = vec[g.n :]
-        rec = pencil_psi2(g, m.alpha, m.l, psi1, lam)
+        rec = pencil_psi2(m, psi1, lam)
         worst_rec = max(worst_rec, np.linalg.norm(rec - psi2) / np.linalg.norm(psi2))
         checked += 1
     ok = checked >= 900 and worst_q <= 1e-6 and worst_match <= 1e-6 and worst_rec <= 1e-6

@@ -6,7 +6,6 @@ from dynamolab import (
     BracketError,
     ConfigurationError,
     TrackingError,
-    build_grid,
     eigen,
     jordan_probe,
     pencil_coefficients,
@@ -212,12 +211,12 @@ class TestDynamoExceptionalPoint:
 
     def test_pencil_discriminant_vanishes_at_ep(self, dyn_family, dyn_ep):
         c_star, lam_star = dyn_ep
-        spec = eigen(dyn_family(c_star), want_vectors=True)
+        m = dyn_family(c_star)
+        spec = eigen(m, want_vectors=True)
         idx = int(np.argmin(np.abs(spec.eigenvalues - lam_star)))
         psi1 = spec.eigenvectors[:EP_N, idx]
         assert np.linalg.norm(psi1) > 1e-8
-        grid = build_grid(EP_N)
-        coeffs = pencil_coefficients(grid, EP_BASE.scaled(c_star), EP_L, psi1)
+        coeffs = pencil_coefficients(m, psi1)
         assert abs(coeffs.discriminant) <= 1e-2 * coeffs.a1**2
 
 

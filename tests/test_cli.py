@@ -72,6 +72,12 @@ class TestSweep:
         assert marker - 1 == 13 * 4
         assert svg.exists() and svg.read_text().startswith("<svg")
 
+    def test_large_cubic_profile_scaling(self, tmp_path):
+        # every scaled profile up to C = 100 passes the derivative check
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--alpha", "poly:1,0,0,5", "--scale", "0,100,11", "--n", "40"]
+        assert main(argv + ["--out", str(out)]) == 0
+
     def test_sweep_determinism(self, tmp_path):
         configs = [
             ["--alpha", "const:1", "--scale", "0,3,7", "--n", "60"],

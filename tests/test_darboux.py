@@ -150,6 +150,6 @@ class TestProductInvariant:
 
     def test_wrong_eigenfunction_detector(self, box_pair, grid2000):
         h1 = schrodinger_tridiag(grid2000, box_pair.v1)
-        _, vecs = eigh_tridiagonal(h1.diag, h1.sub, select="i", select_range=(1, 1))
+        _, vecs = eigh_tridiagonal(h1.diag, h1.off, select="i", select_range=(1, 1))
         _, rel_var = product_invariant_check(box_pair.chi0, vecs[:, 0], grid2000)
         assert rel_var > 1e-1

@@ -3,10 +3,12 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from dynamolab import (
+    AlphaProfile,
     ConfigurationError,
     DomainError,
     RadialGrid,
     ShapeError,
+    assemble,
     build_grid,
     diffusion_alpha,
     inner_product,
@@ -16,7 +18,7 @@ from oracles import K_L1
 
 
 def smallest_eig(op):
-    return eigvalsh_tridiagonal(op.diag, op.sub, select="i", select_range=(0, 0))[0]
+    return eigvalsh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 0))[0]
 
 
 class TestBuildGrid:
@@ -56,7 +58,7 @@ class TestLaplacian:
     def test_row_values_n3(self):
         g = RadialGrid.uniform(3)
         op = laplacian_l(g, 1)
-        assert op.sub[0] == 16.0 and op.sup[1] == 16.0
+        assert op.off[0] == 16.0 and op.off[1] == 16.0
         assert op.diag[1] == -32.0 - 2.0 / 0.5**2  # == -40
 
     def test_l0_rejected(self):
@@ -64,14 +66,17 @@ class TestLaplacian:
             laplacian_l(build_grid(20), 0)
 
     def test_exactly_symmetric(self):
+        # a TridiagOp is symmetric by type; check the lap and Q_alpha blocks
+        # as they land in the assembled dense matrix
+        alpha = AlphaProfile.polynomial([1.0, -3.0, 0.5])
         for l, n in ((1, 11), (3, 64), (7, 33)):
-            op = laplacian_l(build_grid(n), l)
-            assert op.symmetric
-            assert np.array_equal(op.sub, op.sup)
+            dense = assemble(build_grid(n), alpha, l).matrix
+            for block in (dense[:n, :n], dense[n:, n:], dense[n:, :n]):
+                assert np.array_equal(block, block.T)
 
     def test_negative_definite(self):
         op = laplacian_l(build_grid(80), 2)
-        top = eigvalsh_tridiagonal(op.diag, op.sub, select="i", select_range=(79, 79))[0]
+        top = eigvalsh_tridiagonal(op.diag, op.off, select="i", select_range=(79, 79))[0]
         assert top < 0
 
     def test_leading_eigenvalue_against_bessel_oracle(self):
@@ -95,14 +100,14 @@ class TestDiffusionAlpha:
         lap = laplacian_l(g, 2)
         q1 = diffusion_alpha(g, lambda r: np.ones_like(r), 2)
         assert np.array_equal(q1.diag, (-lap).diag)
-        assert np.array_equal(q1.sub, (-lap).sub)
+        assert np.array_equal(q1.off, (-lap).off)
 
     def test_alpha_two_exact_scaling(self):
         g = build_grid(41)
         q1 = -laplacian_l(g, 1)
         q2 = diffusion_alpha(g, lambda r: np.full_like(r, 2.0), 1)
         assert np.array_equal(q2.diag, 2.0 * q1.diag)
-        assert np.array_equal(q2.sub, 2.0 * q1.sub)
+        assert np.array_equal(q2.off, 2.0 * q1.off)
 
     def test_constant_scaling_any_c(self):
         g = build_grid(30)
@@ -110,7 +115,7 @@ class TestDiffusionAlpha:
         c = 0.731
         qc = diffusion_alpha(g, lambda r: np.full_like(r, c), 1)
         assert np.allclose(qc.diag, c * q1.diag, rtol=1e-14)
-        assert np.allclose(qc.sub, c * q1.sub, rtol=1e-14)
+        assert np.allclose(qc.off, c * q1.off, rtol=1e-14)
 
     def test_positive_definite_for_positive_alpha(self):
         op = diffusion_alpha(build_grid(500), lambda r: 1.0 + r**2, 1)

@@ -19,7 +19,7 @@ from dynamolab.nogo import (
     product_invariant_diagnostic,
     rho_sup_norm,
 )
-from dynamolab.operator import sharp
+from dynamolab.operator import DynamoMatrix, sharp
 
 GAUGE0 = GaugeChoice()
 ONE = AlphaProfile.constant(1.0)
@@ -411,6 +411,14 @@ class TestCertificate:
         rep = nogo_certificate(family=[Q_ZERO_PAIR] + builtin_pair_family(), defect_samples=0)
         assert rep.excluded_samples[0] == 0
         assert rep.l_shift_max_dev <= 1e-10
+
+    def test_certificate_never_forms_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the certificate must apply H through its blocks")
+
+        monkeypatch.setattr(DynamoMatrix, "matrix", property(refuse))
+        rep = nogo_certificate()
+        assert all(rec.defect > 1e-3 for rec in rep.defects)
 
     def test_small_family_rejected(self):
         with pytest.raises(ConfigurationError):

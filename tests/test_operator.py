@@ -26,7 +26,7 @@ ONE = AlphaProfile.constant(1.0)
 def first_dirichlet_mode(grid, l=1):
     """Lowest eigenpair of -(u'' - l(l+1)/r^2 u), via a symmetric tridiagonal solve."""
     op = -laplacian_l(grid, l)
-    vals, vecs = eigh_tridiagonal(op.diag, op.sub, select="i", select_range=(0, 0))
+    vals, vecs = eigh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 0))
     return vals[0], vecs[:, 0]
 
 
@@ -82,6 +82,28 @@ class TestAssemble:
         assert np.array_equal(m.to_csc().toarray(), m.matrix)
         assert np.array_equal(m.to_csc(shift=-2.5).toarray(), m.matrix + 2.5 * np.eye(size))
 
+    @pytest.mark.parametrize(
+        "alpha, l, n",
+        [
+            (ONE, 1, 9),
+            (AlphaProfile.polynomial([1.0, -3.0, 0.5]), 2, 40),
+            (AlphaProfile.exponential(1.3, -0.7), 5, 133),
+        ],
+        ids=["const", "poly", "exp"],
+    )
+    def test_matvec_equals_dense_product(self, alpha, l, n):
+        m = assemble(build_grid(n), alpha, l)
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal(m.size)
+        for v in (real, real + 1j * rng.standard_normal(m.size)):
+            dense = m.matrix @ v
+            assert np.linalg.norm(m.matvec(v) - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    def test_matvec_rejects_wrong_length(self):
+        m = assemble(build_grid(10), ONE, 1)
+        with pytest.raises(ShapeError):
+            m.matvec(np.ones(10))
+
     def test_pseudo_hermiticity_exact_zero(self):
         cases = [
             (ONE, 1, 100),
@@ -118,7 +140,7 @@ class TestPencil:
     def test_constant_alpha_reduction(self):
         g = build_grid(500)
         lam_disc, psi1 = first_dirichlet_mode(g)
-        c = pencil_coefficients(g, ONE, 1, psi1)
+        c = pencil_coefficients(assemble(g, ONE, 1), psi1)
         norm2 = inner_product(g, psi1, psi1).real
         k2 = K_L1[0] ** 2
         assert c.a2 == pytest.approx(norm2, rel=1e-12)
@@ -128,7 +150,7 @@ class TestPencil:
     def test_lambda_pm_constant_alpha(self):
         g = build_grid(500)
         _, psi1 = first_dirichlet_mode(g)
-        c = pencil_coefficients(g, ONE, 1, psi1)
+        c = pencil_coefficients(assemble(g, ONE, 1), psi1)
         lp, lm = lambda_pm(c)
         k1 = K_L1[0]
         assert lp == pytest.approx(-(k1**2) + k1, rel=1e-4)
@@ -141,27 +163,27 @@ class TestPencil:
         psi = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         # would raise SolverError if any quadratic form had a relative imaginary
         # part above 1e-10; reaching here is the assertion
-        pencil_coefficients(g, alpha, 2, psi)
+        pencil_coefficients(assemble(g, alpha, 2), psi)
 
     def test_a2_positive_for_positive_alpha(self):
         g = build_grid(50)
         rng = np.random.default_rng(99)
-        alpha = AlphaProfile.polynomial([1.0, 0.0, 0.7])
+        m = assemble(g, AlphaProfile.polynomial([1.0, 0.0, 0.7]), 1)
         for _ in range(5):
             psi = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-            assert pencil_coefficients(g, alpha, 1, psi).a2 > 0
+            assert pencil_coefficients(m, psi).a2 > 0
 
     def test_alpha_zero_on_node_rejected(self):
         g = build_grid(9)  # nodes at 0.1, ..., 0.9
         alpha = AlphaProfile.polynomial([-0.5, 1.0])  # vanishes at r = 0.5
         with pytest.raises(DomainError):
-            pencil_coefficients(g, alpha, 1, np.ones(g.n))
+            pencil_coefficients(assemble(g, alpha, 1), np.ones(g.n))
 
     def test_psi2_reconstruction_constant_alpha(self):
         g = build_grid(300)
         lam_disc, psi1 = first_dirichlet_mode(g)
         lam = -lam_disc + np.sqrt(lam_disc)  # upper branch eigenvalue
-        psi2 = pencil_psi2(g, ONE, 1, psi1, lam)
+        psi2 = pencil_psi2(assemble(g, ONE, 1), psi1, lam)
         # for constant alpha the exact relation is psi2 = (Q1 + lambda) psi1
         expected = (lam_disc + lam) * psi1
         assert np.linalg.norm(psi2 - expected) <= 1e-10 * np.linalg.norm(expected)

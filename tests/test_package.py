@@ -15,12 +15,13 @@ def test_public_names_resolve_once():
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
     # scipy.interpolate is imported by spline profiles and darboux on use,
-    # scipy.sparse.linalg by the local eigensolve on use
+    # scipy.sparse.linalg by the local eigensolve, scipy.linalg by the dense
+    # eigensolve and the Darboux tridiagonal solves
     src = str(Path(dynamolab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, dynamolab.cli; "
-        "print([m for m in ('scipy.interpolate', 'scipy.sparse.linalg') if m in sys.modules])"
+        "print([m for m in ('scipy.interpolate', 'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

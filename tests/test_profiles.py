@@ -64,6 +64,14 @@ class TestFamilies:
                 _d2=lambda r: 2.0 / (np.asarray(r, dtype=float) - 0.5) ** 3,
             )
 
+    def test_large_profiles_accepted(self):
+        # the difference quotient's error grows with |alpha|; exact
+        # derivatives pass however large the profile is
+        assert parse_profile("poly:1,0,0,500")(1.0) == 501.0
+        for literal in ("poly:1,0,0,5", "poly:1,0,0,0,0,20", "poly:1,-3"):
+            for c in (1e3, 1e6, 1e8):
+                parse_profile(literal).scaled(c)
+
 
 class TestPositivity:
     def test_positive_profile_passes(self):

@@ -105,7 +105,7 @@ class TestPencilConsistencyOnEigenpairs:
             psi1 = vec[: g.n]
             if np.linalg.norm(psi1) <= 1e-8:
                 continue
-            c = pencil_coefficients(g, m.alpha, m.l, psi1)
+            c = pencil_coefficients(m, psi1)
             val = c.a2 * lam**2 + c.a1 * lam + c.a0
             scale = max(abs(c.a2 * lam**2), abs(c.a1 * lam), abs(c.a0))
             assert abs(val) <= 1e-6 * scale
@@ -113,7 +113,7 @@ class TestPencilConsistencyOnEigenpairs:
             lam_scale = max(abs(lp), abs(lm_))
             assert min(abs(lam - lp), abs(lam - lm_)) <= 1e-6 * lam_scale
             psi2 = vec[g.n :]
-            rec = pencil_psi2(g, m.alpha, m.l, psi1, lam)
+            rec = pencil_psi2(m, psi1, lam)
             assert np.linalg.norm(rec - psi2) <= 1e-6 * np.linalg.norm(psi2)
             checked += 1
         assert checked >= 30
