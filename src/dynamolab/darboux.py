@@ -78,8 +78,55 @@ class DarbouxPair:
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
     chi0: np.ndarray
-    chi0_fn: Callable[[np.ndarray], np.ndarray]
     grid: RadialGrid
+
+
+# The six stencil nodes sit at s = -2..3 in units of h from the node left of
+# x; row m of this inverse Vandermonde matrix maps the six samples to the
+# coefficient of s**m of their interpolating quintic.
+_QUINTIC_NODES = np.arange(-2.0, 4.0)
+_QUINTIC_COEF = np.linalg.inv(np.vander(_QUINTIC_NODES, increasing=True))
+
+
+class LocalQuintic:
+    """Six-point Lagrange interpolant of samples on the interior grid nodes.
+
+    A point x between nodes j and j+1 uses nodes j-2..j+3, shifted inwards
+    next to the ends, so it is exact for polynomials of degree five.  Calling
+    it gives the value and the first and second x-derivatives at any x in
+    [0, 1]; the polynomial coefficients of every stencil are computed once.
+    """
+
+    def __init__(self, grid: RadialGrid, samples: np.ndarray):
+        samples = np.asarray(samples, dtype=float)
+        if samples.shape != (grid.n,):
+            raise ShapeError(f"need {grid.n} samples on the grid nodes, got shape {samples.shape}")
+        if grid.n < _QUINTIC_NODES.size:
+            raise ConfigurationError(f"a local quintic needs at least 6 nodes, got n={grid.n}")
+        self._h = grid.h
+        # rows: stencils; columns: coefficients of s**m of the value, d/dx, d2/dx2
+        c0 = np.lib.stride_tricks.sliding_window_view(samples, 6) @ _QUINTIC_COEF.T
+        self._coef = (
+            c0,
+            c0[:, 1:] * (np.arange(1, 6) / grid.h),
+            c0[:, 2:] * (np.arange(1, 5) * np.arange(2, 6) / grid.h**2),
+        )
+
+    def __call__(self, x):
+        """(value, first derivative, second derivative) at x, each shaped like x."""
+        u = np.asarray(x, dtype=float) / self._h
+        # node index j sits at x = (j + 1) h; the stencil of [x_j, x_j+1] starts at j - 2
+        k = np.clip(np.floor(u).astype(int) - 3, 0, self._coef[0].shape[0] - 1)
+        s = u - (k + 3)
+        return tuple(_horner(c[k], s) for c in self._coef)
+
+
+def _horner(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Evaluate polynomials with coefficients coef[..., m] of s**m at s."""
+    out = coef[..., -1]
+    for m in range(coef.shape[-1] - 2, -1, -1):
+        out = out * s + coef[..., m]
+    return out
 
 
 def _nodeless_or_raise(samples: np.ndarray) -> np.ndarray:
@@ -101,12 +148,11 @@ def darboux_partner(
     """Construct the partner potential from a nodeless seed.
 
     GroundState mode takes chi0 and E from the lowest discrete eigenpair of
-    H0; GivenSeed uses the supplied function and energy.  Both run the same
-    log-spline differentiation, so the two modes agree wherever the discrete
-    ground state matches the supplied seed.
+    H0; GivenSeed uses the supplied function and energy.  Both differentiate
+    the seed samples through the same ``LocalQuintic``, so the two modes agree
+    wherever the discrete ground state matches the supplied seed.
     """
-    from scipy.interpolate import CubicSpline, make_interp_spline  # on use: slow to import
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import eigh_tridiagonal  # on use: slow to import
 
     if isinstance(mode, GroundState):
         h0 = schrodinger_tridiag(grid, v0)
@@ -119,37 +165,25 @@ def darboux_partner(
     else:
         raise ConfigurationError(f"unknown Darboux seed mode {mode!r}")
 
-    # f = -(log chi0)' = -chi0'/chi0, differentiated through a quintic spline
+    # f = -(log chi0)' = -chi0'/chi0, differentiated through a local quintic
     # of the seed itself: the log has unbounded higher derivatives where the
     # seed vanishes, the seed does not
-    seed_spline = make_interp_spline(grid.nodes, chi0, k=5)
-    s1 = seed_spline.derivative(1)
-    s2 = seed_spline.derivative(2)
+    seed = LocalQuintic(grid, chi0)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        return -s1(x) / seed_spline(x)
+        p, p1, _ = seed(x)
+        return -p1 / p
 
     def fprime(x):
-        x = np.asarray(x, dtype=float)
-        ratio = s1(x) / seed_spline(x)
-        return -s2(x) / seed_spline(x) + ratio**2
+        p, p1, p2 = seed(x)
+        ratio = p1 / p
+        return -p2 / p + ratio**2
 
-    chi0_fn = CubicSpline(grid.nodes, chi0)
     v1 = Potential1D(
         v=lambda x: v0(np.asarray(x, dtype=float)) + 2.0 * fprime(x),
         label=f"partner({v0.label})",
     )
-    return DarbouxPair(
-        v0=v0,
-        v1=v1,
-        energy=energy,
-        f=f,
-        fprime=fprime,
-        chi0=chi0,
-        chi0_fn=chi0_fn,
-        grid=grid,
-    )
+    return DarbouxPair(v0=v0, v1=v1, energy=energy, f=f, fprime=fprime, chi0=chi0, grid=grid)
 
 
 @dataclass(frozen=True)

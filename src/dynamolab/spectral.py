@@ -2,10 +2,10 @@
 
 The assembled dynamo matrix is real, so its spectrum is closed under complex
 conjugation; J-symmetry sharpens that statement to "real or conjugate pairs".
-This module computes spectra with a standard dense nonsymmetric solver,
-classifies each eigenvalue as real or as one partner of a conjugate pair, and
-provides a diagnostic probe for Jordan-Keldysh chains (eigenvector plus
-associated vector) near two-fold degeneracies.
+This module computes spectra with LAPACK's dense nonsymmetric solver dgeev,
+through numpy, classifies each eigenvalue as real or as one partner of a
+conjugate pair, and provides a diagnostic probe for Jordan-Keldysh chains
+(eigenvector plus associated vector) near two-fold degeneracies.
 
 A caller that needs only the eigenvalues near a few known points (branch
 tracking, exceptional-point bisection) passes them as ``near``.  For an
@@ -142,23 +142,23 @@ def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = Non
         local = _local_eigen(m, near)
         if local is not None:
             return local
-    import scipy.linalg  # on use: slow to import
-
     a = _as_matrix(m)
     try:
         if want_vectors:
-            vals, vecs = scipy.linalg.eig(a)
+            vals, vecs = np.linalg.eig(a)
         else:
-            vals = scipy.linalg.eigvals(a)
+            vals = np.linalg.eigvals(a)
             vecs = None
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverError(f"dense eigensolver did not converge: {exc}") from exc
+    # numpy returns real arrays when every eigenvalue is real; the vectors are
+    # cast after the residual check, which then stays a real product
+    vals = vals.astype(complex, copy=False)
     order = np.lexsort((-vals.imag, -vals.real))
     vals = vals[order]
     vals.setflags(write=False)
     if vecs is not None:
         vecs = vecs[:, order]
-        vecs.setflags(write=False)
         norm_m = np.linalg.norm(a, np.inf)
         resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
         bound = _RESIDUAL_BOUND * norm_m * np.linalg.norm(vecs, axis=0)
@@ -168,6 +168,8 @@ def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = Non
                 f"eigenpair residual contract violated: ||Mv-lv||={resid[worst]:.3e} "
                 f"> {bound[worst]:.3e} at eigenvalue {vals[worst]!r}"
             )
+        vecs = vecs.astype(complex, copy=False)
+        vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None)
 
 

@@ -177,6 +177,17 @@ class TestMreCheck:
         assert main(argv) == 0
         assert read_lines(out)[1].split(",")[0] == first_r
 
+    def test_large_energy_checks_every_row(self, tmp_path, capsys):
+        # the bottom blocks reach a condition number of about 10^4.4 here,
+        # far below the 10^12 threshold: every written node is checked
+        out = tmp_path / "mre.csv"
+        argv = ["mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "poly:1,0,0.5"]
+        assert main(argv + ["--E", "1e5", "--step", "1e-3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in read_lines(out)[1:]]
+        assert len(rows) == 91
+        assert all(np.isfinite(float(r[1])) and float(r[2]) < 5.0 for r in rows)
+
     def test_warnings_reported(self, tmp_path, capsys):
         # a well-conditioned run prints nothing to stderr
         argv = ["mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "poly:1,0,0.5"]
@@ -252,6 +263,21 @@ class TestExitCodes:
         argv = ["nogo", "--alpha0", "poly:1,0,0.5", "--alpha1", "const:1", "--samples", samples]
         assert main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--alpha", "const:1e308", "--n", "16"],
+            ["pencil-check", "--alpha", "const:1e308", "--n", "16"],
+            ["sweep", "--alpha", "const:1", "--scale", "0,1e308,3", "--n", "16"],
+        ],
+        ids=["spectrum", "pencil-check", "sweep"],
+    )
+    def test_overflowing_profile(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exact_conjugation_of_real_matrices(self, tmp_path):

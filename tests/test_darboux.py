@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from dynamolab import ConfigurationError, SingularSuperpotentialError, build_grid
+from dynamolab import ConfigurationError, RadialGrid, SingularSuperpotentialError, build_grid
 from dynamolab.darboux import (
     DarbouxPair,
     GivenSeed,
     GroundState,
+    LocalQuintic,
     Potential1D,
     darboux_partner,
     factorization_residual,
@@ -76,6 +77,33 @@ class TestPartnerConstruction:
         fp = box_pair_analytic.fprime(x[win])
         res = -fp + f**2 - (0.0 - PI2)
         assert np.max(np.abs(res)) <= 1e-6
+
+
+class TestLocalQuintic:
+    def test_reproduces_quintic_and_its_derivatives(self):
+        p = np.polynomial.Polynomial([1.0, 2.0, -3.0, 0.5, 1.0, -2.0])
+        grid = build_grid(20)
+        # nodes, midpoints and points in the end intervals, where stencils shift inwards
+        x = np.concatenate([grid.nodes, grid.half_nodes, [0.0, 0.01, 0.99, 1.0]])
+        got = LocalQuintic(grid, p(grid.nodes))(x)
+        for k, value in enumerate(got):
+            exact = p.deriv(k)(x) if k else p(x)
+            assert np.max(np.abs(value - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_superpotential_derivative_converges_at_fourth_order(self):
+        # f' = pi^2 / sin^2(pi x) needs the seed's second derivative, O(h^4);
+        # x are nodes of every grid, so each sees the same stencil positions
+        x = np.arange(3, 23) / 25
+        errors = []
+        for n in (24, 49, 99):
+            pair = darboux_partner(BOX, build_grid(n), GivenSeed(lambda x: np.sin(np.pi * x), PI2))
+            errors.append(np.max(np.abs(pair.fprime(x) - PI2 / np.sin(np.pi * x) ** 2)))
+        assert errors[0] >= 12 * errors[1]
+        assert errors[1] >= 12 * errors[2]
+
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ConfigurationError):
+            darboux_partner(BOX, RadialGrid.uniform(5))
 
 
 class TestIsospectral:

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,10 +73,29 @@ class TestBlocks:
 
     def test_cond_log(self):
         m = np.array([[[1.0, 0.0], [0.0, 1e-6]]])
-        # cancellation in the small singular value limits accuracy; the
-        # threshold use case only needs order-of-magnitude fidelity
-        assert cond2_log10(m)[0] == pytest.approx(6.0, abs=1e-3)
+        assert cond2_log10(m)[0] == pytest.approx(6.0, abs=1e-12)
         assert cond2_log10(np.eye(2)[None])[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cond, tol", [(1e8, 1e-6), (1e9, 1e-6), (1e12, 1e-3)])
+    def test_cond_log_ill_conditioned_against_numpy(self, cond, tol):
+        # [[1, 1], [1, 1 + d]] has the exact determinant d; numpy's SVD loses
+        # about cond * eps in the small singular value, hence the tolerance
+        d = 4.0 / cond
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        blocks = np.stack([np.array([[1.0, 1.0], [1.0, 1.0 + d]]), q @ np.diag([1.0, 1.0 / cond])])
+        got = cond2_log10(blocks)
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(np.log10(np.linalg.cond(blocks)), abs=tol)
+
+    def test_cond_log_scale_invariant(self):
+        m = np.array([[2.0, 0.0], [0.0, 1.0]]) * 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cond2_log10(np.stack([m, m * 1e-160, np.zeros((2, 2))]))
+        assert got[0] == pytest.approx(np.log10(np.linalg.cond(m)), abs=1e-14)
+        assert got[1] == pytest.approx(got[0], abs=1e-14)
+        assert got[2] == np.inf
 
 
 class TestLinearSolve:

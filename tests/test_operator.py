@@ -6,6 +6,7 @@ from dynamolab import (
     AlphaProfile,
     DegeneratePencilError,
     DomainError,
+    DynamoMatrix,
     PencilCoefficients,
     ShapeError,
     assemble,
@@ -134,6 +135,35 @@ class TestAssemble:
         a = m.matrix.copy()
         a[40, 5] += 1e-9
         assert pseudo_hermiticity_residual(a) == pytest.approx(1e-9, rel=1e-6)
+
+    def test_residual_never_forms_dense_matrix(self, monkeypatch):
+        m = assemble(build_grid(40), AlphaProfile.polynomial([1.0, 0.0, 0.5]), 2)
+
+        def refuse(self):
+            raise AssertionError("the residual must read the entries table")
+
+        monkeypatch.setattr(DynamoMatrix, "matrix", property(refuse))
+        assert pseudo_hermiticity_residual(m) == 0.0
+
+    def test_residual_on_entries_detects_corruption(self, monkeypatch):
+        # the last entry is in the (2,2) block; its J-transposed partner is
+        # the matching subdiagonal entry of the (1,1) block
+        entries = DynamoMatrix._entries
+
+        def corrupted(self, shift=0.0):
+            rows, cols, vals = entries(self, shift)
+            vals = vals.copy()
+            vals[-1] += 2.0**-20
+            return rows, cols, vals
+
+        m = assemble(build_grid(30), ONE, 1)
+        monkeypatch.setattr(DynamoMatrix, "_entries", corrupted)
+        assert pseudo_hermiticity_residual(m) == 2.0**-20
+
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_non_finite_entries_rejected(self, c):
+        with pytest.raises(DomainError, match="not finite"):
+            assemble(build_grid(16), AlphaProfile.constant(c), 1)
 
 
 class TestPencil:

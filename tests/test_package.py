@@ -13,16 +13,50 @@ def test_public_names_resolve_once():
         assert getattr(dynamolab, name) is not None
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.interpolate is imported by spline profiles and darboux on use,
-    # scipy.sparse.linalg by the local eigensolve, scipy.linalg by the dense
-    # eigensolve and the Darboux tridiagonal solves
+def run_fresh(code: str, **env_vars: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports the package from this checkout."""
     src = str(Path(dynamolab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env_vars)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.interpolate is imported by spline profiles on use,
+    # scipy.sparse.linalg by the local eigensolve, scipy.linalg by the
+    # Darboux tridiagonal solves; the dense eigensolve runs on numpy
     code = (
         "import sys, dynamolab.cli; "
         "print([m for m in ('scipy.interpolate', 'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
+
+
+def test_commands_without_sparse_or_spline_work_load_no_scipy(tmp_path):
+    commands = [
+        ["spectrum", "--alpha", "poly:1,0,0.5", "--n", "16"],
+        ["pencil-check", "--alpha", "poly:1,0,0.5", "--n", "16", "--modes", "4"],
+        ["nogo", "--alpha0", "poly:1,0,0.5", "--alpha1", "const:1", "--l1", "2", "--samples", "50"],
+        ["mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "poly:1,0,0.5", "--step", "1e-2"],
+        ["certificate"],
+    ]
+    calls = "".join(
+        f"assert main({argv + ['--out', str(tmp_path / f'{i}.csv')]!r}) == 0; "
+        for i, argv in enumerate(commands)
+    )
+    code = (
+        "import sys; from dynamolab.cli import main; "
+        + calls
+        + "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert run_fresh(code) == "[]"
+
+
+def test_darboux_loads_no_scipy_interpolate(tmp_path):
+    argv = ["darboux", "--n", "64", "--levels", "2", "--out", str(tmp_path / "d.csv")]
+    code = (
+        f"import sys; from dynamolab.cli import main; assert main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+    )
+    assert run_fresh(code) == "[]"

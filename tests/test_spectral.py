@@ -11,10 +11,12 @@ from dynamolab import (
     eigen,
     jordan_probe,
     lambda_pm,
+    parse_profile,
     pencil_coefficients,
     pencil_psi2,
 )
 from oracles import K_L1, K_L2
+from test_package import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,30 @@ class TestEigen:
         a = m.matrix
         r = np.linalg.norm(a @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues, axis=0)
         assert np.max(r) <= 1e-8 * np.linalg.norm(a, np.inf)
+
+    def test_dense_equals_scipy_oracle(self):
+        # numpy and scipy link separate LAPACK builds whose threaded kernels
+        # round differently; on one thread both run the same dgeev, bit for bit
+        code = """
+import numpy as np, scipy.linalg
+from dynamolab import assemble, build_grid, eigen, parse_profile
+for alpha, n in [("const:1", 60), ("poly:10,-30", 100), ("poly:0,0,0,50", 200), ("poly:1,0,0.5", 300)]:
+    m = assemble(build_grid(n), parse_profile(alpha), 1)
+    ref = scipy.linalg.eigvals(m.matrix)
+    assert np.array_equal(eigen(m).eigenvalues, ref[np.lexsort((-ref.imag, -ref.real))]), alpha
+    vals, vecs = scipy.linalg.eig(m.matrix)
+    order = np.lexsort((-vals.imag, -vals.real))
+    spec = eigen(m, want_vectors=True)
+    assert np.array_equal(spec.eigenvalues, vals[order]), alpha
+    assert np.array_equal(spec.eigenvectors, vecs[:, order]), alpha
+"""
+        run_fresh(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def test_all_real_spectrum_stays_complex(self):
+        spec = eigen(assemble(build_grid(60), AlphaProfile.constant(1.0), 1), want_vectors=True)
+        assert np.all(spec.eigenvalues.imag == 0.0)
+        assert spec.eigenvalues.dtype == np.complex128
+        assert spec.eigenvectors.dtype == np.complex128
 
 
 class TestPencilConsistencyOnEigenpairs:
