@@ -136,23 +136,8 @@ def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
 
 
 def pseudo_hermiticity_residual(m: DynamoMatrix | np.ndarray) -> float:
-    """Max-norm of J M^T J - M; exactly zero for every assembled matrix.
-
-    (J M^T J)[i, j] = M[(j + n) % 2n, (i + n) % 2n].  An assembled operator is
-    checked on its entries table, each entry against the entry at that
-    position (zero where the table has none), without forming M.
-    """
-    if isinstance(m, DynamoMatrix):
-        rows, cols, vals = m._entries()
-        n, size = m.n, m.size
-        keys = rows * size + cols
-        order = np.argsort(keys)
-        sorted_keys, sorted_vals = keys[order], vals[order]
-        partner = ((cols + n) % size) * size + (rows + n) % size
-        pos = np.minimum(np.searchsorted(sorted_keys, partner), keys.size - 1)
-        mirrored = np.where(sorted_keys[pos] == partner, sorted_vals[pos], 0.0)
-        return float(np.max(np.abs(mirrored - vals)))
-    a = np.asarray(m)
+    """Max-norm of J M^T J - M; exactly zero for every assembled matrix."""
+    a = m.matrix if isinstance(m, DynamoMatrix) else np.asarray(m)
     size = a.shape[0]
     if a.shape != (size, size) or size % 2:
         raise ShapeError("pseudo_hermiticity_residual needs a square matrix of even size")

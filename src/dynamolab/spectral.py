@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ClassificationError, ShapeError, SolverError
+from .errors import ClassificationError, DomainError, ShapeError, SolverError
 from .operator import DynamoMatrix
 
 REAL_TAG = -1
@@ -76,6 +76,8 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
     return a
 
 
@@ -133,7 +135,8 @@ def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = Non
     With ``near`` (and no vectors) an assembled dynamo operator with alpha not
     identically zero gets the local shift-invert solve: the eigenvalues
     nearest the points, with ``disk`` set.  Every other case, and a local
-    solve that cannot finish, gives the full dense spectrum.
+    solve that cannot finish, gives the full dense spectrum.  A raw array
+    with a non-finite entry raises DomainError.
     """
     if near is not None and not want_vectors and isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
         near = np.asarray(near, dtype=complex).ravel()
@@ -151,14 +154,13 @@ def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = Non
             vecs = None
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverError(f"dense eigensolver did not converge: {exc}") from exc
-    # numpy returns real arrays when every eigenvalue is real; the vectors are
-    # cast after the residual check, which then stays a real product
-    vals = vals.astype(complex, copy=False)
+    vals = vals.astype(complex, copy=False)  # numpy gives a real array when every eigenvalue is real
     order = np.lexsort((-vals.imag, -vals.real))
     vals = vals[order]
     vals.setflags(write=False)
     if vecs is not None:
         vecs = vecs[:, order]
+        vecs.setflags(write=False)
         norm_m = np.linalg.norm(a, np.inf)
         resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
         bound = _RESIDUAL_BOUND * norm_m * np.linalg.norm(vecs, axis=0)
@@ -168,8 +170,6 @@ def eigen(m, want_vectors: bool = False, near: Optional[Sequence[complex]] = Non
                 f"eigenpair residual contract violated: ||Mv-lv||={resid[worst]:.3e} "
                 f"> {bound[worst]:.3e} at eigenvalue {vals[worst]!r}"
             )
-        vecs = vecs.astype(complex, copy=False)
-        vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None)
 
 

@@ -13,10 +13,10 @@ def test_public_names_resolve_once():
         assert getattr(dynamolab, name) is not None
 
 
-def run_fresh(code: str, **env_vars: str) -> str:
+def run_fresh(code: str) -> str:
     """stdout of ``code`` in a fresh interpreter that imports the package from this checkout."""
     src = str(Path(dynamolab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env_vars)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()

