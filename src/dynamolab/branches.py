@@ -29,8 +29,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BracketError, ConfigurationError, TrackingError
-from .grid import build_grid
-from .operator import DynamoMatrix, assemble
+from .grid import build_grid, laplacian_l
+from .operator import DynamoMatrix, assemble_samples
 from .profiles import AlphaProfile
 from .spectral import Spectrum, eigen
 
@@ -41,11 +41,20 @@ MOVE_GAP_RATIO = 0.25
 
 
 def dynamo_family(base: AlphaProfile, l: int, n: int) -> MatrixFamily:
-    """Matrix family C -> dynamo operator for the scaled profile C * alpha*."""
+    """Matrix family C -> dynamo operator for the scaled profile C * alpha*.
+
+    lap_l and alpha*'s samples are formed once and each C scales the samples,
+    so family(C) equals ``assemble(grid, base.scaled(C), l)`` entry for entry.
+    """
     grid = build_grid(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by assemble_samples
+        lap = laplacian_l(grid, l)
+    a_half = np.asarray(base(grid.half_nodes), dtype=float)
+    a_nodes = np.asarray(base(grid.nodes), dtype=float)
 
     def family(c: float) -> DynamoMatrix:
-        return assemble(grid, base.scaled(float(c)), l)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return assemble_samples(grid, lap, float(c) * a_half, float(c) * a_nodes, l)
 
     return family
 
@@ -98,37 +107,30 @@ class BranchTrace:
 
 
 def _greedy_assign(prev: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Injective nearest-neighbor assignment, globally greedy and deterministic."""
-    t = prev.shape[0]
+    """Injective nearest-neighbor assignment, greedy by distance with ties by row-major index."""
     dist = np.abs(prev[:, None] - vals[None, :])
-    assigned = np.full(t, -1, dtype=int)
-    used = np.zeros(vals.shape[0], dtype=bool)
-    for _ in range(t):
-        masked = dist.copy()
-        masked[assigned != -1, :] = np.inf
-        masked[:, used] = np.inf
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        assigned[i] = j
-        used[j] = True
+    rows, cols = np.divmod(np.argsort(dist, axis=None, kind="stable"), vals.shape[0])
+    assigned = [-1] * prev.shape[0]
+    used = set()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if assigned[i] < 0 and j not in used:
+            assigned[i] = j
+            used.add(j)
+            if len(used) == len(assigned):
+                break
     matched = vals[assigned]
     return matched, np.abs(matched - prev)
 
 
-def _transition_pairs(prev: np.ndarray, matched: np.ndarray, pair_tol: float) -> set:
-    """Branch index pairs that switch between two-real and conjugate-pair states."""
-    in_band_a = np.abs(prev.imag) <= pair_tol
+def _transition_pairs(prev: np.ndarray, matched: np.ndarray, pair_tol: float) -> np.ndarray:
+    """Symmetric mask of the branch pairs that switch between two-real and conjugate-pair states."""
     in_band_b = np.abs(matched.imag) <= pair_tol
-    scale = 1.0 + np.max(np.abs(matched))
-    pairs = set()
-    t = prev.shape[0]
-    for i in range(t):
-        for j in range(i + 1, t):
-            if in_band_a[i] != in_band_b[i] and in_band_a[j] != in_band_b[j]:
-                # conjugate partners on whichever side is complex
-                side = matched if not in_band_b[i] else prev
-                if abs(side[i] - np.conj(side[j])) <= 1e-6 * scale:
-                    pairs.add((i, j))
-    return pairs
+    flips = (np.abs(prev.imag) <= pair_tol) != in_band_b
+    # partners on branch i's complex side; hypot rounds like abs(), np.abs of an array may not
+    side = np.where(in_band_b[:, None], prev[:, None] - np.conj(prev), matched[:, None] - np.conj(matched))
+    close = np.hypot(side.real, side.imag) <= 1e-6 * (1.0 + np.max(np.abs(matched)))
+    pairs = np.triu(close & flips[:, None] & flips[None, :], 1)
+    return pairs | pairs.T
 
 
 def _advance(
@@ -151,16 +153,10 @@ def _advance(
         matched, movement = _greedy_assign(prev, spectrum_at(c_b).eigenvalues)
     exempt = _transition_pairs(prev, matched, pair_tol)
     floor = 1e-9 * (1.0 + np.max(np.abs(prev)))
-    t = prev.shape[0]
-    gaps = np.full(t, np.inf)
-    for i in range(t):
-        for j in range(t):
-            if j == i or (min(i, j), max(i, j)) in exempt:
-                continue
-            d = abs(prev[i] - prev[j])
-            if d > floor:
-                gaps[i] = min(gaps[i], d)
-    violating = [i for i in range(t) if movement[i] > MOVE_GAP_RATIO * gaps[i]]
+    diff = prev[:, None] - prev[None, :]
+    d = np.hypot(diff.real, diff.imag)
+    gaps = np.where((d > floor) & ~exempt, d, np.inf).min(axis=1)
+    violating = np.flatnonzero(movement > MOVE_GAP_RATIO * gaps).tolist()
     if not violating:
         return matched, movement
     if depth >= MAX_REFINEMENTS:
@@ -168,7 +164,7 @@ def _advance(
         # neighbor as a colliding pair losing individual identity; accept when
         # the pair moves as a set without approaching any third branch
         for i in violating:
-            others = [j for j in range(t) if j != i]
+            others = [j for j in range(len(prev)) if j != i]
             if not others:
                 continue
             j = min(others, key=lambda j: abs(prev[j] - prev[i]))
@@ -178,7 +174,7 @@ def _advance(
                 np.min(np.abs(pair_new[:, None] - pair_prev[None, :]), axis=1).max(),
                 np.min(np.abs(pair_prev[:, None] - pair_new[None, :]), axis=1).max(),
             )
-            third = [abs(prev[k] - prev[i]) for k in range(t) if k not in (i, j)]
+            third = [abs(prev[k] - prev[i]) for k in range(len(prev)) if k not in (i, j)]
             third_gap = min(third) if third else np.inf
             if hausdorff > MOVE_GAP_RATIO * third_gap:
                 raise TrackingError(

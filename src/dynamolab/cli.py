@@ -200,10 +200,7 @@ def _cmd_nogo(args) -> int:
     b1 = np.atleast_1d(sf.b1(kept))
     b2 = np.atleast_1d(sf.b2(kept))
     rho = np.atleast_1d(sf.rho(kept))
-    for i, r in enumerate(kept):
-        lines.append(
-            f"{_fmt(r)},{_fmt(q[keep][i])},{_fmt(b1[i])},{_fmt(b2[i])},{_fmt(rho[i])}"
-        )
+    lines += [",".join(map(repr, row)) for row in np.column_stack((kept, q[keep], b1, b2, rho)).tolist()]
     lines.append(f"min_abs_rho_inf={_fmt(np.max(np.abs(rho)))}")
     lines.append(f"excluded_samples={int(np.sum(~keep))}")
     _write_lines(args.out, lines)

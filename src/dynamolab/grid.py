@@ -123,9 +123,13 @@ def diffusion_alpha(grid: RadialGrid, alpha: Callable[[np.ndarray], np.ndarray],
     """
     if l < 1:
         raise DomainError(f"angular mode number must satisfy l >= 1, got l={l}")
-    h2 = grid.h ** 2
     a_half = np.asarray(alpha(grid.half_nodes), dtype=float)
-    a_node = np.asarray(alpha(grid.nodes), dtype=float)
+    return diffusion_from_samples(grid, a_half, np.asarray(alpha(grid.nodes), dtype=float), l)
+
+
+def diffusion_from_samples(grid: RadialGrid, a_half: np.ndarray, a_node: np.ndarray, l: int) -> TridiagOp:
+    """``diffusion_alpha`` from alpha's samples at the half nodes and at the nodes."""
+    h2 = grid.h ** 2
     centrifugal = l * (l + 1) / grid.nodes ** 2
     diag = _freeze((a_half[:-1] + a_half[1:]) / h2 + a_node * centrifugal)
     off = _freeze(-a_half[1:-1] / h2)

@@ -31,13 +31,13 @@ functionals read the same blocks, so the layout of H is known here alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
 
 from .errors import DegeneratePencilError, DomainError, ShapeError, SolverError
-from .grid import RadialGrid, TridiagOp, diffusion_alpha, inner_product, laplacian_l
+from .grid import RadialGrid, TridiagOp, _freeze, diffusion_from_samples, inner_product, laplacian_l
 
 
 def sharp(c: np.ndarray) -> np.ndarray:
@@ -54,6 +54,20 @@ def sharp(c: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = np.conj(c[..., 1, 0])
     out[..., 1, 1] = np.conj(c[..., 0, 0])
     return out
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple:
+    """Rows and cols of H's entries, then their CSC order, row indices and column pointers."""
+    i = np.arange(n)
+    j = np.arange(n - 1)
+    tri_rows = np.concatenate([i, j + 1, j])
+    tri_cols = np.concatenate([i, j, j + 1])
+    rows = np.concatenate([tri_rows, i, tri_rows + n, tri_rows + n])
+    cols = np.concatenate([tri_cols, i + n, tri_cols, tri_cols + n])
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=2 * n))))
+    return tuple(_freeze(a) for a in (rows, cols, order, rows[order], indptr))
 
 
 @dataclass(frozen=True)
@@ -80,15 +94,9 @@ class DynamoMatrix:
 
     def _entries(self, shift: float = 0.0) -> tuple:
         """(rows, cols, values) of H - shift * I."""
-        n = self.n
-        i = np.arange(n)
-        j = np.arange(n - 1)
-        tri_rows = np.concatenate([i, j + 1, j])
-        tri_cols = np.concatenate([i, j, j + 1])
         lap = np.concatenate([self.lap.diag - shift, self.lap.off, self.lap.off])
         q_a = np.concatenate([self.q_alpha.diag, self.q_alpha.off, self.q_alpha.off])
-        rows = np.concatenate([tri_rows, i, tri_rows + n, tri_rows + n])
-        cols = np.concatenate([tri_cols, i + n, tri_cols, tri_cols + n])
+        rows, cols = _layout(self.n)[:2]
         return rows, cols, np.concatenate([lap, self.alpha_nodes, q_a, lap])
 
     @cached_property
@@ -103,10 +111,8 @@ class DynamoMatrix:
         """H - shift * I as a scipy.sparse CSC array."""
         from scipy.sparse import csc_array
 
-        rows, cols, vals = self._entries(shift)
-        order = np.lexsort((rows, cols))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.size))))
-        return csc_array((vals[order], rows[order], indptr), shape=(self.size, self.size))
+        order, csc_rows, indptr = _layout(self.n)[2:]
+        return csc_array((self._entries(shift)[2][order], csc_rows, indptr), shape=(self.size,) * 2)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v for a real or complex vector of length 2n, without forming H."""
@@ -123,12 +129,19 @@ def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
 
     Raises DomainError when an entry of H is not finite, so no solver sees one.
     """
-    if l < 1:
-        raise DomainError(f"angular mode number must satisfy l >= 1, got l={l}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by assemble_samples
         lap = laplacian_l(grid, l)
-        q_a = diffusion_alpha(grid, alpha, l)
+        a_half = np.asarray(alpha(grid.half_nodes), dtype=float)
         a_nodes = np.array(alpha(grid.nodes), dtype=float)
+    return assemble_samples(grid, lap, a_half, a_nodes, l)
+
+
+def assemble_samples(
+    grid: RadialGrid, lap: TridiagOp, a_half: np.ndarray, a_nodes: np.ndarray, l: int
+) -> DynamoMatrix:
+    """``assemble`` from lap_l and alpha's samples at the half nodes and the nodes (frozen here)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        q_a = diffusion_from_samples(grid, a_half, a_nodes, l)
     a_nodes.setflags(write=False)
     if not np.isfinite(np.concatenate([lap.diag, lap.off, q_a.diag, q_a.off, a_nodes])).all():
         raise DomainError(f"operator entries overflow or are not finite (l={l}, n={grid.n})")

@@ -5,13 +5,18 @@ from dynamolab import (
     AlphaProfile,
     BracketError,
     ConfigurationError,
+    DomainError,
     TrackingError,
+    assemble,
+    build_grid,
     eigen,
     jordan_probe,
     pencil_coefficients,
 )
 from dynamolab.branches import (
     SweepConfig,
+    _greedy_assign,
+    _transition_pairs,
     dynamo_family,
     locate_ep,
     sweep,
@@ -328,3 +333,117 @@ class TestLocalSolveFallback:
         spec = eigen(m, near=[-38.0])
         assert spec.disk is None
         assert np.array_equal(spec.eigenvalues, eigen(m).eigenvalues)
+
+
+class TestFamilyFromSamples:
+    @pytest.mark.parametrize(
+        "base, l, n",
+        [
+            (ONE, 1, 16),
+            (AlphaProfile.polynomial([1.0, -3.0, 0.5]), 2, 40),
+            (AlphaProfile.exponential(1.3, -0.7), 5, 61),
+        ],
+        ids=["const", "poly", "exp"],
+    )
+    def test_equals_assembly_of_the_scaled_profile(self, base, l, n):
+        family = dynamo_family(base, l, n)
+        grid = build_grid(n)
+        for c in (0.0, 0.37, 1.0, -2.5, 1e3):
+            got = family(c)
+            want = assemble(grid, base.scaled(c), l)
+            for a, b in (
+                (got.lap.diag, want.lap.diag),
+                (got.lap.off, want.lap.off),
+                (got.q_alpha.diag, want.q_alpha.diag),
+                (got.q_alpha.off, want.q_alpha.off),
+                (got.alpha_nodes, want.alpha_nodes),
+            ):
+                assert np.array_equal(a, b), c
+            assert not got.alpha_nodes.flags.writeable
+
+    def test_every_c_checks_finiteness(self):
+        family = dynamo_family(ONE, 1, 16)
+        family(1e300)
+        for c in (1e308, -1e308, np.inf, np.nan):
+            with pytest.raises(DomainError, match="not finite"):
+                family(c)
+        family(2.0)  # the shared samples are untouched
+
+
+def reference_greedy_assign(prev, vals):
+    """The global greedy match by repeated argmin over the masked distances."""
+    t = prev.shape[0]
+    dist = np.abs(prev[:, None] - vals[None, :])
+    assigned = np.full(t, -1, dtype=int)
+    used = np.zeros(vals.shape[0], dtype=bool)
+    for _ in range(t):
+        masked = dist.copy()
+        masked[assigned != -1, :] = np.inf
+        masked[:, used] = np.inf
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        assigned[i] = j
+        used[j] = True
+    matched = vals[assigned]
+    return matched, np.abs(matched - prev)
+
+
+class TestGreedyAssign:
+    def test_matches_the_argmin_loop_on_random_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            t = int(rng.integers(1, 8))
+            m = int(rng.integers(t, 20))
+            prev = rng.standard_normal(t) + 1j * rng.standard_normal(t) * rng.integers(0, 2)
+            vals = rng.standard_normal(m) + 1j * rng.standard_normal(m) * rng.integers(0, 2)
+            for got, want in zip(_greedy_assign(prev, vals), reference_greedy_assign(prev, vals)):
+                assert np.array_equal(got, want)
+
+    def test_matches_the_argmin_loop_on_exact_ties(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            t = int(rng.integers(1, 7))
+            m = int(rng.integers(t, 12))
+            # small integers: many distances are exactly equal
+            prev = rng.integers(-3, 4, t) + 1j * rng.integers(-1, 2, t)
+            vals = rng.integers(-3, 4, m) + 1j * rng.integers(-1, 2, m)
+            for got, want in zip(_greedy_assign(prev, vals), reference_greedy_assign(prev, vals)):
+                assert np.array_equal(got, want)
+
+    def test_ties_go_to_the_lower_branch_then_the_lower_value_index(self):
+        matched, movement = _greedy_assign(np.array([-1.0, 1.0 + 0j]), np.array([0.0, 10.0 + 0j]))
+        assert np.array_equal(matched, [0.0, 10.0]) and np.array_equal(movement, [1.0, 9.0])
+        matched, _ = _greedy_assign(np.array([0.0 + 0j]), np.array([1.0, -1.0 + 0j]))
+        assert matched[0] == 1.0
+
+
+def reference_transition_pairs(prev, matched, pair_tol):
+    """Pairs (i < j) flipping band together and conjugate on branch i's complex side."""
+    in_band_a = np.abs(prev.imag) <= pair_tol
+    in_band_b = np.abs(matched.imag) <= pair_tol
+    scale = 1.0 + np.max(np.abs(matched))
+    pairs = set()
+    for i in range(prev.shape[0]):
+        for j in range(i + 1, prev.shape[0]):
+            if in_band_a[i] != in_band_b[i] and in_band_a[j] != in_band_b[j]:
+                side = matched if not in_band_b[i] else prev
+                if abs(side[i] - np.conj(side[j])) <= 1e-6 * scale:
+                    pairs.add((i, j))
+    return pairs
+
+
+def test_transition_pairs_match_the_pairwise_loop():
+    rng = np.random.default_rng(13)
+    found = 0
+    for _ in range(3000):
+        t = int(rng.integers(1, 8))
+        # exact and near-conjugate values, in and out of the real band
+        re = rng.integers(-3, 3, t).astype(float)
+        prev = re + 1j * rng.choice([0.0, 1.0, -1.0, 1e-9], t) * rng.choice([1, 1 + 1e-7, 1 + 1e-5], t)
+        im = rng.choice([0.0, 1.0, -1.0, 1e-9], t) * rng.choice([1, 1 + 1e-7, 1 + 3e-6], t)
+        matched = re + rng.choice([0, 1e-7, 1e-3], t) + 1j * im
+        mask = _transition_pairs(prev, matched, 1e-8)
+        want = reference_transition_pairs(prev, matched, 1e-8)
+        assert set(zip(*np.nonzero(np.triu(mask, 1)))) == want
+        assert np.array_equal(mask, mask.T) and not mask.diagonal().any()
+        found += len(want)
+    assert found > 100

@@ -142,6 +142,22 @@ class TestNogo:
         assert len(summary) == 1
         assert float(summary[0].split("=")[1]) > 0
 
+    def test_rows_are_the_structure_functions(self, tmp_path):
+        from dynamolab import AlphaPair, StructureFunctions, parse_profile
+
+        out = tmp_path / "nogo.csv"
+        argv = ["nogo", "--alpha0", "poly:1,0,0.5", "--alpha1", "const:1", "--l1", "2"]
+        assert main(argv + ["--window", "0.1,1", "--samples", "20000", "--out", str(out)]) == 0
+        pair = AlphaPair(parse_profile("poly:1,0,0.5"), parse_profile("const:1"), l0=1, l1=2, e=0.0)
+        sf = StructureFunctions(pair)
+        rs = np.linspace(0.1, 1.0, 20000)
+        q, keep = sf.q_admissible(rs)
+        kept = rs[keep]
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in read_lines(out)[1:-2]])
+        assert rows.shape == (kept.size, 5)
+        for col, want in zip(rows.T, (kept, q[keep], sf.b1(kept), sf.b2(kept), sf.rho(kept))):
+            assert np.array_equal(col, want)
+
     def test_proportional_pair_is_numerical_failure(self, tmp_path):
         out = tmp_path / "nogo.csv"
         rc = main(
@@ -278,6 +294,20 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nogo", "--alpha0", "poly:1,0,1e308", "--alpha1", "const:1"],
+            ["mre-check", "--alpha0", "poly:1,0,1e308", "--alpha1", "const:1", "--step", "1e-2"],
+        ],
+        ids=["nogo", "mre-check"],
+    )
+    def test_overflowing_profile_derivative(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "derivative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exact_conjugation_of_real_matrices(self, tmp_path):

@@ -83,6 +83,21 @@ class TestAssemble:
         assert np.array_equal(m.to_csc().toarray(), m.matrix)
         assert np.array_equal(m.to_csc(shift=-2.5).toarray(), m.matrix + 2.5 * np.eye(size))
 
+    @pytest.mark.parametrize("n", [8, 17, 60, 133])
+    def test_csc_form_equals_a_fresh_lexsort_construction(self, n):
+        from scipy.sparse import csc_array
+
+        m = assemble(build_grid(n), AlphaProfile.polynomial([1.0, -3.0, 0.5]), 2)
+        for shift in (0.0, -2.5, 3.7, -1e4):
+            rows, cols, vals = m._entries(shift)
+            order = np.lexsort((rows, cols))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m.size))))
+            fresh = csc_array((vals[order], rows[order], indptr), shape=(m.size, m.size))
+            got = m.to_csc(shift)
+            assert got.has_sorted_indices
+            for a, b in ((got.data, fresh.data), (got.indices, fresh.indices), (got.indptr, fresh.indptr)):
+                assert np.array_equal(a, b)
+
     @pytest.mark.parametrize(
         "alpha, l, n",
         [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ class TestFamilies:
                 _d1=lambda r: -1.0 / (np.asarray(r, dtype=float) - 0.5) ** 2,
                 _d2=lambda r: 2.0 / (np.asarray(r, dtype=float) - 0.5) ** 3,
             )
+
+    @pytest.mark.parametrize("literal", ["poly:1,0,1e308", "poly:0,0,0,1e308"])
+    def test_overflowing_derivative_rejected(self, literal):
+        # the derivative overflows to inf, so the relative error is NaN,
+        # which must not pass for "within tolerance"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="derivative"):
+                parse_profile(literal)
 
     def test_large_profiles_accepted(self):
         # the difference quotient's error grows with |alpha|; exact

@@ -5,6 +5,7 @@ from dynamolab import (
     AlphaProfile,
     ClassificationError,
     DomainError,
+    SolverError,
     Spectrum,
     assemble,
     build_grid,
@@ -114,6 +115,25 @@ class TestEigen:
         vecs = spec.eigenvectors
         r = np.linalg.norm(a @ vecs - vecs * spec.eigenvalues, axis=0)
         assert np.max(r) <= 1e-8 * np.linalg.norm(a, np.inf)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_residual_contract_violation_raises(self, monkeypatch, real):
+        # poly:10,-30 has conjugate pairs, so every eigenvector is complex and
+        # the residual goes through the real and imaginary products
+        m = assemble(build_grid(40), parse_profile("poly:10,-30"), 1)
+        vals = eigen(m).eigenvalues
+        bad = vals[np.flatnonzero((vals.imag == 0.0) == real)[0]]
+        true_eig = np.linalg.eig
+
+        def perturbed(a):
+            w, v = true_eig(a)
+            k = np.flatnonzero(w == bad)[0]
+            v[:, k] += 1e-4 * np.linalg.norm(v[:, k])
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        with pytest.raises(SolverError, match="residual contract"):
+            eigen(m, want_vectors=True)
 
     def test_all_real_spectrum_has_complex_eigenvalues(self):
         spec = eigen(assemble(build_grid(60), AlphaProfile.constant(1.0), 1), want_vectors=True)
