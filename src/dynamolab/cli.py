@@ -28,7 +28,7 @@ from .errors import ConfigurationError, DomainError, DynamoLabError, ShapeError
 from .grid import build_grid
 from .mre import mre_linear_solve, riccati_residual
 from .nogo import AlphaPair, StructureFunctions, nogo_certificate
-from .operator import assemble, lambda_pm, pencil_coefficients, pencil_psi2
+from .operator import assemble, pencil_coefficients, pencil_psi2
 from .profiles import parse_profile
 from .spectral import classify_pairs, eigen
 
@@ -191,6 +191,8 @@ def _cmd_nogo(args) -> int:
     alpha0 = parse_profile(args.alpha0)
     alpha1 = parse_profile(args.alpha1)
     lo, hi = args.window
+    if not 0.0 < lo < hi <= 1.0:
+        raise ConfigurationError(f"--window must sit inside (0, 1] with LO < HI, got {lo},{hi}")
     pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l1 - 1, l1=args.l1, e=args.E)
     sf = StructureFunctions(pair)
     rs = np.linspace(lo, hi, args.samples)

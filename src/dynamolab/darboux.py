@@ -265,14 +265,13 @@ def _smooth_test_vectors(grid: RadialGrid, count: int = _N_TEST_VECTORS) -> np.n
     return out
 
 
-def factorization_residual(pair: DarbouxPair, grid: RadialGrid, energy_shift: float = 0.0):
+def factorization_residual(pair: DarbouxPair, grid: RadialGrid):
     """Max-norm residuals of (H0-E) - Adag A and (H1-E) - A Adag on smooth test vectors.
 
     A = D + f with D the central difference; residuals are normalized by the
     row-sum norm of H0 and are discretization-limited (second order in h).
-    The energy_shift knob exists for detector sanity checks.
     """
-    e = pair.energy + energy_shift
+    e = pair.energy
     fx = np.asarray(pair.f(grid.nodes), dtype=float)
     h0 = schrodinger_tridiag(grid, pair.v0)
     h1 = schrodinger_tridiag(grid, pair.v1)

@@ -72,8 +72,8 @@ def mmat(alpha_vals: np.ndarray, l: int, e: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv2(m: np.ndarray, det_floor: float = 0.0) -> np.ndarray:
-    """Closed-form adjugate inverse of batched 2x2 matrices; NaN below det_floor."""
+def inv2(m: np.ndarray) -> np.ndarray:
+    """Closed-form adjugate inverse of batched 2x2 matrices."""
     m = np.asarray(m)
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     out = np.empty_like(m)
@@ -82,11 +82,7 @@ def inv2(m: np.ndarray, det_floor: float = 0.0) -> np.ndarray:
     out[..., 0, 1] = -m[..., 0, 1]
     out[..., 1, 0] = -m[..., 1, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = out / det[..., None, None]
-    if det_floor > 0.0:
-        bad = np.abs(det) < det_floor
-        out[bad] = np.nan
-    return out
+        return out / det[..., None, None]
 
 
 def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,7 +222,6 @@ def mre_linear_solve(
     r_end: float = 1.0,
     step: float = 1e-4,
     init: Union[str, Tuple[np.ndarray, np.ndarray]] = "series",
-    e: Optional[float] = None,
     cond_log_max: float = COND_LOG_MAX,
 ) -> MatrixODESolution:
     """Integrate one linearized system by fixed-step RK4 and form its affine coordinate.
@@ -248,7 +243,7 @@ def mre_linear_solve(
 
     alpha = pair.alpha0 if which == U_SYSTEM else pair.alpha1
     l = pair.l0 if which == U_SYSTEM else pair.l1
-    e_val = pair.e if e is None else float(e)
+    e_val = pair.e
     n_steps = max(1, int(round((r_end - r_start) / step)))
     h = (r_end - r_start) / n_steps
     rs = r_start + h * np.arange(n_steps + 1)

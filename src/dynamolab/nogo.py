@@ -42,12 +42,10 @@ from .grid import build_grid
 from .mre import (
     B_SYSTEM,
     IDENT2,
-    SIGMA_MINUS,
     MatrixODESolution,
     U_SYSTEM,
     inv2,
     kmat,
-    kmat_inv,
     mmat,
     mre_linear_solve,
 )
@@ -55,6 +53,7 @@ from .operator import assemble, sharp
 from .profiles import AlphaProfile
 
 Q_FLOOR = 1e-10
+RHO_WINDOW = (0.1, 1.0)  # where rho is sampled: q has a removable zero at r = 0
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,6 @@ class StructureFunctions:
     def k1(self, r):
         return kmat(self.pair.alpha1(r))
 
-    def k1inv(self, r):
-        return kmat_inv(self.pair.alpha1(r))
-
     def m0(self, r):
         return mmat(self.pair.alpha0(r), self.pair.l0, self.pair.e, r)
 
@@ -273,19 +269,14 @@ class StructureFunctions:
         return 2.0 * self.b1prime(r) - rhs
 
 
-def rho_sup_norm(
-    pair: AlphaPair,
-    gauge: GaugeChoice = DEFAULT_GAUGE,
-    window: Tuple[float, float] = (0.1, 1.0),
-    samples: int = 512,
-) -> Tuple[float, int]:
-    """Sup of |rho| over the window, excluding q-degenerate neighborhoods.
+def rho_sup_norm(pair: AlphaPair, samples: int = 512) -> Tuple[float, int]:
+    """Sup of |rho| over RHO_WINDOW, excluding q-degenerate neighborhoods.
 
     Returns the sup and the number of excluded sample points; raises
     DegenerateQError when the whole window is excluded.
     """
-    sf = StructureFunctions(pair, gauge)
-    rs = np.linspace(window[0], window[1], samples)
+    sf = StructureFunctions(pair)
+    rs = np.linspace(*RHO_WINDOW, samples)
     _, keep = sf.q_admissible(rs)
     return float(np.max(np.abs(sf.rho(rs[keep])))), int(np.sum(~keep))
 
@@ -311,8 +302,8 @@ class DegenerateCaseRecord:
     note: str
 
 
-def degenerate_case_check(pair: AlphaPair, samples: int = 1024) -> DegenerateCaseRecord:
-    rs = np.linspace(0.0, 1.0, samples)
+def degenerate_case_check(pair: AlphaPair) -> DegenerateCaseRecord:
+    rs = np.linspace(0.0, 1.0, 1024)
     a0 = np.asarray(pair.alpha0(rs), dtype=float)
     a1 = np.asarray(pair.alpha1(rs), dtype=float)
     ratio = a1 / a0
@@ -374,27 +365,19 @@ def _singular_mismatch_c2(l1_cand: int, l0: int, c1: float, e: float) -> float:
     yp = -(sol.kinv_nodes @ sol.top)
     yinv = inv2(y)
     z = yp @ yinv
-    a1p = np.zeros_like(rs)  # constant profile
-    ypp = sol.kinv_nodes @ (sol.m_nodes @ y + a1p[:, None, None] * (SIGMA_MINUS @ yp))
-    zp = ypp @ yinv - z @ z
+    # alpha1' == 0, so the alpha1' terms of y'', K1' and the left-hand side drop out
+    zp = (sol.kinv_nodes @ (sol.m_nodes @ y)) @ yinv - z @ z
     k1 = kmat(sol.alpha_nodes).astype(complex)
-    k1p = -a1p[:, None, None] * SIGMA_MINUS
-    lhs = a1p[:, None, None] * (SIGMA_MINUS @ z) - zp
     cent = (l0 * (l0 + 1) / rs**2)[:, None, None] * IDENT2
-    rhs = cent - sol.kinv_nodes @ z @ k1 @ z - z @ k1p
-    d11 = (lhs - rhs)[:, 0, 0].real
+    rhs = cent - sol.kinv_nodes @ z @ k1 @ z
+    d11 = (-zp - rhs)[:, 0, 0].real
     mask = (rs >= 1.15e-3) & (rs <= 2.6e-3)
     basis = np.stack([1.0 / rs[mask] ** 2, 1.0 / rs[mask], np.ones(np.sum(mask))], axis=1)
     coef, *_ = np.linalg.lstsq(basis, d11[mask], rcond=None)
     return float(abs(coef[0]))
 
 
-def asymptotic_l_increment(
-    l0: int,
-    c0: float = 1.0,
-    c1: float = 1.0,
-    e: float = 0.0,
-) -> AsymptoticRecord:
+def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> AsymptoticRecord:
     """Forced (l1, a1-series) from the small-r limit, with a numerical cross-check.
 
     The closed-form matching needs only integer arithmetic; the cross-check
@@ -404,8 +387,8 @@ def asymptotic_l_increment(
     """
     if l0 < 1:
         raise DomainError("l0 must be >= 1")
-    if c0 == 0.0 or c1 == 0.0:
-        raise DomainError("leading profile coefficients c0, c1 must not vanish")
+    if c1 == 0.0:
+        raise DomainError("leading profile coefficient c1 must not vanish")
     # positive root of l1 (l1 - 1) = l0 (l0 + 1)
     l1 = int(round(0.5 * (1.0 + np.sqrt(1.0 + 4.0 * l0 * (l0 + 1)))))
     assert l1 * (l1 - 1) == l0 * (l0 + 1)
@@ -441,7 +424,6 @@ def product_invariant_diagnostic(
     sol_u: MatrixODESolution,
     sol_b: MatrixODESolution,
     pair: AlphaPair,
-    gauge: GaugeChoice = DEFAULT_GAUGE,
 ) -> ProductInvariantDiagnostic:
     """Relative drift of P(r) = Y^# R^# W along a common trajectory.
 
@@ -454,7 +436,7 @@ def product_invariant_diagnostic(
     if sol_u.rs.shape != sol_b.rs.shape or not np.allclose(sol_u.rs, sol_b.rs):
         raise ShapeError("both solutions must share the same radial grid")
     rs = sol_u.rs
-    r_mat = build_R(pair, gauge, rs)
+    r_mat = build_R(pair, DEFAULT_GAUGE, rs)
     p = sharp(sol_b.bot) @ sharp(r_mat) @ sol_u.bot
     dp = _central_difference(p, sol_u.step)[1:-1]
     norm_p = np.max(np.abs(p[1:-1]), axis=(-2, -1))
@@ -495,15 +477,18 @@ class DefectRecord:
 
 
 _DEFECT_SEED = 20240311
+_DEFECT_TESTS = 8  # smooth test fields
+_DEFECT_SUPPORT = (0.1, 0.95)  # where the test fields live, clear of the singular origin
+_DEFECT_STEP = 2e-4  # RK4 step of the B-system trajectory
 
 
-def _bump_profiles(nodes: np.ndarray, support: Tuple[float, float], count: int) -> np.ndarray:
+def _bump_profiles(nodes: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(_DEFECT_SEED)
-    a, b = support
+    a, b = _DEFECT_SUPPORT
     s = (nodes - a) / (b - a)
     env = np.where((s > 0) & (s < 1), (s * (1 - s)) ** 2, 0.0)
-    out = np.empty((count, 2, nodes.size))
-    for i in range(count):
+    out = np.empty((_DEFECT_TESTS, 2, nodes.size))
+    for i in range(_DEFECT_TESTS):
         for comp in range(2):
             coeffs = rng.standard_normal(4)
             wave = sum(c * np.sin((k + 1) * np.pi * np.clip(s, 0, 1)) for k, c in enumerate(coeffs))
@@ -516,9 +501,6 @@ def intertwining_defect(
     pair: AlphaPair,
     gauge: GaugeChoice = DEFAULT_GAUGE,
     n: int = 300,
-    n_test: int = 8,
-    step: float = 2e-4,
-    support: Tuple[float, float] = (0.1, 0.95),
     test_scale: float = 1.0,
 ) -> DefectRecord:
     """Measure || A^#(H0 - E) phi - (H1 - E) A^# phi || on smooth test fields.
@@ -529,7 +511,7 @@ def intertwining_defect(
     The defect is strictly positive for every admissible pair: no B can
     satisfy all consistency conditions at once.
     """
-    sol_b = mre_linear_solve(B_SYSTEM, pair, 1e-3, 1.0, step=step, init="series")
+    sol_b = mre_linear_solve(B_SYSTEM, pair, 1e-3, 1.0, step=_DEFECT_STEP, init="series")
     grid = build_grid(n)
     nodes = grid.nodes
     h = grid.h
@@ -558,9 +540,9 @@ def intertwining_defect(
         w = -_central_difference((r_sharp @ um)[..., 0], h) + (q_sharp @ um)[..., 0]
         return np.concatenate([w[:, 0], w[:, 1]])
 
-    per_test = np.empty(n_test)
-    unnorm = np.empty(n_test)
-    for i, phi2 in enumerate(_bump_profiles(nodes, support, n_test)):
+    per_test = np.empty(_DEFECT_TESTS)
+    unnorm = np.empty(_DEFECT_TESTS)
+    for i, phi2 in enumerate(_bump_profiles(nodes)):
         phi = test_scale * np.concatenate([phi2[0], phi2[1]]).astype(complex)
         t1 = apply_a_sharp(h0.matvec(phi) - e_val * phi)
         a_phi = apply_a_sharp(phi)
@@ -587,7 +569,7 @@ def intertwining_defect(
 # --------------------------------------------------------------------------
 
 
-def builtin_pair_family(l1: int = 2, e: float = 0.0) -> list:
+def builtin_pair_family(l1: int = 2) -> list:
     """Thirty admissible quadratic-profile pairs 1 + theta*r^2, theta1 != theta2."""
     thetas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
     out = []
@@ -601,7 +583,6 @@ def builtin_pair_family(l1: int = 2, e: float = 0.0) -> list:
                     alpha1=AlphaProfile.polynomial([1.0, 0.0, t1]),
                     l0=l1 - 1,
                     l1=l1,
-                    e=e,
                 )
             )
     return out
@@ -614,14 +595,21 @@ class NoGoReport:
     pair_labels: list
     sample_radii: np.ndarray
     rho_samples: np.ndarray  # (pairs, radii), NaN where q is floored out
-    rho_sup: np.ndarray
-    min_rho_sup: float
     excluded_samples: np.ndarray
     l_shift_max_dev: float
     degenerate: DegenerateCaseRecord
     asymptotic: AsymptoticRecord
     defects: list
     window: Tuple[float, float]
+
+    @property
+    def rho_sup(self) -> np.ndarray:
+        """sup|rho| per pair over the admissible radii."""
+        return np.nanmax(np.abs(self.rho_samples), axis=1)
+
+    @property
+    def min_rho_sup(self) -> float:
+        return float(np.min(self.rho_sup))
 
     def summary_lines(self) -> list:
         lines = [
@@ -642,16 +630,13 @@ class NoGoReport:
 def nogo_certificate(
     family: Optional[Sequence[AlphaPair]] = None,
     l1: int = 2,
-    window: Tuple[float, float] = (0.1, 1.0),
-    gauge: GaugeChoice = DEFAULT_GAUGE,
     samples: int = 512,
-    shift_radii: int = 100,
     defect_samples: int = 2,
     defect_n: int = 240,
 ) -> NoGoReport:
     """Assemble the full certificate over a family of admissible pairs.
 
-    Records (a) the family minimum of sup|rho| over the window, (b) the exact
+    Records (a) the family minimum of sup|rho| over RHO_WINDOW, (b) the exact
     l-shift identity rho(l1+1) - rho(l1) = 2/r^2, (c) the proportional-branch
     impossibility, (d) the forced small-r relations, and (e) intertwining
     defect witnesses for the first few pairs.
@@ -663,23 +648,19 @@ def nogo_certificate(
         raise ConfigurationError(
             f"certificate family must contain at least 25 admissible pairs, got {len(family)}"
         )
-    if not (0.0 < window[0] < window[1] <= 1.0):
-        raise ConfigurationError(f"window must sit inside (0, 1], got {window!r}")
 
-    radii_all = np.linspace(window[0], window[1], samples)
+    radii_all = np.linspace(*RHO_WINDOW, samples)
     rho_samples = np.full((len(family), samples), np.nan)
-    sups = np.empty(len(family))
     excluded = np.empty(len(family), dtype=int)
     for i, pair in enumerate(family):
-        sf_i = StructureFunctions(pair, gauge)
+        sf_i = StructureFunctions(pair)
         _, keep = sf_i.q_admissible(radii_all)
         rho_samples[i, keep] = sf_i.rho(radii_all[keep])
-        sups[i] = float(np.max(np.abs(rho_samples[i, keep])))
         excluded[i] = int(np.sum(~keep))
 
     pair0 = family[0]
-    sf = StructureFunctions(pair0, gauge)
-    radii = np.linspace(window[0], window[1], shift_radii)
+    sf = StructureFunctions(pair0)
+    radii = np.linspace(*RHO_WINDOW, 100)
     radii = radii[sf.q_admissible(radii)[1]]
     shift = sf.rho(radii, l1=pair0.l1 + 1) - sf.rho(radii, l1=pair0.l1)
     l_shift_dev = float(np.max(np.abs(shift - 2.0 / radii**2)))
@@ -687,25 +668,16 @@ def nogo_certificate(
     degenerate = degenerate_case_check(
         AlphaPair(alpha0=pair0.alpha0, alpha1=pair0.alpha0, l0=pair0.l0, l1=pair0.l1, e=pair0.e)
     )
-    asym = asymptotic_l_increment(
-        l0=pair0.l1 - 1,
-        c0=float(pair0.alpha0(0.0)),
-        c1=float(pair0.alpha1(0.0)),
-        e=pair0.e,
-    )
-    defects = [
-        intertwining_defect(p, gauge, n=defect_n) for p in family[:defect_samples]
-    ]
+    asym = asymptotic_l_increment(l0=pair0.l1 - 1, c1=float(pair0.alpha1(0.0)), e=pair0.e)
+    defects = [intertwining_defect(p, n=defect_n) for p in family[:defect_samples]]
     return NoGoReport(
         pair_labels=[p.label for p in family],
         sample_radii=radii_all,
         rho_samples=rho_samples,
-        rho_sup=sups,
-        min_rho_sup=float(np.min(sups)),
         excluded_samples=excluded,
         l_shift_max_dev=l_shift_dev,
         degenerate=degenerate,
         asymptotic=asym,
         defects=defects,
-        window=window,
+        window=RHO_WINDOW,
     )

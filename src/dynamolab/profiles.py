@@ -72,12 +72,8 @@ class AlphaProfile:
     def d2(self, r):
         return self._d2(np.asarray(r, dtype=float))
 
-    def is_positive(self, samples: int = _N_BOUND_SAMPLES) -> bool:
-        rs = np.linspace(0.0, 1.0, samples)
-        return bool(np.all(self(rs) > 0.0))
-
     def require_positive(self) -> "AlphaProfile":
-        if not self.is_positive():
+        if not np.all(self(np.linspace(0.0, 1.0, _N_BOUND_SAMPLES)) > 0.0):
             raise DomainError(f"profile {self.label!r} must be strictly positive on [0,1]")
         return self
 

@@ -60,9 +60,6 @@ class Spectrum:
             raise ClassificationError("spectrum has not been classified yet")
         return ["Real" if k == REAL_TAG else "Pair" for k in self.pair_index]
 
-    def leading(self, count: int) -> np.ndarray:
-        return self.eigenvalues[:count]
-
     def covers(self, points, reach: float) -> bool:
         """True when every eigenvalue within ``reach`` of any of ``points`` is listed."""
         if self.disk is None:
@@ -245,11 +242,11 @@ class JordanProbe:
 _JORDAN_RCOND = 1e-8
 
 
-def jordan_probe(m, lambda0: complex, psi: np.ndarray, rcond: float = _JORDAN_RCOND) -> JordanProbe:
+def jordan_probe(m, lambda0: complex, psi: np.ndarray) -> JordanProbe:
     """Solve (M - lambda0) chi = psi by rank-revealing least squares.
 
-    Singular directions below rcond * sigma_max are projected out, so chi is
-    the minimum-norm solution restricted to the numerically well-posed
+    Singular directions below _JORDAN_RCOND * sigma_max are projected out, so
+    chi is the minimum-norm solution restricted to the numerically well-posed
     subspace; residuals are reported relative to ||psi||.
     """
     a = _as_matrix(m).astype(complex)
@@ -262,7 +259,7 @@ def jordan_probe(m, lambda0: complex, psi: np.ndarray, rcond: float = _JORDAN_RC
     shifted = a - lambda0 * np.eye(a.shape[0])
     eig_res = float(np.linalg.norm(shifted @ psi) / norm_psi)
     u, s, vh = np.linalg.svd(shifted)
-    keep = s > rcond * (s[0] if s[0] > 0 else 1.0)
+    keep = s > _JORDAN_RCOND * (s[0] if s[0] > 0 else 1.0)
     coeff = (u.conj().T @ psi)[keep] / s[keep]
     chi = vh.conj().T[:, keep] @ coeff
     chain_res = float(np.linalg.norm(shifted @ chi - psi) / norm_psi)

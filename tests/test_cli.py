@@ -281,6 +281,31 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["0,1", "0.1,2", "0.5,0.1"])
+    def test_nogo_window_outside_the_profile_interval(self, tmp_path, capsys, window):
+        # rho is singular at r = 0, the profiles are validated on [0, 1] only,
+        # and a reversed window would write descending rows
+        out = tmp_path / "x.csv"
+        argv = ["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--samples", "5"]
+        assert main(argv + ["--window", window, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nogo_full_window_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--samples", "5"]
+        assert main(argv + ["--window", "0.1,1", "--out", str(out)]) == 0
+        assert read_lines(out) == [
+            "r,q,b1,b2,rho",
+            "0.1,0.5,-0.8053506895400425,1.0,399.2232465522997",
+            "0.325,0.5,-0.9788852072534739,1.0,36.225396448939726",
+            "0.55,0.5,-1.2510415059866085,1.0,10.217932965934725",
+            "0.775,0.5,-1.6778675456476855,1.0,1.5203917202527277",
+            "1.0,0.5,-2.347264024732662,1.0,-4.486320123663312",
+            "min_abs_rho_inf=399.2232465522997",
+            "excluded_samples=0",
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -154,7 +156,8 @@ class TestFactorization:
         # shift large enough to rise above the h^2 discretization floor
         delta = 10.0
         base0, _ = factorization_residual(box_pair, grid2000)
-        shifted0, _ = factorization_residual(box_pair, grid2000, energy_shift=delta)
+        shifted = dataclasses.replace(box_pair, energy=box_pair.energy + delta)
+        shifted0, _ = factorization_residual(shifted, grid2000)
         h0 = schrodinger_tridiag(grid2000, BOX)
         norm_h0 = np.max(np.abs(h0.diag)) + 2.0 / grid2000.h**2
         assert shifted0 == pytest.approx(delta / norm_h0, rel=0.3)

@@ -434,6 +434,9 @@ class TestCertificate:
         assert np.all(np.isfinite(report.rho_samples))  # no q-floor exclusions here
         sups = np.nanmax(np.abs(report.rho_samples), axis=1)
         assert np.allclose(sups, report.rho_sup)
+        # the derived per-pair sup is the direct computation, bit for bit
+        for i, pair in enumerate(builtin_pair_family()):
+            assert report.rho_sup[i] == rho_sup_norm(pair)[0]
 
     def test_m_evaluators_match_operator_blocks(self):
         # M carries the centrifugal, shift and coupling structure of the
