@@ -56,8 +56,7 @@ from .nogo import (
     degenerate_case_check,
     intertwining_defect,
     nogo_certificate,
-    product_invariant_diagnostic,
-    rho_sup_norm,
+    sample_rho,
 )
 from .operator import (
     DynamoMatrix,
@@ -129,10 +128,9 @@ __all__ = [
     "pencil_coefficients",
     "pencil_psi2",
     "product_invariant_check",
-    "product_invariant_diagnostic",
     "pseudo_hermiticity_residual",
-    "rho_sup_norm",
     "riccati_residual",
+    "sample_rho",
     "sharp",
     "sweep",
     "verify_isospectral",

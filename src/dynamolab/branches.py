@@ -102,9 +102,6 @@ class BranchTrace:
     def track_count(self) -> int:
         return self.branches.shape[0]
 
-    def branch(self, i: int) -> np.ndarray:
-        return self.branches[i]
-
 
 def _greedy_assign(prev: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Injective nearest-neighbor assignment, greedy by distance with ties by row-major index."""

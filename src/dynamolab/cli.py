@@ -129,6 +129,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pencil_check(args) -> int:
+    if args.modes < 1:
+        raise ConfigurationError("--modes must be at least 1")
     alpha = parse_profile(args.alpha)
     grid = build_grid(args.n)
     m = assemble(grid, alpha, args.l)
@@ -177,7 +179,7 @@ def _cmd_darboux(args) -> int:
     v0_profile = parse_profile(args.v0)
     grid = build_grid(args.n)
     pair = darboux_partner(Potential1D(v=v0_profile, label=v0_profile.label), grid)
-    rep = verify_isospectral(pair, levels=args.levels, tol=args.tol)
+    rep = verify_isospectral(pair, levels=args.levels, tol=1e-3)
     lines = ["level,E0,E1,abs_rel_err"]
     for row in rep.levels:
         lines.append(f"{_fmt(row.level)},{_fmt(row.e0)},{_fmt(row.e1)},{_fmt(row.rel_err)}")
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     db.add_argument("--v0", default="const:0.0", help="potential literal")
     db.add_argument("--n", type=int, default=2000)
     db.add_argument("--levels", type=int, default=5)
-    db.add_argument("--tol", type=float, default=1e-3)
     db.add_argument("--out", required=True)
     db.set_defaults(func=_cmd_darboux)
 

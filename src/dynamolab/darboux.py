@@ -218,6 +218,8 @@ def verify_isospectral(pair: DarbouxPair, levels: int, tol: float) -> Isospectra
         raise ConfigurationError("isospectrality check supports at most 20 levels")
     if levels < 1:
         raise ConfigurationError("need at least one level")
+    if levels > pair.grid.n - 1:
+        raise ConfigurationError(f"{levels} levels need n >= {levels + 1}, got n={pair.grid.n}")
     from scipy.linalg import eigh_tridiagonal  # on use: slow to import
 
     h0 = schrodinger_tridiag(pair.grid, pair.v0)

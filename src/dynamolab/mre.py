@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, SolverError
 
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
 IDENT2 = np.eye(2)
 

@@ -30,25 +30,16 @@ defect of the assembled candidate operator as a numerical witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .darboux import _central_difference
-from .errors import ConfigurationError, DegenerateQError, DomainError, ShapeError
+from .errors import ConfigurationError, DegenerateQError, DomainError
 from .grid import build_grid
-from .mre import (
-    B_SYSTEM,
-    IDENT2,
-    MatrixODESolution,
-    U_SYSTEM,
-    inv2,
-    kmat,
-    mmat,
-    mre_linear_solve,
-)
+from .mre import B_SYSTEM, IDENT2, inv2, kmat, mmat, mre_linear_solve
 from .operator import assemble, sharp
 from .profiles import AlphaProfile
 
@@ -138,7 +129,7 @@ def build_R(pair: AlphaPair, gauge: GaugeChoice, r) -> np.ndarray:
 class StructureFunctions:
     """Vectorized evaluators for every derived quantity of the Ansatz.
 
-    All closed-form members (q, b1, b2, b4, f, N, K, M) are algebraic in the
+    All closed-form members (q, b1, b2, b4, f, N, M) are algebraic in the
     profile values and their first two derivatives; nothing here is obtained
     by numerical differentiation.
     """
@@ -180,12 +171,6 @@ class StructureFunctions:
         return out
 
     # -- matrix coefficients -----------------------------------------------
-
-    def k0(self, r):
-        return kmat(self.pair.alpha0(r))
-
-    def k1(self, r):
-        return kmat(self.pair.alpha1(r))
 
     def m0(self, r):
         return mmat(self.pair.alpha0(r), self.pair.l0, self.pair.e, r)
@@ -248,7 +233,7 @@ class StructureFunctions:
 
     # -- the obstruction ----------------------------------------------------
 
-    def rho(self, r, l1: Optional[int] = None):
+    def rho(self, r):
         """Residual of the summed first-diagonal projections of the two MREs.
 
         rho == 0 would be required for a consistent intertwiner; the closed
@@ -256,11 +241,10 @@ class StructureFunctions:
         term knows about l1.
         """
         r = np.asarray(r, dtype=float)
-        l1 = self.pair.l1 if l1 is None else l1
         p = self.pair
         q = self.q(r)
         rhs = (
-            -2.0 * l1 / r**2
+            -2.0 * p.l1 / r**2
             + 2.0 * q * (self.b1(r) - p.alpha1.d1(r) / p.alpha1(r))
             + p.alpha0(r) ** 2 / 2.0
             + self.qprime(r)
@@ -269,16 +253,17 @@ class StructureFunctions:
         return 2.0 * self.b1prime(r) - rhs
 
 
-def rho_sup_norm(pair: AlphaPair, samples: int = 512) -> Tuple[float, int]:
-    """Sup of |rho| over RHO_WINDOW, excluding q-degenerate neighborhoods.
+def sample_rho(pair: AlphaPair, rs: np.ndarray) -> np.ndarray:
+    """rho at rs, NaN where the q floor excludes a radius.
 
-    Returns the sup and the number of excluded sample points; raises
-    DegenerateQError when the whole window is excluded.
+    rho is evaluated only on the admissible radii; raises DegenerateQError
+    when the floor excludes every radius.
     """
     sf = StructureFunctions(pair)
-    rs = np.linspace(*RHO_WINDOW, samples)
     _, keep = sf.q_admissible(rs)
-    return float(np.max(np.abs(sf.rho(rs[keep])))), int(np.sum(~keep))
+    out = np.full(np.shape(rs), np.nan)
+    out[keep] = sf.rho(rs[keep])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +284,6 @@ class DegenerateCaseRecord:
     forced_min: float
     argmin_r: float
     impossible: bool
-    note: str
 
 
 def degenerate_case_check(pair: AlphaPair) -> DegenerateCaseRecord:
@@ -319,7 +303,6 @@ def degenerate_case_check(pair: AlphaPair) -> DegenerateCaseRecord:
         forced_min=float(forced[i]),
         argmin_r=float(rs[i]),
         impossible=bool(forced[i] > 0.0),
-        note="forced relation alpha1 + alpha0^2/alpha1 = 0 has no positive solution",
     )
 
 
@@ -402,53 +385,6 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
         a0_series=0.0,
         fitted_c2=fits,
         discrimination_ratio=ratio,
-    )
-
-
-# --------------------------------------------------------------------------
-# product invariant (diagnostic only)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductInvariantDiagnostic:
-    rs: np.ndarray
-    drift: np.ndarray
-    det_p: np.ndarray
-    max_drift: float
-    median_drift: float
-    nonsingular: bool
-
-
-def product_invariant_diagnostic(
-    sol_u: MatrixODESolution,
-    sol_b: MatrixODESolution,
-    pair: AlphaPair,
-) -> ProductInvariantDiagnostic:
-    """Relative drift of P(r) = Y^# R^# W along a common trajectory.
-
-    Reported without any verdict: the constancy of P is derived inside the
-    (inconsistent) constrained framework, so its drift for unconstrained
-    solutions is informational only.
-    """
-    if sol_u.which != U_SYSTEM or sol_b.which != B_SYSTEM:
-        raise ConfigurationError("pass the U-system solution first, then the B-system one")
-    if sol_u.rs.shape != sol_b.rs.shape or not np.allclose(sol_u.rs, sol_b.rs):
-        raise ShapeError("both solutions must share the same radial grid")
-    rs = sol_u.rs
-    r_mat = build_R(pair, DEFAULT_GAUGE, rs)
-    p = sharp(sol_b.bot) @ sharp(r_mat) @ sol_u.bot
-    dp = _central_difference(p, sol_u.step)[1:-1]
-    norm_p = np.max(np.abs(p[1:-1]), axis=(-2, -1))
-    drift = np.max(np.abs(dp), axis=(-2, -1)) / np.where(norm_p > 0, norm_p, np.inf)
-    det_p = p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
-    return ProductInvariantDiagnostic(
-        rs=rs[1:-1],
-        drift=drift,
-        det_p=det_p,
-        max_drift=float(np.max(drift)),
-        median_drift=float(np.median(drift)),
-        nonsingular=bool(np.all(np.abs(det_p) > 0)),
     )
 
 
@@ -595,7 +531,6 @@ class NoGoReport:
     pair_labels: list
     sample_radii: np.ndarray
     rho_samples: np.ndarray  # (pairs, radii), NaN where q is floored out
-    excluded_samples: np.ndarray
     l_shift_max_dev: float
     degenerate: DegenerateCaseRecord
     asymptotic: AsymptoticRecord
@@ -606,6 +541,11 @@ class NoGoReport:
     def rho_sup(self) -> np.ndarray:
         """sup|rho| per pair over the admissible radii."""
         return np.nanmax(np.abs(self.rho_samples), axis=1)
+
+    @property
+    def excluded_samples(self) -> np.ndarray:
+        """Radii the q floor excluded, per pair."""
+        return np.sum(np.isnan(self.rho_samples), axis=1)
 
     @property
     def min_rho_sup(self) -> float:
@@ -641,6 +581,10 @@ def nogo_certificate(
     impossibility, (d) the forced small-r relations, and (e) intertwining
     defect witnesses for the first few pairs.
     """
+    if samples < 1:
+        raise ConfigurationError(f"samples must be at least 1, got {samples}")
+    if defect_samples < 0:
+        raise ConfigurationError(f"defect_samples must not be negative, got {defect_samples}")
     if family is None:
         family = builtin_pair_family(l1=l1)
     family = list(family)
@@ -650,31 +594,20 @@ def nogo_certificate(
         )
 
     radii_all = np.linspace(*RHO_WINDOW, samples)
-    rho_samples = np.full((len(family), samples), np.nan)
-    excluded = np.empty(len(family), dtype=int)
-    for i, pair in enumerate(family):
-        sf_i = StructureFunctions(pair)
-        _, keep = sf_i.q_admissible(radii_all)
-        rho_samples[i, keep] = sf_i.rho(radii_all[keep])
-        excluded[i] = int(np.sum(~keep))
+    rho_samples = np.array([sample_rho(p, radii_all) for p in family])
 
     pair0 = family[0]
-    sf = StructureFunctions(pair0)
     radii = np.linspace(*RHO_WINDOW, 100)
-    radii = radii[sf.q_admissible(radii)[1]]
-    shift = sf.rho(radii, l1=pair0.l1 + 1) - sf.rho(radii, l1=pair0.l1)
-    l_shift_dev = float(np.max(np.abs(shift - 2.0 / radii**2)))
+    shift = sample_rho(replace(pair0, l1=pair0.l1 + 1), radii) - sample_rho(pair0, radii)
+    l_shift_dev = float(np.nanmax(np.abs(shift - 2.0 / radii**2)))
 
-    degenerate = degenerate_case_check(
-        AlphaPair(alpha0=pair0.alpha0, alpha1=pair0.alpha0, l0=pair0.l0, l1=pair0.l1, e=pair0.e)
-    )
+    degenerate = degenerate_case_check(replace(pair0, alpha1=pair0.alpha0))
     asym = asymptotic_l_increment(l0=pair0.l1 - 1, c1=float(pair0.alpha1(0.0)), e=pair0.e)
     defects = [intertwining_defect(p, n=defect_n) for p in family[:defect_samples]]
     return NoGoReport(
         pair_labels=[p.label for p in family],
         sample_radii=radii_all,
         rho_samples=rho_samples,
-        excluded_samples=excluded,
         l_shift_max_dev=l_shift_dev,
         degenerate=degenerate,
         asymptotic=asym,

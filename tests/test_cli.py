@@ -1,10 +1,11 @@
+import argparse
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dynamolab.cli import main
+from dynamolab.cli import build_parser, main
 from oracles import K_L1
 
 
@@ -281,6 +282,23 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("modes", ["0", "-3"])
+    def test_pencil_check_bad_modes(self, tmp_path, capsys, modes):
+        out = tmp_path / "x.csv"
+        argv = ["pencil-check", "--alpha", "const:1", "--n", "20", "--modes", modes]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, levels, rc", [("10", "9", 0), ("8", "8", 2)])
+    def test_darboux_levels_bounded_by_grid(self, tmp_path, capsys, n, levels, rc):
+        # L levels compare against L + 1 eigenvalues of H0, which has only n
+        out = tmp_path / "x.csv"
+        assert main(["darboux", "--n", n, "--levels", levels, "--out", str(out)]) == rc
+        assert out.exists() == (rc == 0)
+        if rc:
+            assert "configuration error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("window", ["0,1", "0.1,2", "0.5,0.1"])
     def test_nogo_window_outside_the_profile_interval(self, tmp_path, capsys, window):
         # rho is singular at r = 0, the profiles are validated on [0, 1] only,
@@ -346,3 +364,28 @@ class TestExitCodes:
         )
         assert rc == 0
         assert any("Pair" in ln for ln in read_lines(tmp_path / "x.csv"))
+
+
+OPTION_SETS = {
+    "spectrum": {"--alpha", "--l", "--n", "--pair-tol", "--out"},
+    "sweep": {"--alpha", "--l", "--scale", "--n", "--track", "--pair-tol", "--out", "--svg"},
+    "pencil-check": {"--alpha", "--l", "--n", "--modes", "--out"},
+    "darboux": {"--v0", "--n", "--levels", "--out"},
+    "nogo": {"--alpha0", "--alpha1", "--l1", "--E", "--window", "--samples", "--out", "--svg"},
+    "mre-check": {
+        "--alpha0", "--alpha1", "--l0", "--l1", "--E", "--system",
+        "--r-start", "--step", "--init", "--stride", "--out",
+    },
+    "certificate": {"--l1", "--defect-n", "--out"},
+}
+
+
+def test_option_sets_are_pinned():
+    # every settable value is one more configuration to cover: a new or
+    # removed option has to show up here as a test edit
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == OPTION_SETS

@@ -5,8 +5,9 @@ import pytest
 
 from dynamolab import AlphaProfile, ConfigurationError, DegenerateQError, DomainError
 from dynamolab.cli import main
-from dynamolab.mre import kmat, mre_linear_solve
+from dynamolab.mre import kmat
 from dynamolab.nogo import (
+    RHO_WINDOW,
     AlphaPair,
     GaugeChoice,
     StructureFunctions,
@@ -16,8 +17,7 @@ from dynamolab.nogo import (
     degenerate_case_check,
     intertwining_defect,
     nogo_certificate,
-    product_invariant_diagnostic,
-    rho_sup_norm,
+    sample_rho,
 )
 from dynamolab.operator import DynamoMatrix, sharp
 
@@ -202,11 +202,14 @@ class TestB1:
 class TestOdeResidual:
     def test_l_shift_identity(self):
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.2, 0.4]), EXP_R)
-        sf = StructureFunctions(pair)
+
+        def rho(l1, r):
+            return StructureFunctions(dataclasses.replace(pair, l1=l1)).rho(r)
+
         for r in (0.1, 0.25, 0.5, 0.9):
-            shift = sf.rho(r, l1=pair.l1 + 1) - sf.rho(r, l1=pair.l1)
+            shift = rho(pair.l1 + 1, r) - rho(pair.l1, r)
             assert abs(shift - 2.0 / r**2) <= 1e-10
-        assert sf.rho(0.25, l1=3) - sf.rho(0.25, l1=2) == pytest.approx(32.0, abs=1e-12)
+        assert rho(3, 0.25) - rho(2, 0.25) == pytest.approx(32.0, abs=1e-12)
 
     def test_complex_step_oracle_for_rho(self):
         h = 1e-20
@@ -270,14 +273,17 @@ class TestOdeResidual:
         assert count >= 64
 
     def test_rho_positive_on_builtin_family(self):
+        rs = np.linspace(*RHO_WINDOW, 512)
         for pair in builtin_pair_family():
-            sup, excluded = rho_sup_norm(pair)
-            assert sup > 0.0
-            assert excluded == 0  # q vanishes only at r = 0 for these pairs
+            rho = sample_rho(pair, rs)
+            assert not np.any(np.isnan(rho))  # q vanishes only at r = 0 for these pairs
+            assert np.max(np.abs(rho)) > 0.0
 
     def test_partial_exclusion_agrees_across_entry_points(self, tmp_path):
-        sup, excluded = rho_sup_norm(Q_ZERO_PAIR, samples=10)
-        assert (sup, excluded) == (405.56679199110215, 1)
+        rho = sample_rho(Q_ZERO_PAIR, np.linspace(*RHO_WINDOW, 10))
+        assert np.flatnonzero(np.isnan(rho)).tolist() == [4]  # r = 0.5
+        sup = float(np.nanmax(np.abs(rho)))
+        assert sup == 405.56679199110215
         fam = builtin_pair_family()
         rep = nogo_certificate(family=[fam[0], Q_ZERO_PAIR] + fam[1:], samples=10, defect_samples=0)
         assert rep.excluded_samples[1] == 1
@@ -292,7 +298,7 @@ class TestOdeResidual:
 
     def test_rho_sup_rejects_proportional(self):
         with pytest.raises(DegenerateQError):
-            rho_sup_norm(pair_of(ONE, ONE))
+            sample_rho(pair_of(ONE, ONE), np.linspace(*RHO_WINDOW, 512))
 
 
 class TestDegenerateCase:
@@ -332,26 +338,6 @@ class TestAsymptotics:
         assert rec.fitted_c2[1] == pytest.approx(2.0, rel=1e-3)
         assert rec.fitted_c2[3] == pytest.approx(4.0, rel=1e-2)
         assert rec.fitted_c2[2] <= 1e-3
-
-
-class TestProductInvariant:
-    def test_diagnostic_runs_and_reports(self):
-        pair = pair_of(ONE, ONE)
-        init = (np.eye(2, dtype=complex) * 0.2, np.eye(2, dtype=complex))
-        sol_u = mre_linear_solve("U", pair, 0.1, 1.0, step=1e-3, init=init)
-        sol_b = mre_linear_solve("B", pair, 0.1, 1.0, step=1e-3, init=init)
-        diag = product_invariant_diagnostic(sol_u, sol_b, pair)
-        assert np.all(np.isfinite(diag.drift))
-        assert diag.max_drift >= 0.0
-        assert diag.det_p.shape == sol_u.rs.shape
-
-    def test_nonsingular_flag(self):
-        pair = pair_of(ONE, AlphaProfile.polynomial([1.0, 0.0, 0.5]))
-        init = (np.eye(2, dtype=complex) * 0.3, np.eye(2, dtype=complex))
-        sol_u = mre_linear_solve("U", pair, 0.1, 1.0, step=1e-3, init=init)
-        sol_b = mre_linear_solve("B", pair, 0.1, 1.0, step=1e-3, init=init)
-        diag = product_invariant_diagnostic(sol_u, sol_b, pair)
-        assert diag.nonsingular
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +410,13 @@ class TestCertificate:
         with pytest.raises(ConfigurationError):
             nogo_certificate(family=builtin_pair_family()[:10])
 
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -1}, {"defect_samples": -1}])
+    def test_bad_sample_counts_rejected(self, kwargs):
+        # samples=0 would reach the q floor with no radius and report
+        # proportional profiles; defect_samples=-1 would slice family[:-1]
+        with pytest.raises(ConfigurationError):
+            nogo_certificate(**kwargs)
+
     def test_summary_lines(self, report):
         lines = report.summary_lines()
         assert any(line.startswith("min_abs_rho_inf=") for line in lines)
@@ -436,7 +429,7 @@ class TestCertificate:
         assert np.allclose(sups, report.rho_sup)
         # the derived per-pair sup is the direct computation, bit for bit
         for i, pair in enumerate(builtin_pair_family()):
-            assert report.rho_sup[i] == rho_sup_norm(pair)[0]
+            assert report.rho_sup[i] == np.nanmax(np.abs(sample_rho(pair, report.sample_radii)))
 
     def test_m_evaluators_match_operator_blocks(self):
         # M carries the centrifugal, shift and coupling structure of the
