@@ -195,7 +195,7 @@ def _cmd_nogo(args) -> int:
     lo, hi = args.window
     if not 0.0 < lo < hi <= 1.0:
         raise ConfigurationError(f"--window must sit inside (0, 1] with LO < HI, got {lo},{hi}")
-    pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l1 - 1, l1=args.l1, e=args.E)
+    pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l1 - 1, l1=args.l1)
     sf = StructureFunctions(pair)
     rs = np.linspace(lo, hi, args.samples)
     q, keep = sf.q_admissible(rs)
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     ng.add_argument("--alpha0", required=True)
     ng.add_argument("--alpha1", required=True)
     ng.add_argument("--l1", type=int, default=2)
-    ng.add_argument("--E", type=float, default=0.0)
     ng.add_argument("--window", type=_window_pair, default=(0.1, 1.0))
     ng.add_argument("--samples", type=int, default=512)
     ng.add_argument("--out", required=True)

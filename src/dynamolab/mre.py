@@ -233,8 +233,8 @@ def mre_linear_solve(
     """
     if which not in (U_SYSTEM, B_SYSTEM):
         raise ConfigurationError(f"unknown system {which!r} (expected 'U' or 'B')")
-    if not step > 0:
-        raise ConfigurationError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ConfigurationError(f"step must be finite and positive, got {step}")
     if r_start < 1e-3:
         raise DomainError(f"r_start must be >= 1e-3 (singular origin), got {r_start}")
     if not r_start < r_end <= 1.0:

@@ -47,6 +47,10 @@ Q_FLOOR = 1e-10
 RHO_WINDOW = (0.1, 1.0)  # where rho is sampled: q has a removable zero at r = 0
 
 
+def _above_q_floor(q) -> np.ndarray:
+    return np.abs(q) >= Q_FLOOR
+
+
 @dataclass(frozen=True)
 class GaugeChoice:
     """Residual gauge freedom of the intertwiner: constant gamma, function eps.
@@ -98,6 +102,8 @@ class AlphaPair:
     def __post_init__(self) -> None:
         if self.l0 < 1 or self.l1 < 1:
             raise DomainError(f"mode numbers must satisfy l >= 1, got l0={self.l0}, l1={self.l1}")
+        if not np.isfinite(self.e):
+            raise DomainError(f"factorization constant E must be finite, got {self.e}")
         self.alpha0.require_positive()
         self.alpha1.require_positive()
 
@@ -145,13 +151,6 @@ class StructureFunctions:
         p = self.pair
         return 0.5 * (p.alpha0.d1(r) / p.alpha0(r) - p.alpha1.d1(r) / p.alpha1(r))
 
-    def qprime(self, r):
-        r = np.asarray(r, dtype=float)
-        p = self.pair
-        la0 = p.alpha0.d1(r) / p.alpha0(r)
-        la1 = p.alpha1.d1(r) / p.alpha1(r)
-        return 0.5 * (p.alpha0.d2(r) / p.alpha0(r) - la0**2 - p.alpha1.d2(r) / p.alpha1(r) + la1**2)
-
     def f(self, r):
         r = np.asarray(r, dtype=float)
         p = self.pair
@@ -197,7 +196,7 @@ class StructureFunctions:
         Raises DegenerateQError when the floor excludes every radius.
         """
         q = np.atleast_1d(self.q(r))
-        keep = np.abs(q) >= Q_FLOOR
+        keep = _above_q_floor(q)
         if not np.any(keep):
             raise DegenerateQError(
                 f"q vanishes on the whole window for {self.pair.label} (proportional "
@@ -205,31 +204,35 @@ class StructureFunctions:
             )
         return q, keep
 
-    def _q_guarded(self, r):
-        q, keep = self.q_admissible(r)
-        if not np.all(keep):
+    def _chain(self, r):
+        """The b1 -> rho chain at r from one evaluation of each profile term.
+
+        Returns q, q', b1, b1', alpha0 and alpha1'/alpha1, shaped like r.
+        Raises DegenerateQError when the q floor excludes any radius.
+        """
+        p = self.pair
+        a0, a1 = p.alpha0(r), p.alpha1(r)
+        d1a0, d1a1 = p.alpha0.d1(r), p.alpha1.d1(r)
+        la0 = d1a0 / a0
+        la1 = d1a1 / a1
+        q = 0.5 * (la0 - la1)
+        if not np.all(_above_q_floor(q)):
             raise DegenerateQError(
                 "q(r) vanishes inside the requested window; proportional profiles "
                 "belong to degenerate_case_check"
             )
-        return q
+        qp = 0.5 * (p.alpha0.d2(r) / a0 - la0**2 - p.alpha1.d2(r) / a1 + la1**2)
+        u = 4.0 * q**2 + a0**2 + a1**2
+        up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
+        b1 = -u / (8.0 * q)
+        b1p = -(up * q - u * qp) / (8.0 * q**2)
+        return q, qp, b1, b1p, a0, la1
 
     def b1(self, r):
-        r = np.asarray(r, dtype=float)
-        q = self._q_guarded(r)
-        p = self.pair
-        u = 4.0 * q**2 + p.alpha0(r) ** 2 + p.alpha1(r) ** 2
-        return np.reshape(-u / (8.0 * q), np.shape(r))
+        return self._chain(r)[2]
 
     def b1prime(self, r):
-        r = np.asarray(r, dtype=float)
-        q = self._q_guarded(r)
-        qp = self.qprime(r)
-        p = self.pair
-        a0, a1 = p.alpha0(r), p.alpha1(r)
-        u = 4.0 * q**2 + a0**2 + a1**2
-        up = 8.0 * q * qp + 2.0 * a0 * p.alpha0.d1(r) + 2.0 * a1 * p.alpha1.d1(r)
-        return np.reshape(-(up * q - u * qp) / (8.0 * q**2), np.shape(r))
+        return self._chain(r)[3]
 
     # -- the obstruction ----------------------------------------------------
 
@@ -241,16 +244,15 @@ class StructureFunctions:
         term knows about l1.
         """
         r = np.asarray(r, dtype=float)
-        p = self.pair
-        q = self.q(r)
+        q, qp, b1, b1p, a0, la1 = self._chain(r)
         rhs = (
-            -2.0 * p.l1 / r**2
-            + 2.0 * q * (self.b1(r) - p.alpha1.d1(r) / p.alpha1(r))
-            + p.alpha0(r) ** 2 / 2.0
-            + self.qprime(r)
+            -2.0 * self.pair.l1 / r**2
+            + 2.0 * q * (b1 - la1)
+            + a0**2 / 2.0
+            + qp
             - q**2
         )
-        return 2.0 * self.b1prime(r) - rhs
+        return 2.0 * b1p - rhs
 
 
 def sample_rho(pair: AlphaPair, rs: np.ndarray) -> np.ndarray:
@@ -321,10 +323,7 @@ class AsymptoticRecord:
     fitted_c2 holds the numerically fitted 1/r^2 mismatch per candidate l1.
     """
 
-    l0: int
     l1: int
-    a1_series: float
-    a0_series: float
     fitted_c2: dict
     discrimination_ratio: float
 
@@ -361,7 +360,7 @@ def _singular_mismatch_c2(l1_cand: int, l0: int, c1: float, e: float) -> float:
 
 
 def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> AsymptoticRecord:
-    """Forced (l1, a1-series) from the small-r limit, with a numerical cross-check.
+    """The forced l1 = l0 + 1 from the small-r limit, with a numerical cross-check.
 
     The closed-form matching needs only integer arithmetic; the cross-check
     integrates the defining linear system for candidate l1 in
@@ -379,10 +378,7 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
     wrong = [fits[l0], fits[l0 + 2]]
     ratio = float(min(wrong) / max(fits[l0 + 1], 1e-300))
     return AsymptoticRecord(
-        l0=l0,
         l1=l1,
-        a1_series=0.0,
-        a0_series=0.0,
         fitted_c2=fits,
         discrimination_ratio=ratio,
     )
@@ -398,18 +394,14 @@ class DefectRecord:
     """Commutation defect of the candidate intertwiner on smooth test fields.
 
     defect is the worst relative defect over the test set; a value below
-    10 x solver_tol would be flagged for investigation rather than celebrated
-    (the construction is proven inconsistent, so a near-zero defect means the
-    discretization is too coarse to see it)."""
+    10 h^2 of the grid would be flagged for investigation rather than
+    celebrated (the construction is proven inconsistent, so a near-zero defect
+    means the discretization is too coarse to see it)."""
 
     defect: float
     unnormalized: float
-    per_test: np.ndarray
-    solver_tol: float
     flagged: bool
     truncated: bool
-    n: int
-    label: str
 
 
 _DEFECT_SEED = 20240311
@@ -476,7 +468,7 @@ def intertwining_defect(
         w = -_central_difference((r_sharp @ um)[..., 0], h) + (q_sharp @ um)[..., 0]
         return np.concatenate([w[:, 0], w[:, 1]])
 
-    per_test = np.empty(_DEFECT_TESTS)
+    rel = np.empty(_DEFECT_TESTS)
     unnorm = np.empty(_DEFECT_TESTS)
     for i, phi2 in enumerate(_bump_profiles(nodes)):
         phi = test_scale * np.concatenate([phi2[0], phi2[1]]).astype(complex)
@@ -485,18 +477,13 @@ def intertwining_defect(
         t2 = h1.matvec(a_phi) - e_val * a_phi
         d = np.linalg.norm(t1 - t2)
         unnorm[i] = d
-        per_test[i] = d / (np.linalg.norm(t1) + np.linalg.norm(t2))
-    solver_tol = h**2
-    defect = float(np.max(per_test))
+        rel[i] = d / (np.linalg.norm(t1) + np.linalg.norm(t2))
+    defect = float(np.max(rel))
     return DefectRecord(
         defect=defect,
         unnormalized=float(np.max(unnorm)),
-        per_test=per_test,
-        solver_tol=solver_tol,
-        flagged=bool(defect < 10.0 * solver_tol),
+        flagged=bool(defect < 10.0 * h**2),
         truncated=truncated,
-        n=n,
-        label=pair.label,
     )
 
 
@@ -507,35 +494,25 @@ def intertwining_defect(
 
 def builtin_pair_family(l1: int = 2) -> list:
     """Thirty admissible quadratic-profile pairs 1 + theta*r^2, theta1 != theta2."""
-    thetas = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
-    out = []
-    for t0 in thetas:
-        for t1 in thetas:
-            if t0 == t1:
-                continue
-            out.append(
-                AlphaPair(
-                    alpha0=AlphaProfile.polynomial([1.0, 0.0, t0]),
-                    alpha1=AlphaProfile.polynomial([1.0, 0.0, t1]),
-                    l0=l1 - 1,
-                    l1=l1,
-                )
-            )
-    return out
+    profiles = [AlphaProfile.polynomial([1.0, 0.0, t]) for t in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)]
+    return [
+        AlphaPair(alpha0=a0, alpha1=a1, l0=l1 - 1, l1=l1)
+        for a0 in profiles
+        for a1 in profiles
+        if a0 is not a1
+    ]
 
 
 @dataclass(frozen=True)
 class NoGoReport:
     """Numerical certificate of the incompatibility of the construction."""
 
-    pair_labels: list
     sample_radii: np.ndarray
     rho_samples: np.ndarray  # (pairs, radii), NaN where q is floored out
     l_shift_max_dev: float
     degenerate: DegenerateCaseRecord
     asymptotic: AsymptoticRecord
     defects: list
-    window: Tuple[float, float]
 
     @property
     def rho_sup(self) -> np.ndarray:
@@ -553,8 +530,8 @@ class NoGoReport:
 
     def summary_lines(self) -> list:
         lines = [
-            f"pairs={len(self.pair_labels)}",
-            f"window={self.window[0]},{self.window[1]}",
+            f"pairs={len(self.rho_samples)}",
+            f"window={RHO_WINDOW[0]},{RHO_WINDOW[1]}",
             f"min_abs_rho_inf={self.min_rho_sup!r}",
             f"l_shift_max_dev={self.l_shift_max_dev!r}",
             f"degenerate_forced_min={self.degenerate.forced_min!r}",
@@ -605,12 +582,10 @@ def nogo_certificate(
     asym = asymptotic_l_increment(l0=pair0.l1 - 1, c1=float(pair0.alpha1(0.0)), e=pair0.e)
     defects = [intertwining_defect(p, n=defect_n) for p in family[:defect_samples]]
     return NoGoReport(
-        pair_labels=[p.label for p in family],
         sample_radii=radii_all,
         rho_samples=rho_samples,
         l_shift_max_dev=l_shift_dev,
         degenerate=degenerate,
         asymptotic=asym,
         defects=defects,
-        window=RHO_WINDOW,
     )

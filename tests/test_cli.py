@@ -264,8 +264,11 @@ class TestExitCodes:
             ["mre-check", "--stride", "0"],
             ["mre-check", "--stride", "-5"],
             ["mre-check", "--step", "0"],
+            ["mre-check", "--step", "inf"],
+            ["mre-check", "--E", "nan"],
+            ["mre-check", "--E", "inf"],
         ],
-        ids=["stride-zero", "stride-negative", "step-zero"],
+        ids=["stride-zero", "stride-negative", "step-zero", "step-inf", "energy-nan", "energy-inf"],
     )
     def test_mre_check_bad_sampling(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
@@ -371,7 +374,7 @@ OPTION_SETS = {
     "sweep": {"--alpha", "--l", "--scale", "--n", "--track", "--pair-tol", "--out", "--svg"},
     "pencil-check": {"--alpha", "--l", "--n", "--modes", "--out"},
     "darboux": {"--v0", "--n", "--levels", "--out"},
-    "nogo": {"--alpha0", "--alpha1", "--l1", "--E", "--window", "--samples", "--out", "--svg"},
+    "nogo": {"--alpha0", "--alpha1", "--l1", "--window", "--samples", "--out", "--svg"},
     "mre-check": {
         "--alpha0", "--alpha1", "--l0", "--l1", "--E", "--system",
         "--r-start", "--step", "--init", "--stride", "--out",

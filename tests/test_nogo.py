@@ -44,6 +44,11 @@ class TestPairAndGauge:
         with pytest.raises(DomainError):
             pair_of(ONE, ONE, l0=0)
 
+    @pytest.mark.parametrize("e", [np.nan, np.inf, -np.inf])
+    def test_finite_energy_required(self, e):
+        with pytest.raises(DomainError):
+            pair_of(ONE, EXP_R, e=e)
+
     def test_gauge_eps_bound(self):
         with pytest.raises(DomainError):
             GaugeChoice(eps=lambda r: 2.0 * np.ones_like(np.asarray(r)), deps=lambda r: np.zeros_like(np.asarray(r)))
@@ -200,6 +205,21 @@ class TestB1:
 
 
 class TestOdeResidual:
+    def test_rho_evaluates_each_profile_term_once(self, monkeypatch):
+        pair = pair_of(AlphaProfile.polynomial([1.0, 0.2, 0.4]), EXP_R)
+        calls = []
+        for name in ("__call__", "d1", "d2"):
+            method = getattr(AlphaProfile, name)
+
+            def counted(self, r, name=name, method=method):
+                calls.append((id(self), name))
+                return method(self, r)
+
+            monkeypatch.setattr(AlphaProfile, name, counted)
+        StructureFunctions(pair).rho(np.linspace(0.1, 1.0, 7))
+        terms = [(id(a), name) for a in (pair.alpha0, pair.alpha1) for name in ("__call__", "d1", "d2")]
+        assert sorted(calls) == sorted(terms)
+
     def test_l_shift_identity(self):
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.2, 0.4]), EXP_R)
 
@@ -324,8 +344,6 @@ class TestAsymptotics:
     def test_forced_increment(self, l0):
         rec = asymptotic_l_increment(l0)
         assert rec.l1 == l0 + 1
-        assert rec.a1_series == 0.0
-        assert rec.a0_series == 0.0
         assert rec.discrimination_ratio >= 1e3
 
     def test_zero_leading_coefficient_rejected(self):
@@ -372,6 +390,10 @@ class TestIntertwiningDefect:
 class TestCertificate:
     def test_family_size(self):
         assert len(builtin_pair_family()) == 30
+
+    def test_family_shares_six_profiles(self):
+        fam = builtin_pair_family()
+        assert len({id(a) for pair in fam for a in (pair.alpha0, pair.alpha1)}) == 6
 
     def test_min_rho_positive(self, report):
         assert report.min_rho_sup > 1e-6
