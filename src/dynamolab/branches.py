@@ -77,8 +77,8 @@ class SweepConfig:
             raise ConfigurationError(f"need at least 2 sweep steps, got {self.steps}")
         if self.track_count < 1:
             raise ConfigurationError("track_count must be positive")
-        if self.pair_tol <= 0:
-            raise ConfigurationError("pair_tol must be positive")
+        if not 0.0 < self.pair_tol < np.inf:
+            raise ConfigurationError(f"pair_tol must be finite and positive, got {self.pair_tol}")
 
 
 @dataclass(frozen=True)

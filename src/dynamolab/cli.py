@@ -30,7 +30,7 @@ from .mre import mre_linear_solve, riccati_residual
 from .nogo import AlphaPair, StructureFunctions, nogo_certificate
 from .operator import assemble, pencil_coefficients, pencil_psi2
 from .profiles import parse_profile
-from .spectral import classify_pairs, eigen
+from .spectral import classify_pairs, eigen, eigenvectors
 
 
 def _fmt(x) -> str:
@@ -83,8 +83,8 @@ def _write_svg(path: str, curves, title: str) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.pair_tol <= 0:
-        raise ConfigurationError("--pair-tol must be positive")
+    if not 0.0 < args.pair_tol < np.inf:
+        raise ConfigurationError(f"--pair-tol must be finite and positive, got {args.pair_tol}")
     alpha = parse_profile(args.alpha)
     grid = build_grid(args.n)
     spec = classify_pairs(eigen(assemble(grid, alpha, args.l)), args.pair_tol)
@@ -134,43 +134,26 @@ def _cmd_pencil_check(args) -> int:
     alpha = parse_profile(args.alpha)
     grid = build_grid(args.n)
     m = assemble(grid, alpha, args.l)
-    spec = eigen(m, want_vectors=True)
-    lines = [
-        "index,re_lambda,im_lambda,a0,a1,a2,discriminant,pencil_residual,psi2_residual"
-    ]
-    count = 0
-    for idx in range(spec.size):
-        if count >= args.modes:
-            break
-        lam = spec.eigenvalues[idx]
-        vec = spec.eigenvectors[:, idx]
-        psi1 = vec[: grid.n]
-        if np.linalg.norm(psi1) <= 1e-8:
-            continue
-        c = pencil_coefficients(m, psi1)
-        scale = max(abs(c.a2 * lam**2), abs(c.a1 * lam), abs(c.a0), 1e-300)
-        pencil_res = abs(c.a2 * lam**2 + c.a1 * lam + c.a0) / scale
-        psi2 = vec[grid.n :]
-        rec = pencil_psi2(m, psi1, lam)
-        psi2_res = float(
-            np.linalg.norm(rec - psi2) / max(np.linalg.norm(psi2), 1e-300)
-        )
-        lines.append(
-            ",".join(
-                [
-                    _fmt(idx),
-                    _fmt(lam.real),
-                    _fmt(lam.imag),
-                    _fmt(c.a0),
-                    _fmt(c.a1),
-                    _fmt(c.a2),
-                    _fmt(c.discriminant),
-                    _fmt(pencil_res),
-                    _fmt(psi2_res),
-                ]
-            )
-        )
-        count += 1
+    vals = eigen(m).eigenvalues
+    lines = ["index,re_lambda,im_lambda,a0,a1,a2,discriminant,pencil_residual,psi2_residual"]
+    start = 0
+    while len(lines) <= args.modes and start < vals.size:
+        # vectors of the next eigenvalues only; a skipped one asks for more
+        stop = start + args.modes + 1 - len(lines)
+        for idx, vec in zip(range(start, stop), eigenvectors(m, vals[start:stop]).T):
+            lam = vals[idx]
+            psi1 = vec[: grid.n]
+            if np.linalg.norm(psi1) <= 1e-8:
+                continue
+            c = pencil_coefficients(m, psi1)
+            scale = max(abs(c.a2 * lam**2), abs(c.a1 * lam), abs(c.a0), 1e-300)
+            pencil_res = abs(c.a2 * lam**2 + c.a1 * lam + c.a0) / scale
+            psi2 = vec[grid.n :]
+            rec = pencil_psi2(m, psi1, lam)
+            psi2_res = np.linalg.norm(rec - psi2) / max(np.linalg.norm(psi2), 1e-300)
+            row = (idx, lam.real, lam.imag, c.a0, c.a1, c.a2, c.discriminant, pencil_res, psi2_res)
+            lines.append(",".join(map(_fmt, row)))
+        start = stop
     _write_lines(args.out, lines)
     return 0
 

@@ -24,8 +24,9 @@ J-symmetric operator.
 
 H is kept as its blocks and nothing else: lap_l and Q_alpha as symmetric
 tridiagonal operators, diag(alpha) as node samples.  ``DynamoMatrix``
-derives H v, the dense matrix and the sparse form from them, and the pencil
-functionals read the same blocks, so the layout of H is known here alone.
+derives H v, the dense matrix, the sparse form and the block-LU solve of
+H - z from them, and the pencil functionals read the same blocks, so the
+layout of H is known here alone.
 """
 
 from __future__ import annotations
@@ -122,6 +123,54 @@ class DynamoMatrix:
         u1, u2 = v[: self.n], v[self.n :]
         top = self.lap.matvec(u1) + self.alpha_nodes * u2
         return np.concatenate([top, self.q_alpha.matvec(u1) + self.lap.matvec(u2)])
+
+    def shifted_solver(self, shifts):
+        """Factor H - z for each shift z; returns ``solve(b)``, with (H - z_k) x[:, k] = b[:, k].
+
+        Numbered node by node as (u1_i, u2_i), H - z is block tridiagonal:
+        diagonal blocks D_i = [[lap_i - z, alpha_i], [q_i, lap_i - z]] and both
+        off-diagonal blocks E_i = [[lap.off_i, 0], [q.off_i, lap.off_i]].  The
+        block LU runs over the nodes without pivoting, vectorized over the
+        shifts.  It keeps the inverse pivots P_i = (D_i - E P_{i-1} E)^{-1} and
+        the multipliers E P_{i-1}, so the factorization costs O(n) per shift and
+        each solve one forward and one backward sweep.  b and x have shape
+        (2n, len(shifts)).
+        """
+        n = self.n
+        lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
+        dz = self.lap.diag[:, None] - np.asarray(shifts, dtype=complex)[None, :]
+        mult, piv = [], []
+        for i, (d, a, q) in enumerate(zip(dz, self.alpha_nodes.tolist(), self.q_alpha.diag.tolist())):
+            u00, u01, u10, u11 = d, a, q, d
+            if i:  # D_i - (E P) E
+                l, g = lo[i - 1], qo[i - 1]
+                m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
+                mult.append((m00, m01, m10, m11))
+                u00, u01 = u00 - (l * m00 + g * m01), u01 - l * m01
+                u10, u11 = u10 - (l * m10 + g * m11), u11 - l * m11
+            r = 1.0 / (u00 * u11 - u01 * u10)
+            p00, p01, p10, p11 = u11 * r, -u01 * r, -u10 * r, u00 * r
+            piv.append((p00, p01, p10, p11))
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            if b.shape != (2 * n, dz.shape[1]):
+                raise ShapeError(f"right-hand sides must have shape {(2 * n, dz.shape[1])}, got {b.shape}")
+            y0, y1 = b[0], b[n]
+            ys = [(y0, y1)]
+            for (m00, m01, m10, m11), c0, c1 in zip(mult, b[1:n], b[n + 1 :]):  # y_i = b_i - E P y_{i-1}
+                y0, y1 = c0 - (m00 * y0 + m01 * y1), c1 - (m10 * y0 + m11 * y1)
+                ys.append((y0, y1))
+            x = np.empty(b.shape, dtype=complex)
+            for i in range(n - 1, -1, -1):  # x_i = P_i (y_i - E x_{i+1})
+                y0, y1 = ys[i]
+                if i < n - 1:
+                    y0, y1 = y0 - lo[i] * x0, y1 - (qo[i] * x0 + lo[i] * x1)
+                p00, p01, p10, p11 = piv[i]
+                x[i] = x0 = p00 * y0 + p01 * y1
+                x[n + i] = x1 = p10 * y0 + p11 * y1
+            return x
+
+        return solve
 
 
 def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:

@@ -112,6 +112,36 @@ class TestPencilCheck:
             assert float(cols[7]) <= 1e-6
             assert float(cols[8]) <= 1e-6
 
+    README_N60 = ["pencil-check", "--alpha", "poly:1,0,0.5", "--l", "1", "--n", "60"]
+
+    def test_runs_without_lapack_eigenvectors(self, tmp_path, monkeypatch):
+        def refuse(a):
+            raise AssertionError("np.linalg.eig must not be called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        assert main(self.README_N60 + ["--out", str(tmp_path / "p.csv")]) == 0
+        assert len(read_lines(tmp_path / "p.csv")) == 13
+
+    def test_coefficients_match_lapack_eigenvectors(self, tmp_path):
+        from dynamolab import assemble, build_grid, parse_profile, pencil_coefficients
+
+        assert main(self.README_N60 + ["--out", str(tmp_path / "p.csv")]) == 0
+        m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
+        vals, vecs = np.linalg.eig(m.matrix)  # the oracle: dgeev's own eigenvectors
+        for line in read_lines(tmp_path / "p.csv")[1:]:
+            cols = line.split(",")
+            lam = complex(float(cols[1]), float(cols[2]))
+            vec = vecs[:, np.argmin(np.abs(vals - lam))]
+            ref = pencil_coefficients(m, vec[: m.n])
+            for got, want in zip(map(float, cols[3:6]), (ref.a0, ref.a1, ref.a2)):
+                assert got == pytest.approx(want, rel=1e-8)
+
+    def test_repeated_runs_byte_identical(self, tmp_path):
+        argv = ["pencil-check", "--alpha", "poly:10,-30", "--n", "100"]
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestDarboux:
     def test_box_levels(self, tmp_path):
@@ -257,6 +287,21 @@ class TestExitCodes:
     def test_negative_pair_tol(self, tmp_path):
         rc = main(["spectrum", "--alpha", "const:1", "--n", "60", "--pair-tol", "-1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--alpha", "poly:10,-30", "--n", "60"],
+            ["sweep", "--alpha", "poly:1,-3", "--scale", "9,11,17", "--n", "40"],
+        ],
+        ids=["spectrum", "sweep"],
+    )
+    def test_non_finite_pair_tol(self, tmp_path, capsys, argv, tol):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--pair-tol", tol, "--out", str(out)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,8 @@ from dynamolab import (
     AlphaProfile,
     ClassificationError,
     DomainError,
+    DynamoMatrix,
+    ShapeError,
     SolverError,
     Spectrum,
     assemble,
@@ -123,15 +125,20 @@ class TestEigen:
         m = assemble(build_grid(40), parse_profile("poly:10,-30"), 1)
         vals = eigen(m).eigenvalues
         bad = vals[np.flatnonzero((vals.imag == 0.0) == real)[0]]
-        true_eig = np.linalg.eig
+        true_solver = DynamoMatrix.shifted_solver
 
-        def perturbed(a):
-            w, v = true_eig(a)
-            k = np.flatnonzero(w == bad)[0]
-            v[:, k] += 1e-4 * np.linalg.norm(v[:, k])
-            return w, v
+        def perturbed(self, shifts):
+            solve = true_solver(self, shifts)
+            k = np.flatnonzero(shifts == bad)[0]
 
-        monkeypatch.setattr(np.linalg, "eig", perturbed)
+            def perturbed_solve(b):
+                x = solve(b)
+                x[:, k] += 1e-4 * np.linalg.norm(x[:, k])
+                return x
+
+            return perturbed_solve
+
+        monkeypatch.setattr(DynamoMatrix, "shifted_solver", perturbed)
         with pytest.raises(SolverError, match="residual contract"):
             eigen(m, want_vectors=True)
 
@@ -147,6 +154,47 @@ class TestEigen:
             eigen(a)
         with pytest.raises(DomainError, match="finite"):
             jordan_probe(a, 1.0, np.ones(4))
+
+
+class TestInverseIteration:
+    @pytest.mark.parametrize("alpha", ["const:1", "poly:10,-30", "poly:1,0,0.5"])
+    def test_shifted_solve_matches_dense_solve(self, alpha):
+        m = assemble(build_grid(100), parse_profile(alpha), 1)
+        shifts = np.array([0.5, -20.0 + 5.0j])
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal((m.size, 2)) + 1j * rng.standard_normal((m.size, 2))
+        x = m.shifted_solver(shifts)(b)
+        for k, z in enumerate(shifts):
+            ref = np.linalg.solve(m.matrix - z * np.eye(m.size), b[:, k])
+            assert np.linalg.norm(x[:, k] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_solve_rejects_wrong_shape(self):
+        m = assemble(build_grid(20), AlphaProfile.constant(1.0), 1)
+        with pytest.raises(ShapeError, match="right-hand sides"):
+            m.shifted_solver([1.0, 2.0])(np.ones((m.size, 3)))
+
+    def test_conjugate_pair_vectors_are_exact_conjugates(self):
+        spec = eigen(assemble(build_grid(100), parse_profile("poly:10,-30"), 1), want_vectors=True)
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+        upper = np.flatnonzero(vals.imag > 0)
+        assert upper.size >= 1
+        for i in upper:
+            j = int(np.flatnonzero(vals == np.conj(vals[i]))[0])
+            assert np.array_equal(vecs[:, j], np.conj(vecs[:, i]))
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=1e-14)
+
+    def test_raw_array_vectors_rejected(self):
+        with pytest.raises(ShapeError, match="assembled dynamo operator"):
+            eigen(np.eye(4), want_vectors=True)
+
+    def test_no_lapack_eigenvectors(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("np.linalg.eig must not be called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
+        spec = eigen(m, want_vectors=True)
+        assert spec.eigenvectors.shape == (m.size, m.size)
 
 
 class TestPencilConsistencyOnEigenpairs:
@@ -210,6 +258,12 @@ class TestClassify:
         spec = eigen(np.eye(2))
         with pytest.raises(ClassificationError):
             classify_pairs(spec, -1.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance(self, tol):
+        spec = eigen(np.eye(2))
+        with pytest.raises(ClassificationError, match="finite and positive"):
+            classify_pairs(spec, tol)
 
 
 class TestJordanProbe:
