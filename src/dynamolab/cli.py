@@ -184,9 +184,7 @@ def _cmd_nogo(args) -> int:
     q, keep = sf.q_admissible(rs)
     lines = ["r,q,b1,b2,rho"]
     kept = rs[keep]
-    b1 = np.atleast_1d(sf.b1(kept))
-    b2 = np.atleast_1d(sf.b2(kept))
-    rho = np.atleast_1d(sf.rho(kept))
+    b1, b2, rho = sf.b1_b2_rho(kept)
     lines += [",".join(map(repr, row)) for row in np.column_stack((kept, q[keep], b1, b2, rho)).tolist()]
     lines.append(f"min_abs_rho_inf={_fmt(np.max(np.abs(rho)))}")
     lines.append(f"excluded_samples={int(np.sum(~keep))}")
@@ -216,8 +214,8 @@ def _cmd_mre_check(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     _, per_node = riccati_residual(sol, r_min=r_min)
     lines = ["r,riccati_residual,cond_log"]
-    for k in range(0, sol.rs.size, args.stride):
-        lines.append(f"{_fmt(sol.rs[k])},{_fmt(per_node[k])},{_fmt(sol.cond_log[k])}")
+    columns = (col[:: args.stride].tolist() for col in (sol.rs, per_node, sol.cond_log))
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
     _write_lines(args.out, lines)
     return 0
 

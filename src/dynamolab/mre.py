@@ -14,13 +14,16 @@ linearize through homogeneous coordinates U = V W^-1 (resp. B = X Y^-1):
 A fixed-step RK4 integrates the linear eight-dimensional flow; the affine
 coordinate is formed wherever the bottom block is well conditioned.  One RK4
 step of this real linear flow is a fixed real 4x4 propagator; rk4_linear
-builds them batched and chains them.  The Riccati residual is measured against
-an independent RK4 of the nonlinear equation, which has no propagator,
-restarted on every well-conditioned segment, so both routes converge at
-fourth order and the residual shrinks ~16x per step halving.  That nonlinear
-recurrence is solved by multiple shooting: short windows run as one batch
-through the sequential driver rk4, and Newton updates chained along each
-segment make their starts agree with the step-by-step trajectory to rounding.
+builds them batched and chains them, one np.dot per step.  The Riccati
+residual is measured against an independent RK4 of the nonlinear equation,
+which has no propagator, restarted on every well-conditioned segment, so both
+routes converge at fourth order and the residual shrinks ~16x per step
+halving.  That nonlinear recurrence is solved by multiple shooting: short
+windows run as one batch through the sequential driver rk4, and Newton updates
+chained along each segment make their starts agree with the step-by-step
+trajectory to rounding.  The batch holds its 2x2 blocks entry-major, as
+(2, 2, windows, columns), so each entry of the right-hand side is one array
+operation over every window and tangent column.
 
 Differentiating once more, the bottom block solves the second-order form
 (d/dr K d/dr - M) W = 0, which after the substitution u = r*psi is the
@@ -93,6 +96,30 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-2,
     )
+
+
+def _riccati_rhs(c, y, sign):
+    """sign (M - U K^-1 U) and its tangent map, on blocks held entry-major.
+
+    c = (M, K^-1) and y carry their 2x2 entries on the two leading axes, so
+    c[0][i, j] and y[i, j] are arrays over (windows, columns); y[..., 0] is
+    the trajectory U and y[..., 1:] its tangents dU.  Each product is _mul2's
+    formula with the unit and zero entries of K^-1 = [[1, 0], [alpha, 1]]
+    dropped, which changes no bit of a finite result.
+    """
+    m, a = c[0], c[1, 1, 0]
+    u = y[..., :1]
+    uk0 = u[:, 0] + u[:, 1] * a  # column 0 of U K^-1; column 1 is u[:, 1]
+    f = sign * (m - (uk0[:, None] * u[0] + u[:, 1, None] * u[1]))
+    if y.shape[-1] == 1:
+        return f
+    du = y[..., 1:]
+    ku1 = a * u[0] + u[1]  # row 1 of K^-1 U; row 0 is u[0]
+    df = -sign * (
+        (du[:, 0, None] * u[0] + du[:, 1, None] * ku1)
+        + (uk0[:, None] * du[0] + u[:, 1, None] * du[1])
+    )
+    return np.concatenate([f, df], axis=-1)
 
 
 def cond2_log10(m: np.ndarray) -> np.ndarray:
@@ -178,7 +205,8 @@ def rk4_linear(rhs, coef_nodes, coef_mids, y0, h):
     For y0 of shape (D,) or (D, m), rhs must broadcast a leading batch axis of
     c against y of shape (..., D, D): the stage formula applied to the
     identity gives the propagators P[k], PROPAGATOR_BLOCK steps at a time to
-    bound memory, chained in place as y[k+1] = P[k] @ y[k].
+    bound memory, chained in place as y[k+1] = P[k] @ y[k] by one np.dot per
+    step on row views of the trajectory.
     """
     n = len(coef_mids)
     ys = np.empty((n + 1,) + y0.shape, dtype=np.result_type(y0, np.float64))
@@ -188,8 +216,8 @@ def rk4_linear(rhs, coef_nodes, coef_mids, y0, h):
         nodes = coef_nodes[s : s + PROPAGATOR_BLOCK + 1]
         mids = coef_mids[s : s + PROPAGATOR_BLOCK]
         props = _rk4_step(rhs, nodes[:-1], mids, nodes[1:], np.eye(len(y0)), h)
-        for k, p in enumerate(props, start=s):
-            np.matmul(p, cols[k], out=cols[k + 1])
+        for p, y, out in zip(props, cols[s:], cols[s + 1 :]):
+            np.dot(p, y, out=out)
     return ys
 
 
@@ -332,14 +360,16 @@ def riccati_residual(
     The sequential RK4 recurrence is solved by multiple shooting.  Every
     segment is cut into windows of SHOOTING_WINDOW steps, the windows of all
     segments run as one batch through rk4, and Newton updates of the window
-    starts are chained along each segment.  Window 0 starts at the affine
-    value and the others at the linear trajectory's top @ inv2(bot), so an
-    affine node enters no residual but its own.  The first pass also carries
-    the four tangent directions, which gives each window's Jacobian of the
-    (holomorphic) step map; later passes reuse it and integrate the
-    trajectory only.  At least one correction is always applied: a small
-    mismatch at every window boundary can still hide error built up along
-    the segment.  The iteration stops when the chained update is at rounding
+    starts are chained along each segment.  The batch state is entry-major,
+    of shape (2, 2, windows, columns) with the trajectory in column 0, and
+    the right-hand side (_riccati_rhs) works entry by entry with K^-1
+    written out.  Window 0 starts at the affine value and the others at the
+    linear trajectory's top @ inv2(bot), so an affine node enters no
+    residual but its own.  The first pass also carries the four tangent
+    directions, which gives each window's Jacobian of the (holomorphic) step
+    map; later passes reuse it and integrate the trajectory only.  At least
+    one correction is always applied: a small mismatch at every window
+    boundary can still hide error built up along the segment.  The iteration stops when the chained update is at rounding
     level: below SHOOTING_RTOL relative to every window start, or no longer
     shrinking while inside the worst-case rounding of the sequential
     recurrence (each window's eps * sum |u|, chained through the Jacobian
@@ -369,45 +399,40 @@ def riccati_residual(
     # every window takes n steps; a short one runs on past its segment end,
     # on clipped coefficients, and those values are discarded
     nodes = np.minimum(starts + np.arange(n + 1)[:, None], sol.rs.size - 1)
-    coef_nodes = np.stack([sol.m_nodes[nodes], sol.kinv_nodes[nodes]], axis=2)
     mids = np.minimum(nodes[:-1], sol.rs.size - 2)
-    coef_mids = np.stack([sol.m_mids[mids], sol.kinv_mids[mids]], axis=2)
+    # (M, K^-1) per step, entry-major like the state: (steps, 2, 2, 2, windows, 1)
+    coef_nodes, coef_mids = (
+        np.moveaxis(np.stack([m[k], kinv[k]], axis=1), 2, -1)[..., None].copy()
+        for m, kinv, k in ((sol.m_nodes, sol.kinv_nodes, nodes), (sol.m_mids, sol.kinv_mids, mids))
+    )
     sign = sol.sign
 
     def rhs(c, y):
-        # c = (M, K^-1) per window; y[:, 0] is the trajectory, y[:, 1:] its tangents
-        m, kinv = c[:, None, 0], c[:, None, 1]
-        u = y[:, :1]
-        uk = _mul2(u, kinv)
-        f = sign * (m - _mul2(uk, u))
-        if y.shape[1] == 1:
-            return f
-        du = y[:, 1:]
-        df = -sign * (_mul2(du, _mul2(kinv, u)) + _mul2(uk, du))
-        return np.concatenate([f, df], axis=1)
+        return _riccati_rhs(c, y, sign)
 
     start = _mul2(sol.top[starts], inv2(sol.bot[starts]))
     start[local == 0] = sol.affine[starts[local == 0]]
-    tangents = np.broadcast_to(np.eye(4).reshape(4, 2, 2), (seg.size, 4, 2, 2))
-    y0 = np.concatenate([start[:, None], tangents], axis=1)
+    tangents = np.broadcast_to(np.eye(4).reshape(2, 2, 1, 4), (2, 2, seg.size, 4))
+    y0 = np.concatenate([np.moveaxis(start, 0, -1)[..., None], tangents], axis=-1)
     prev = np.inf
     for p in range(max(2, int(counts.max()))):
         with np.errstate(over="ignore", invalid="ignore"):
             ys = rk4(rhs, coef_nodes, coef_mids, y0, sol.step)
         if p == 0:
-            # column j of a window's Jacobian is the image of tangent direction j;
+            # column j of a window's Jacobian is the image of tangent direction j,
+            # stored column-contiguous (BLAS rounds the Newton products by layout);
             # bound chains the same way each window's worst-case rounding
-            jac = ys[n, :, 1:].reshape(-1, 4, 4).swapaxes(1, 2)
+            jac = ys[n, ..., 1:].reshape(4, -1, 4).transpose(1, 2, 0).copy().swapaxes(1, 2)
             growth = np.max(np.sum(np.abs(jac), axis=2), axis=1)
-            sizes = np.max(np.abs(ys[:, :, 0]), axis=(2, 3))
+            sizes = np.max(np.abs(ys[..., 0]), axis=(1, 2))
             noise = np.finfo(float).eps * np.sum(sizes, axis=0)
             bound = np.zeros(seg.size)
             for w in chained:
                 bound[w] = noise[w - 1] + growth[w - 1] * bound[w - 1]
-        gap = (ys[n, :-1, 0] - start[1:]).reshape(-1, 4)
+        gap = (np.moveaxis(ys[n, ..., :-1, 0], -1, 0) - start[1:]).reshape(-1, 4)
         update = np.zeros((seg.size, 4), dtype=complex)
         for w in chained:
-            update[w] = gap[w - 1] + jac[w - 1] @ update[w - 1]
+            update[w] = gap[w - 1] + np.dot(jac[w - 1], update[w - 1])
         size = np.max(np.abs(update), axis=1)
         if not np.all(np.isfinite(size)):
             raise SolverError("nonlinear Riccati integration is not finite on a checked segment")
@@ -417,14 +442,14 @@ def riccati_residual(
             break
         prev = rel
         start = start + update.reshape(-1, 2, 2)
-        y0 = start[:, None]
+        y0 = np.moveaxis(start, 0, -1)[..., None]
     else:
         raise SolverError(f"Riccati multiple shooting unconverged after {p + 1} passes")
 
     steps = np.arange(1, n + 1)
     taken = steps <= lengths[:, None]
     traj = np.empty_like(sol.affine)
-    traj[(starts[:, None] + steps)[taken]] = ys[1:, :, 0].swapaxes(0, 1)[taken]
+    traj[(starts[:, None] + steps)[taken]] = np.moveaxis(ys[1:, ..., 0], -1, 0)[taken]
     traj[seg_lo] = sol.affine[seg_lo]
     per_node[idx] = np.max(np.abs(traj[idx] - sol.affine[idx]), axis=(1, 2))
     if not np.all(np.isfinite(per_node[idx])):

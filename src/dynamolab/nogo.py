@@ -207,7 +207,7 @@ class StructureFunctions:
     def _chain(self, r):
         """The b1 -> rho chain at r from one evaluation of each profile term.
 
-        Returns q, q', b1, b1', alpha0 and alpha1'/alpha1, shaped like r.
+        Returns q, q', b1, b1', alpha0, alpha1 and alpha1'/alpha1, shaped like r.
         Raises DegenerateQError when the q floor excludes any radius.
         """
         p = self.pair
@@ -226,7 +226,7 @@ class StructureFunctions:
         up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
         b1 = -u / (8.0 * q)
         b1p = -(up * q - u * qp) / (8.0 * q**2)
-        return q, qp, b1, b1p, a0, la1
+        return q, qp, b1, b1p, a0, a1, la1
 
     def b1(self, r):
         return self._chain(r)[2]
@@ -243,8 +243,12 @@ class StructureFunctions:
         form of b1 makes that impossible because only the explicit -2 l1/r^2
         term knows about l1.
         """
+        return self.b1_b2_rho(r)[2]
+
+    def b1_b2_rho(self, r):
+        """b1, b2 and rho at r from one pass of the chain (the nogo table's columns)."""
         r = np.asarray(r, dtype=float)
-        q, qp, b1, b1p, a0, la1 = self._chain(r)
+        q, qp, b1, b1p, a0, a1, la1 = self._chain(r)
         rhs = (
             -2.0 * self.pair.l1 / r**2
             + 2.0 * q * (b1 - la1)
@@ -252,7 +256,7 @@ class StructureFunctions:
             + qp
             - q**2
         )
-        return 2.0 * b1p - rhs
+        return b1, 2.0 * q / a1, 2.0 * b1p - rhs
 
 
 def sample_rho(pair: AlphaPair, rs: np.ndarray) -> np.ndarray:

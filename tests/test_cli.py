@@ -189,6 +189,29 @@ class TestNogo:
         for col, want in zip(rows.T, (kept, q[keep], sf.b1(kept), sf.b2(kept), sf.rho(kept))):
             assert np.array_equal(col, want)
 
+    def test_profile_evaluations(self, tmp_path, monkeypatch):
+        # per profile: the positivity check, q for the floor mask, and one
+        # pass of the b1 -> rho chain that gives the b1, b2 and rho columns
+        from dynamolab import AlphaProfile
+
+        calls = []
+        for name in ("__call__", "d1", "d2"):
+            method = getattr(AlphaProfile, name)
+
+            def counted(self, r, name=name, method=method):
+                calls.append((self.label, name))
+                return method(self, r)
+
+            monkeypatch.setattr(AlphaProfile, name, counted)
+        argv = ["nogo", "--alpha0", "poly:1,0,0.5", "--alpha1", "const:1", "--l1", "2"]
+        assert main(argv + ["--out", str(tmp_path / "nogo.csv")]) == 0
+        labels = sorted({label for label, _ in calls})
+        assert len(labels) == 2
+        per_profile = {"__call__": 3, "d1": 2, "d2": 1}
+        assert sorted(calls) == sorted(
+            (label, name) for label in labels for name, k in per_profile.items() for _ in range(k)
+        )
+
     def test_proportional_pair_is_numerical_failure(self, tmp_path):
         out = tmp_path / "nogo.csv"
         rc = main(

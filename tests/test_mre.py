@@ -391,6 +391,54 @@ class TestShootingEquivalence:
             riccati_residual(sol)
 
 
+def mul2_riccati_rhs(c, y, sign):
+    """The Riccati right-hand side on (windows, columns, 2, 2) blocks, through _mul2."""
+    m, kinv = c[:, None, 0], c[:, None, 1]
+    u = y[:, :1]
+    uk = mre._mul2(u, kinv)
+    f = sign * (m - mre._mul2(uk, u))
+    if y.shape[1] == 1:
+        return f
+    du = y[:, 1:]
+    df = -sign * (mre._mul2(du, mre._mul2(kinv, u)) + mre._mul2(uk, du))
+    return np.concatenate([f, df], axis=1)
+
+
+class TestExactKernels:
+    """The loop kernels round exactly as the plain formulas they replace."""
+
+    @pytest.mark.parametrize("columns", [1, 5])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_riccati_rhs_entry_major_equals_mul2(self, columns, sign):
+        rng = np.random.default_rng(columns)
+        windows = 37
+        m = rng.standard_normal((windows, 2, 2))
+        kinv = kmat_inv(rng.standard_normal(windows))
+        y = rng.standard_normal((windows, columns, 2, 2)) + 1j * rng.standard_normal(
+            (windows, columns, 2, 2)
+        )
+        ref = mul2_riccati_rhs(np.stack([m, kinv], axis=1), y, sign)
+        c = np.moveaxis(np.stack([m, kinv]), 1, -1)[..., None]
+        got = mre._riccati_rhs(c, np.moveaxis(y, (0, 1), (-2, -1)), sign)
+        assert got.shape == (2, 2, windows, columns)
+        assert np.array_equal(got, np.moveaxis(ref, (0, 1), (-2, -1)))
+
+    @pytest.mark.parametrize("y0", [np.array([1.0, -0.5]), np.concatenate(GENERIC_INIT)], ids=["real", "complex"])
+    def test_rk4_linear_equals_matmul_chain(self, y0):
+        # more steps than one propagator block, complex states as re/im columns
+        rng = np.random.default_rng(5)
+        d, steps, h = len(y0), mre.PROPAGATOR_BLOCK + 90, 1e-2
+        nodes = rng.standard_normal((steps + 1, d, d))
+        mids = rng.standard_normal((steps, d, d))
+        props = mre._rk4_step(np.matmul, nodes[:-1], mids, nodes[1:], np.eye(d), h)
+        ys = rk4_linear(np.matmul, nodes, mids, y0, h)
+        cols = ys.reshape(steps + 1, d, -1).view(np.float64)
+        ref = [cols[0]]
+        for p in props:
+            ref.append(np.matmul(p, ref[-1]))
+        assert np.array_equal(cols, np.stack(ref))
+
+
 class TestEigenfunctionEquivalence:
     def test_constant_alpha_at_eigenvalue(self):
         k1 = K_L1[0]
