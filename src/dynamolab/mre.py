@@ -104,8 +104,9 @@ def _riccati_rhs(c, y, sign):
     c = (M, K^-1) and y carry their 2x2 entries on the two leading axes, so
     c[0][i, j] and y[i, j] are arrays over (windows, columns); y[..., 0] is
     the trajectory U and y[..., 1:] its tangents dU.  Each product is _mul2's
-    formula with the unit and zero entries of K^-1 = [[1, 0], [alpha, 1]]
-    dropped, which changes no bit of a finite result.
+    formula, operand order included, with the unit and zero entries of
+    K^-1 = [[1, 0], [alpha, 1]] dropped, which changes at most the sign of
+    a zero.
     """
     m, a = c[0], c[1, 1, 0]
     u = y[..., :1]
