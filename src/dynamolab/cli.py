@@ -17,6 +17,7 @@ so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -181,13 +182,12 @@ def _cmd_nogo(args) -> int:
     pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l1 - 1, l1=args.l1)
     sf = StructureFunctions(pair)
     rs = np.linspace(lo, hi, args.samples)
-    q, keep = sf.q_admissible(rs)
+    columns = sf.table(rs)
+    kept, rho = columns[0], columns[4]
     lines = ["r,q,b1,b2,rho"]
-    kept = rs[keep]
-    b1, b2, rho = sf.b1_b2_rho(kept)
-    lines += [",".join(map(repr, row)) for row in np.column_stack((kept, q[keep], b1, b2, rho)).tolist()]
+    lines += [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     lines.append(f"min_abs_rho_inf={_fmt(np.max(np.abs(rho)))}")
-    lines.append(f"excluded_samples={int(np.sum(~keep))}")
+    lines.append(f"excluded_samples={rs.size - kept.size}")
     _write_lines(args.out, lines)
     if args.svg:
         _write_svg(args.svg, [(kept, rho)], "obstruction residual rho vs r")
@@ -249,7 +249,12 @@ def _window_pair(text: str):
     return float(parts[0]), float(parts[1])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call.
+
+    parse_args keeps nothing between calls: each one fills a new namespace.
+    """
     p = argparse.ArgumentParser(
         prog="dynamolab",
         description="spherical alpha^2-dynamo spectral laboratory",

@@ -368,7 +368,9 @@ def riccati_residual(
     linear trajectory's top @ inv2(bot), so an affine node enters no
     residual but its own.  The first pass also carries the four tangent
     directions, which gives each window's Jacobian of the (holomorphic) step
-    map; later passes reuse it and integrate the trajectory only.  At least
+    map; it steps the batch itself and keeps the tangents at the window ends
+    only.  Later passes reuse the Jacobians and integrate the trajectory
+    only, through rk4.  At least
     one correction is always applied: a small mismatch at every window
     boundary can still hide error built up along the segment.  The iteration stops when the chained update is at rounding
     level: below SHOOTING_RTOL relative to every window start, or no longer
@@ -418,19 +420,28 @@ def riccati_residual(
     prev = np.inf
     for p in range(max(2, int(counts.max()))):
         with np.errstate(over="ignore", invalid="ignore"):
-            ys = rk4(rhs, coef_nodes, coef_mids, y0, sol.step)
+            if p == 0:
+                # rk4 would keep the tangents at every step; only the window ends are read
+                path = np.empty((n + 1,) + y0.shape[:-1], dtype=complex)
+                y = y0
+                path[0] = y[..., 0]
+                for k in range(n):
+                    y = _rk4_step(rhs, coef_nodes[k], coef_mids[k], coef_nodes[k + 1], y, sol.step)
+                    path[k + 1] = y[..., 0]
+            else:
+                path = rk4(rhs, coef_nodes, coef_mids, y0, sol.step)[..., 0]
         if p == 0:
             # column j of a window's Jacobian is the image of tangent direction j,
             # stored column-contiguous (BLAS rounds the Newton products by layout);
             # bound chains the same way each window's worst-case rounding
-            jac = ys[n, ..., 1:].reshape(4, -1, 4).transpose(1, 2, 0).copy().swapaxes(1, 2)
+            jac = y[..., 1:].reshape(4, -1, 4).transpose(1, 2, 0).copy().swapaxes(1, 2)
             growth = np.max(np.sum(np.abs(jac), axis=2), axis=1)
-            sizes = np.max(np.abs(ys[..., 0]), axis=(1, 2))
+            sizes = np.max(np.abs(path), axis=(1, 2))
             noise = np.finfo(float).eps * np.sum(sizes, axis=0)
             bound = np.zeros(seg.size)
             for w in chained:
                 bound[w] = noise[w - 1] + growth[w - 1] * bound[w - 1]
-        gap = (np.moveaxis(ys[n, ..., :-1, 0], -1, 0) - start[1:]).reshape(-1, 4)
+        gap = (np.moveaxis(path[n, ..., :-1], -1, 0) - start[1:]).reshape(-1, 4)
         update = np.zeros((seg.size, 4), dtype=complex)
         for w in chained:
             update[w] = gap[w - 1] + np.dot(jac[w - 1], update[w - 1])
@@ -450,7 +461,7 @@ def riccati_residual(
     steps = np.arange(1, n + 1)
     taken = steps <= lengths[:, None]
     traj = np.empty_like(sol.affine)
-    traj[(starts[:, None] + steps)[taken]] = np.moveaxis(ys[1:, ..., 0], -1, 0)[taken]
+    traj[(starts[:, None] + steps)[taken]] = np.moveaxis(path[1:], -1, 0)[taken]
     traj[seg_lo] = sol.affine[seg_lo]
     per_node[idx] = np.max(np.abs(traj[idx] - sol.affine[idx]), axis=(1, 2))
     if not np.all(np.isfinite(per_node[idx])):

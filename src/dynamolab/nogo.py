@@ -196,23 +196,30 @@ class StructureFunctions:
         Raises DegenerateQError when the floor excludes every radius.
         """
         q = np.atleast_1d(self.q(r))
+        return q, self._admissible(q)
+
+    def _admissible(self, q) -> np.ndarray:
         keep = _above_q_floor(q)
         if not np.any(keep):
             raise DegenerateQError(
                 f"q vanishes on the whole window for {self.pair.label} (proportional "
                 "profiles); the closed form b1 has no admissible evaluation point"
             )
-        return q, keep
+        return keep
 
-    def _chain(self, r):
-        """The b1 -> rho chain at r from one evaluation of each profile term.
-
-        Returns q, q', b1, b1', alpha0, alpha1 and alpha1'/alpha1, shaped like r.
-        Raises DegenerateQError when the q floor excludes any radius.
-        """
+    def _terms(self, r):
+        """alpha0, alpha1 and their first and second derivatives at r, one evaluation each."""
         p = self.pair
-        a0, a1 = p.alpha0(r), p.alpha1(r)
-        d1a0, d1a1 = p.alpha0.d1(r), p.alpha1.d1(r)
+        return p.alpha0(r), p.alpha1(r), p.alpha0.d1(r), p.alpha1.d1(r), p.alpha0.d2(r), p.alpha1.d2(r)
+
+    @staticmethod
+    def _chain(terms):
+        """The b1 -> rho chain from the profile terms (see _terms).
+
+        Returns q, q', b1, b1', alpha0, alpha1 and alpha1'/alpha1, shaped like
+        the terms.  Raises DegenerateQError when the q floor excludes any radius.
+        """
+        a0, a1, d1a0, d1a1, d2a0, d2a1 = terms
         la0 = d1a0 / a0
         la1 = d1a1 / a1
         q = 0.5 * (la0 - la1)
@@ -221,7 +228,7 @@ class StructureFunctions:
                 "q(r) vanishes inside the requested window; proportional profiles "
                 "belong to degenerate_case_check"
             )
-        qp = 0.5 * (p.alpha0.d2(r) / a0 - la0**2 - p.alpha1.d2(r) / a1 + la1**2)
+        qp = 0.5 * (d2a0 / a0 - la0**2 - d2a1 / a1 + la1**2)
         u = 4.0 * q**2 + a0**2 + a1**2
         up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
         b1 = -u / (8.0 * q)
@@ -229,10 +236,10 @@ class StructureFunctions:
         return q, qp, b1, b1p, a0, a1, la1
 
     def b1(self, r):
-        return self._chain(r)[2]
+        return self._chain(self._terms(r))[2]
 
     def b1prime(self, r):
-        return self._chain(r)[3]
+        return self._chain(self._terms(r))[3]
 
     # -- the obstruction ----------------------------------------------------
 
@@ -243,12 +250,26 @@ class StructureFunctions:
         form of b1 makes that impossible because only the explicit -2 l1/r^2
         term knows about l1.
         """
-        return self.b1_b2_rho(r)[2]
-
-    def b1_b2_rho(self, r):
-        """b1, b2 and rho at r from one pass of the chain (the nogo table's columns)."""
         r = np.asarray(r, dtype=float)
-        q, qp, b1, b1p, a0, a1, la1 = self._chain(r)
+        return self._b1_b2_rho(r, self._terms(r))[2]
+
+    def table(self, r):
+        """The nogo table's columns r, q, b1, b2 and rho on the radii of r the q floor keeps.
+
+        Each profile term is evaluated once, on all of r, and the chain runs on
+        its kept entries, so no floored radius is divided by.  Raises
+        DegenerateQError when the floor excludes every radius.
+        """
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        terms = self._terms(r)
+        a0, a1, d1a0, d1a1 = terms[:4]
+        q = 0.5 * (d1a0 / a0 - d1a1 / a1)
+        keep = self._admissible(q)
+        return (r[keep], q[keep]) + self._b1_b2_rho(r[keep], [t[keep] for t in terms])
+
+    def _b1_b2_rho(self, r, terms):
+        """b1, b2 and rho at r from one pass of the chain over the profile terms at r."""
+        q, qp, b1, b1p, a0, a1, la1 = self._chain(terms)
         rhs = (
             -2.0 * self.pair.l1 / r**2
             + 2.0 * q * (b1 - la1)

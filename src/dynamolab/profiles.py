@@ -18,6 +18,7 @@ max(1, max|alpha|, |alpha'|).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -72,8 +73,13 @@ class AlphaProfile:
     def d2(self, r):
         return self._d2(np.asarray(r, dtype=float))
 
+    @cached_property
+    def _positive(self) -> bool:
+        # evaluated once per profile: the built-in pair family shares six profiles
+        return bool(np.all(self(np.linspace(0.0, 1.0, _N_BOUND_SAMPLES)) > 0.0))
+
     def require_positive(self) -> "AlphaProfile":
-        if not np.all(self(np.linspace(0.0, 1.0, _N_BOUND_SAMPLES)) > 0.0):
+        if not self._positive:
             raise DomainError(f"profile {self.label!r} must be strictly positive on [0,1]")
         return self
 

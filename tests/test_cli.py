@@ -1,6 +1,8 @@
 import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,8 +192,8 @@ class TestNogo:
             assert np.array_equal(col, want)
 
     def test_profile_evaluations(self, tmp_path, monkeypatch):
-        # per profile: the positivity check, q for the floor mask, and one
-        # pass of the b1 -> rho chain that gives the b1, b2 and rho columns
+        # per profile: the positivity check, and one evaluation of each term
+        # on every radius, which gives the floor mask and the table's columns
         from dynamolab import AlphaProfile
 
         calls = []
@@ -207,7 +209,7 @@ class TestNogo:
         assert main(argv + ["--out", str(tmp_path / "nogo.csv")]) == 0
         labels = sorted({label for label, _ in calls})
         assert len(labels) == 2
-        per_profile = {"__call__": 3, "d1": 2, "d2": 1}
+        per_profile = {"__call__": 2, "d1": 1, "d2": 1}
         assert sorted(calls) == sorted(
             (label, name) for label in labels for name, k in per_profile.items() for _ in range(k)
         )
@@ -460,3 +462,85 @@ def test_option_sets_are_pinned():
         for name, sub in subparsers.choices.items()
     }
     assert found == OPTION_SETS
+
+
+# one small run of every command, with the files each writes
+EVERY_COMMAND = {
+    "spectrum": (["spectrum", "--alpha", "poly:1,0,0.5", "--n", "60"], ["--out"]),
+    "sweep": (["sweep", "--alpha", "poly:1,-3", "--scale", "9,11,9", "--n", "60"], ["--out", "--svg"]),
+    "pencil-check": (["pencil-check", "--alpha", "poly:1,0,0.5", "--n", "60", "--modes", "4"], ["--out"]),
+    "darboux": (["darboux", "--n", "200", "--levels", "3"], ["--out"]),
+    "nogo": (["nogo", "--alpha0", "poly:1,0,0.5", "--alpha1", "const:1", "--samples", "64"], ["--out", "--svg"]),
+    "mre-check": (
+        ["mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "poly:1,0,0.5", "--step", "1e-3"],
+        ["--out"],
+    ),
+    "certificate": (["certificate", "--defect-n", "60"], ["--out"]),
+}
+
+
+def fresh_env():
+    import dynamolab
+
+    src = str(Path(dynamolab.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(argv):
+    """argv through the command line of a new interpreter: (exit code, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynamolab.cli"] + argv, capture_output=True, text=True, env=fresh_env()
+    )
+    return proc.returncode, proc.stderr
+
+
+def command_files(name, directory):
+    argv, outputs = EVERY_COMMAND[name]
+    paths = [directory / f"{name}{flag}" for flag in outputs]
+    return argv + [x for flag, path in zip(outputs, paths) for x in (flag, str(path))], paths
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    build_parser.cache_clear()
+    bad_flag = ["spectrum", "--alpha", "const:1", "--frobnicate", "--out", str(tmp_path / "x.csv")]
+    proportional = ["nogo", "--alpha0", "const:1", "--alpha1", "const:2", "--out", str(tmp_path / "p.csv")]
+    in_process = {}
+    for rnd in ("first", "again"):
+        for i, name in enumerate(EVERY_COMMAND):
+            argv, paths = command_files(name, tmp_path / rnd)
+            paths[0].parent.mkdir(exist_ok=True)
+            assert main(argv) == 0, name
+            in_process[rnd, name] = [p.read_bytes() for p in paths]
+            # a usage error after the third command, a numerical failure after the fifth
+            if i == 2:
+                capsys.readouterr()
+                assert main(bad_flag) == 2
+                bad_flag_stderr = capsys.readouterr().err
+            if i == 4:
+                assert main(proportional) == 3
+    assert build_parser.cache_info().misses == 1
+    assert (2, bad_flag_stderr) == run_fresh(bad_flag)
+    for name in EVERY_COMMAND:
+        argv, paths = command_files(name, tmp_path / "fresh")
+        paths[0].parent.mkdir(exist_ok=True)
+        assert run_fresh(argv)[0] == 0, name
+        fresh = [p.read_bytes() for p in paths]
+        assert in_process["first", name] == fresh, name
+        assert in_process["again", name] == fresh, name
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import dynamolab.cli\n"
+        "assert built == [] and dynamolab.cli.build_parser.cache_info().currsize == 0, built\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env())
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -394,6 +395,22 @@ class TestCertificate:
     def test_family_shares_six_profiles(self):
         fam = builtin_pair_family()
         assert len({id(a) for pair in fam for a in (pair.alpha0, pair.alpha1)}) == 6
+
+    def test_positivity_checked_once_per_profile(self, monkeypatch):
+        # the 30 built-in pairs and the pairs derived from the first share six
+        # profiles; each is evaluated for positivity once, not once per pair
+        checked = []
+        positive = AlphaProfile.__dict__["_positive"].func
+
+        def counted(profile):
+            checked.append(profile.label)
+            return positive(profile)
+
+        spy = cached_property(counted)
+        spy.__set_name__(AlphaProfile, "_positive")
+        monkeypatch.setattr(AlphaProfile, "_positive", spy)
+        nogo_certificate()
+        assert len(checked) == len(set(checked)) == 6
 
     def test_min_rho_positive(self, report):
         assert report.min_rho_sup > 1e-6
