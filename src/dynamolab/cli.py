@@ -135,12 +135,16 @@ def _cmd_pencil_check(args) -> int:
     alpha = parse_profile(args.alpha)
     grid = build_grid(args.n)
     m = assemble(grid, alpha, args.l)
-    vals = eigen(m).eigenvalues
+    if not m.alpha_nodes.all():  # before any eigensolve: the pencil divides by alpha
+        raise DomainError("alpha vanishes on a grid node; the quadratic pencil needs alpha != 0")
+    vals = eigen(m, leading=args.modes).eigenvalues
     lines = ["index,re_lambda,im_lambda,a0,a1,a2,discriminant,pencil_residual,psi2_residual"]
     start = 0
-    while len(lines) <= args.modes and start < vals.size:
+    while len(lines) <= args.modes and start < m.size:
         # vectors of the next eigenvalues only; a skipped one asks for more
         stop = start + args.modes + 1 - len(lines)
+        if vals.size < min(stop, m.size):  # a leading solve that holds too few
+            vals = eigen(m, leading=stop).eigenvalues
         for idx, vec in zip(range(start, stop), eigenvectors(m, vals[start:stop]).T):
             lam = vals[idx]
             psi1 = vec[: grid.n]

@@ -89,9 +89,12 @@ class TridiagOp:
         v = np.asarray(v)
         if v.shape[0] != self.n:
             raise ShapeError(f"vector length {v.shape[0]} != operator size {self.n}")
-        out = self.diag * v
-        out[1:] += self.off * v[:-1]
-        out[:-1] += self.off * v[1:]
+        diag, off = self.diag, self.off
+        if v.ndim == 2:  # applied column by column
+            diag, off = diag[:, None], off[:, None]
+        out = diag * v
+        out[1:] += off * v[:-1]
+        out[:-1] += off * v[1:]
         return out
 
     def __neg__(self) -> "TridiagOp":

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -116,45 +116,72 @@ class DynamoMatrix:
         return csc_array((self._entries(shift)[2][order], csc_rows, indptr), shape=(self.size,) * 2)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v for a real or complex vector of length 2n, without forming H."""
+        """H v for a real or complex vector of length 2n, or each column of a (2n, k) array, without forming H."""
         v = np.asarray(v)
-        if v.shape != (self.size,):
+        if v.ndim not in (1, 2) or v.shape[0] != self.size:
             raise ShapeError(f"vector must have length {self.size}, got shape {v.shape}")
         u1, u2 = v[: self.n], v[self.n :]
-        top = self.lap.matvec(u1) + self.alpha_nodes * u2
+        alpha = self.alpha_nodes if v.ndim == 1 else self.alpha_nodes[:, None]
+        top = self.lap.matvec(u1) + alpha * u2
         return np.concatenate([top, self.q_alpha.matvec(u1) + self.lap.matvec(u2)])
 
-    def shifted_solver(self, shifts):
-        """Factor H - z for each shift z; returns ``solve(b)``, with (H - z_k) x[:, k] = b[:, k].
+    def norm_inf(self) -> float:
+        """||H||_inf, the largest absolute row sum, read from the blocks."""
+
+        def row_sums(t: TridiagOp) -> np.ndarray:
+            r = np.abs(t.diag)
+            r[1:] += np.abs(t.off)
+            r[:-1] += np.abs(t.off)
+            return r
+
+        lap = row_sums(self.lap)
+        return float(max(np.max(lap + np.abs(self.alpha_nodes)), np.max(row_sums(self.q_alpha) + lap)))
+
+    def _block_lu(self, shifts) -> Iterator[tuple]:
+        """Block LU of H - z for each shift z, node by node: yields (multiplier, inverse pivot, determinant).
 
         Numbered node by node as (u1_i, u2_i), H - z is block tridiagonal:
         diagonal blocks D_i = [[lap_i - z, alpha_i], [q_i, lap_i - z]] and both
         off-diagonal blocks E_i = [[lap.off_i, 0], [q.off_i, lap.off_i]].  The
-        block LU runs over the nodes without pivoting, vectorized over the
-        shifts.  It keeps the inverse pivots P_i = (D_i - E P_{i-1} E)^{-1} and
-        the multipliers E P_{i-1}, so the factorization costs O(n) per shift and
-        each solve one forward and one backward sweep.  b and x have shape
-        (2n, len(shifts)).
+        factorization runs over the nodes without pivoting, vectorized over the
+        shifts, in O(n) per shift.  Node i yields the multiplier E P_{i-1}
+        (None at node 0), the inverse pivot P_i = (D_i - E P_{i-1} E)^{-1},
+        each a 4-tuple of arrays over the shifts, and the determinant of
+        D_i - E P_{i-1} E; det(H - z) is the product of the determinants.  A
+        caller keeps what it needs.  A zero pivot gives non-finite entries
+        from there on.
         """
-        n = self.n
         lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
         dz = self.lap.diag[:, None] - np.asarray(shifts, dtype=complex)[None, :]
-        mult, piv = [], []
+        mult = None
         for i, (d, a, q) in enumerate(zip(dz, self.alpha_nodes.tolist(), self.q_alpha.diag.tolist())):
             u00, u01, u10, u11 = d, a, q, d
             if i:  # D_i - (E P) E
                 l, g = lo[i - 1], qo[i - 1]
-                m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
-                mult.append((m00, m01, m10, m11))
+                mult = m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
                 u00, u01 = u00 - (l * m00 + g * m01), u01 - l * m01
                 u10, u11 = u10 - (l * m10 + g * m11), u11 - l * m11
-            r = 1.0 / (u00 * u11 - u01 * u10)
+            det = u00 * u11 - u01 * u10
+            r = 1.0 / det
             p00, p01, p10, p11 = u11 * r, -u01 * r, -u10 * r, u00 * r
-            piv.append((p00, p01, p10, p11))
+            yield mult, (p00, p01, p10, p11), det
+
+    def shifted_solver(self, shifts):
+        """Factor H - z for each shift z; returns ``solve(b)``, with (H - z_k) x[:, k] = b[:, k].
+
+        The factorization is ``_block_lu``; each solve is one forward and one
+        backward sweep over the nodes.  b and x have shape (2n, len(shifts)).
+        """
+        n = self.n
+        width = np.size(shifts)
+        lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
+        factors = list(self._block_lu(shifts))
+        mult = [f[0] for f in factors[1:]]
+        piv = [f[1] for f in factors]
 
         def solve(b: np.ndarray) -> np.ndarray:
-            if b.shape != (2 * n, dz.shape[1]):
-                raise ShapeError(f"right-hand sides must have shape {(2 * n, dz.shape[1])}, got {b.shape}")
+            if b.shape != (2 * n, width):
+                raise ShapeError(f"right-hand sides must have shape {(2 * n, width)}, got {b.shape}")
             y0, y1 = b[0], b[n]
             ys = [(y0, y1)]
             for (m00, m01, m10, m11), c0, c1 in zip(mult, b[1:n], b[n + 1 :]):  # y_i = b_i - E P y_{i-1}

@@ -145,6 +145,111 @@ class TestPencilCheck:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+class TestPencilCheckLeading:
+    """Above the crossover size pencil-check takes its leading eigenvalues from ARPACK."""
+
+    README = ["pencil-check", "--alpha", "poly:1,0,0.5", "--l", "1", "--n", "300"]
+
+    @staticmethod
+    def dense(monkeypatch):
+        import dynamolab.spectral
+
+        monkeypatch.setattr(dynamolab.spectral, "_LEADING_MIN_SIZE", 10**9)
+
+    def test_no_dense_solve_and_no_dense_matrix(self, tmp_path, monkeypatch):
+        import dynamolab.cli
+
+        def refuse(a):
+            raise AssertionError("np.linalg.eigvals must not be called")
+
+        built = []
+        assemble = dynamolab.cli.assemble
+        monkeypatch.setattr(dynamolab.cli, "assemble", lambda *a: built.append(assemble(*a)) or built[-1])
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
+        assert len(read_lines(tmp_path / "p.csv")) == 13
+        assert "matrix" not in built[0].__dict__
+
+    def test_rows_match_the_dense_path(self, tmp_path, monkeypatch):
+        assert main(self.README + ["--out", str(tmp_path / "leading.csv")]) == 0
+        self.dense(monkeypatch)
+        assert main(self.README + ["--out", str(tmp_path / "dense.csv")]) == 0
+        leading = [ln.split(",") for ln in read_lines(tmp_path / "leading.csv")]
+        dense = [ln.split(",") for ln in read_lines(tmp_path / "dense.csv")]
+        assert [r[0] for r in leading] == [r[0] for r in dense]
+        for got, want in zip(leading[1:], dense[1:]):
+            lam, ref = complex(float(got[1]), float(got[2])), complex(float(want[1]), float(want[2]))
+            assert abs(lam - ref) <= 1e-9 * abs(ref)
+            assert float(got[7]) <= 1e-6 and float(got[8]) <= 1e-6
+
+    def test_repeated_runs_byte_identical(self, tmp_path):
+        for name in ("a.csv", "b.csv"):
+            assert main(self.README + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_missed_value_output_identical_to_dense(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg
+
+        true_eigs = scipy.sparse.linalg.eigs
+
+        def drop_leading(*args, **kwargs):  # an ARPACK that misses the leading eigenvalue
+            vals = true_eigs(*args, **kwargs)
+            return np.delete(vals, np.argmax(vals.real))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.sparse.linalg, "eigs", drop_leading)
+            assert main(self.README + ["--out", str(tmp_path / "miss.csv")]) == 0
+        self.dense(monkeypatch)
+        assert main(self.README + ["--out", str(tmp_path / "dense.csv")]) == 0
+        assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    def test_skipped_row_widens_the_request(self, tmp_path, monkeypatch):
+        import dynamolab.cli
+
+        true_vectors, requests = dynamolab.cli.eigenvectors, []
+        true_eigen = dynamolab.cli.eigen
+
+        def first_psi1_zero(m, vals):  # the first eigenvector looks decoupled, so its row is skipped
+            vecs = true_vectors(m, vals).copy()
+            if len(requests) == 1:
+                vecs[: m.n, 0] = 0.0
+            requests.append(len(vals))
+            return vecs
+
+        def counted_eigen(m, **kwargs):
+            spec = true_eigen(m, **kwargs)
+            requests.append(("eigen", kwargs["leading"], spec.right_of is not None))
+            return spec
+
+        monkeypatch.setattr(dynamolab.cli, "eigenvectors", first_psi1_zero)
+        monkeypatch.setattr(dynamolab.cli, "eigen", counted_eigen)
+        assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
+        assert requests == [("eigen", 12, True), 12, ("eigen", 13, True), 1]
+        lines = read_lines(tmp_path / "p.csv")
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(1, 13)]
+
+    def test_large_modes_go_dense(self, tmp_path):
+        assert main(self.README + ["--modes", "700", "--out", str(tmp_path / "p.csv")]) == 0
+        lines = read_lines(tmp_path / "p.csv")
+        assert len(lines) == 601
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(600)]
+
+    # alpha == 0, and 1 - 2r, which vanishes at the node r = 256/512 = 0.5
+    @pytest.mark.parametrize("alpha, n", [("const:0", "400"), ("poly:1,-2", "511")])
+    def test_alpha_zero_on_a_node_fails_before_any_eigensolve(self, tmp_path, capsys, monkeypatch, alpha, n):
+        import dynamolab.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no eigensolve may run")
+
+        monkeypatch.setattr(dynamolab.cli, "eigen", refuse)
+        out = tmp_path / "x.csv"
+        assert main(["pencil-check", "--alpha", alpha, "--n", n, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "configuration error: alpha vanishes on a grid node; the quadratic pencil needs alpha != 0"
+        assert not out.exists()
+
+
 class TestDarboux:
     def test_box_levels(self, tmp_path):
         out = tmp_path / "darboux.csv"

@@ -197,6 +197,134 @@ class TestInverseIteration:
         assert spec.eigenvectors.shape == (m.size, m.size)
 
 
+# (alpha, l, n): the sampling rule's measured cases, l = 2, and a supercritical
+# profile (const:5 has lambda_1 > 0)
+COUNT_CASES = [
+    ("poly:1,0,0.5", 1, 60),
+    ("poly:1,0,0.5", 1, 120),
+    ("poly:1,0,0.5", 1, 300),
+    ("poly:1,0,0.9", 1, 300),
+    ("poly:10,-30", 1, 100),
+    ("poly:10,-30", 1, 300),
+    ("const:1", 1, 500),
+    ("const:1", 2, 300),
+    ("const:5", 1, 200),
+]
+
+
+@pytest.fixture(scope="module")
+def dense_cases():
+    """Each count case's operator and its dense spectrum, built once on first use."""
+    cache = {}
+
+    def get(alpha, l, n):
+        if (alpha, l, n) not in cache:
+            m = assemble(build_grid(n), parse_profile(alpha), l)
+            cache[alpha, l, n] = m, eigen(m).eigenvalues
+        return cache[alpha, l, n]
+
+    return get
+
+
+class TestLeadingEigen:
+    """eigen(m, leading=k): shift-invert ARPACK certified by an argument-principle count."""
+
+    @pytest.mark.parametrize("alpha, l, n", COUNT_CASES)
+    def test_count_matches_dense_at_every_gap(self, dense_cases, alpha, l, n):
+        from dynamolab.spectral import _count_right
+
+        m, vals = dense_cases(alpha, l, n)
+        re = np.unique(vals.real)[::-1][:21]  # the distinct real parts of the leading values
+        if alpha == "const:5":
+            assert vals[0].real > 0  # supercritical
+        for s in 0.5 * (re[:-1] + re[1:]):
+            assert _count_right(m, s) == np.sum(vals.real > s), s
+
+    @pytest.mark.parametrize("side", [1e-4, -1e-4], ids=["right", "left"])
+    def test_count_next_to_a_conjugate_pair(self, dense_cases, side):
+        from dynamolab.spectral import _count_right
+
+        m, vals = dense_cases("poly:10,-30", 1, 100)
+        pair = vals[vals.imag > 0][0]
+        s = pair.real + side
+        assert _count_right(m, s) == np.sum(vals.real > s)
+
+    def test_zero_pivot_gives_no_count(self):
+        from dynamolab.grid import TridiagOp
+        from dynamolab.spectral import _count_right
+
+        # the first pivot is (lap_0 - s)^2 - alpha_0 q_0 = 4 - 4 = 0 at y = 0
+        lap = TridiagOp(diag=np.full(8, -2.0), off=np.ones(7))
+        q_a = TridiagOp(diag=np.full(8, 4.0), off=np.ones(7))
+        m = DynamoMatrix(grid=build_grid(8), lap=lap, q_alpha=q_a, alpha_nodes=np.ones(8))
+        assert _count_right(m, -4.0) is None
+        assert _count_right(m, -4.5) == np.sum(np.linalg.eigvals(m.matrix).real > -4.5)
+
+    @pytest.mark.parametrize("alpha, l, n", [c for c in COUNT_CASES if 2 * c[2] >= 200])
+    def test_leading_values_match_dgeev(self, dense_cases, alpha, l, n):
+        m, vals = dense_cases(alpha, l, n)
+        spec = eigen(m, leading=12)
+        assert spec.right_of is not None and spec.size >= 12
+        assert np.sum(vals.real > spec.right_of) == spec.size
+        ref = vals[: spec.size]
+        assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-9 * np.abs(ref))
+
+    def test_small_operators_stay_dense(self, dense_cases):
+        m, vals = dense_cases("poly:1,0,0.5", 1, 60)
+        spec = eigen(m, leading=12)
+        assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
+
+    def test_large_requests_stay_dense(self, dense_cases):
+        m, vals = dense_cases("poly:1,0,0.5", 1, 300)
+        spec = eigen(m, leading=150)  # 4 (150 + 4) >= 600
+        assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
+
+    def test_missed_value_falls_back_to_dense(self, dense_cases, monkeypatch):
+        import scipy.sparse.linalg
+
+        true_eigs = scipy.sparse.linalg.eigs
+        calls = []
+
+        def drop_leading(*args, **kwargs):  # an ARPACK that misses the leading eigenvalue
+            vals = true_eigs(*args, **kwargs)
+            calls.append(args[1])
+            return np.delete(vals, np.argmax(vals.real))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", drop_leading)
+        m, vals = dense_cases("poly:1,0,0.5", 1, 300)
+        spec = eigen(m, leading=12)
+        assert calls == [16, 32]  # the count disagreed, k doubled once, then dense
+        assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
+
+    @pytest.mark.parametrize("cap", ["_COUNT_ROUNDS", "_PHASE_STEP"])
+    def test_unsettled_sampling_gives_no_count(self, dense_cases, monkeypatch, cap):
+        import dynamolab.spectral as spectral
+
+        # next to a pair the rule bisects about a dozen rounds; a zero step
+        # bound bisects every interval until the sample cap
+        monkeypatch.setattr(spectral, cap, 0)
+        m, vals = dense_cases("poly:10,-30", 1, 100)
+        assert spectral._count_right(m, vals[vals.imag > 0][0].real + 1e-4) is None
+
+    def test_unsettled_sampling_falls_back_to_dense(self, dense_cases, monkeypatch):
+        import dynamolab.spectral as spectral
+
+        monkeypatch.setattr(spectral, "_PHASE_STEP", 0.0)
+        m, vals = dense_cases("poly:1,0,0.5", 1, 120)
+        spec = eigen(m, leading=12)
+        assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
+
+    def test_covers_reads_the_half_plane(self):
+        spec = Spectrum(np.array([-1.0 + 0j]), None, None, None, right_of=-10.0)
+        assert spec.covers([-5.0 + 3.0j, -2.0], 4.9)
+        assert not spec.covers([-5.0 + 3.0j, -2.0], 5.1)
+
+    def test_bad_request_rejected(self, dense_cases):
+        m, _ = dense_cases("poly:1,0,0.5", 1, 60)
+        with pytest.raises(ShapeError, match="leading"):
+            eigen(m, leading=0)
+
+
 class TestPencilConsistencyOnEigenpairs:
     def test_eigenpairs_satisfy_pencil(self, spec_alpha1):
         spec, m = spec_alpha1
