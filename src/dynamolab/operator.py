@@ -24,9 +24,10 @@ J-symmetric operator.
 
 H is kept as its blocks and nothing else: lap_l and Q_alpha as symmetric
 tridiagonal operators, diag(alpha) as node samples.  ``DynamoMatrix``
-derives H v, the dense matrix, the sparse form and the block-LU solve of
-H - z from them, and the pencil functionals read the same blocks, so the
-layout of H is known here alone.
+derives H v, its infinity norm, the dense matrix, the sparse form and the
+block LU of H - z (its solve and its pivot determinants) from them, and the
+pencil functionals read the same blocks, so the layout of H is known here
+alone.
 """
 
 from __future__ import annotations
@@ -175,16 +176,14 @@ class DynamoMatrix:
         n = self.n
         width = np.size(shifts)
         lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
-        factors = list(self._block_lu(shifts))
-        mult = [f[0] for f in factors[1:]]
-        piv = [f[1] for f in factors]
+        mult, piv, _ = zip(*self._block_lu(shifts))
 
         def solve(b: np.ndarray) -> np.ndarray:
             if b.shape != (2 * n, width):
                 raise ShapeError(f"right-hand sides must have shape {(2 * n, width)}, got {b.shape}")
             y0, y1 = b[0], b[n]
             ys = [(y0, y1)]
-            for (m00, m01, m10, m11), c0, c1 in zip(mult, b[1:n], b[n + 1 :]):  # y_i = b_i - E P y_{i-1}
+            for (m00, m01, m10, m11), c0, c1 in zip(mult[1:], b[1:n], b[n + 1 :]):  # y_i = b_i - E P y_{i-1}
                 y0, y1 = c0 - (m00 * y0 + m01 * y1), c1 - (m10 * y0 + m11 * y1)
                 ys.append((y0, y1))
             x = np.empty(b.shape, dtype=complex)
