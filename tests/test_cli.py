@@ -162,9 +162,13 @@ class TestPencilCheckLeading:
         def refuse(a):
             raise AssertionError("np.linalg.eigvals must not be called")
 
-        built = []
-        assemble = dynamolab.cli.assemble
-        monkeypatch.setattr(dynamolab.cli, "assemble", lambda *a: built.append(assemble(*a)) or built[-1])
+        built, assemble = [], dynamolab.cli.assemble
+
+        def keep(*args):
+            built.append(assemble(*args))
+            return built[-1]
+
+        monkeypatch.setattr(dynamolab.cli, "assemble", keep)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
         assert len(read_lines(tmp_path / "p.csv")) == 13
@@ -181,11 +185,6 @@ class TestPencilCheckLeading:
             lam, ref = complex(float(got[1]), float(got[2])), complex(float(want[1]), float(want[2]))
             assert abs(lam - ref) <= 1e-9 * abs(ref)
             assert float(got[7]) <= 1e-6 and float(got[8]) <= 1e-6
-
-    def test_repeated_runs_byte_identical(self, tmp_path):
-        for name in ("a.csv", "b.csv"):
-            assert main(self.README + ["--out", str(tmp_path / name)]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_missed_value_output_identical_to_dense(self, tmp_path, monkeypatch):
         import scipy.sparse.linalg
@@ -228,7 +227,13 @@ class TestPencilCheckLeading:
         lines = read_lines(tmp_path / "p.csv")
         assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(1, 13)]
 
-    def test_large_modes_go_dense(self, tmp_path):
+    def test_large_modes_go_dense(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK must not run for 700 of 600 values")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", refuse)
         assert main(self.README + ["--modes", "700", "--out", str(tmp_path / "p.csv")]) == 0
         lines = read_lines(tmp_path / "p.csv")
         assert len(lines) == 601
