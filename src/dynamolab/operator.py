@@ -24,7 +24,7 @@ J-symmetric operator.
 
 H is kept as its blocks and nothing else: lap_l and Q_alpha as symmetric
 tridiagonal operators, diag(alpha) as node samples.  ``DynamoMatrix``
-derives H v, its infinity norm, the dense matrix, the sparse form and the
+derives H v, its infinity norm, the dense matrix, the band form and the
 block LU of H - z (its solve and its pivot determinants) from them, and the
 pencil functionals read the same blocks, so the layout of H is known here
 alone.
@@ -60,16 +60,16 @@ def sharp(c: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _layout(n: int) -> tuple:
-    """Rows and cols of H's entries, then their CSC order, row indices and column pointers."""
+    """Rows and cols of H's entries, then their flat positions in ``DynamoMatrix.band``."""
     i = np.arange(n)
     j = np.arange(n - 1)
     tri_rows = np.concatenate([i, j + 1, j])
     tri_cols = np.concatenate([i, j, j + 1])
     rows = np.concatenate([tri_rows, i, tri_rows + n, tri_rows + n])
     cols = np.concatenate([tri_cols, i + n, tri_cols, tri_cols + n])
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=2 * n))))
-    return tuple(_freeze(a) for a in (rows, cols, order, rows[order], indptr))
+    kl, ku = DynamoMatrix.BAND
+    r, c = 2 * (rows % n) + rows // n, 2 * (cols % n) + cols // n  # u1_i -> 2i, u2_i -> 2i + 1
+    return tuple(_freeze(a) for a in (rows, cols, (kl + ku + r - c) * (2 * n) + c))
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,11 @@ class DynamoMatrix:
     """The dynamo operator for one (alpha, l, n), kept as its blocks.
 
     ``matvec`` applies H block by block.  ``matrix`` (the dense real
-    2n x 2n array, built on first use and read-only) and ``to_csc`` (the
-    sparse form for the local eigensolve) are filled from one entries table.
+    2n x 2n array, built on first use and read-only) and ``band`` (the LAPACK
+    band form for the local eigensolve) are filled from one entries table.
     """
+
+    BAND = (3, 2)  # (kl, ku): sub- and superdiagonals of H numbered node by node
 
     grid: RadialGrid
     lap: TridiagOp
@@ -109,12 +111,17 @@ class DynamoMatrix:
         m.setflags(write=False)
         return m
 
-    def to_csc(self, shift: float = 0.0):
-        """H - shift * I as a scipy.sparse CSC array."""
-        from scipy.sparse import csc_array
+    def band(self, shift: float = 0.0) -> np.ndarray:
+        """H - shift * I numbered node by node, (u1_i, u2_i), in LAPACK band storage.
 
-        order, csc_rows, indptr = _layout(self.n)[2:]
-        return csc_array((self._entries(shift)[2][order], csc_rows, indptr), shape=(self.size,) * 2)
+        Entry (r, c) of the renumbered matrix sits at [kl + ku + r - c, c], with
+        (kl, ku) = ``BAND``; the first kl rows are zero, room for the pivoting
+        fill of ``dgbtrf``.  Shape (2 kl + ku + 1, 2n).
+        """
+        kl, ku = self.BAND
+        ab = np.zeros((2 * kl + ku + 1, self.size))
+        ab.flat[_layout(self.n)[2]] = self._entries(shift)[2]
+        return ab
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v for a real or complex vector of length 2n, or each column of a (2n, k) array, without forming H."""

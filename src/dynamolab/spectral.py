@@ -128,22 +128,30 @@ def _shift_invert(m: DynamoMatrix, sigma: float):
     """ARPACK in shift-invert mode at a real shift: returns ``nearest(k)``, or None.
 
     ``nearest(k)`` gives the k eigenvalues of largest |1/(lambda - sigma)|, or
-    None when ARPACK fails; the shifted operator is factored once (SuperLU)
-    for every k.  None when sigma is an eigenvalue to working precision.
-    """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+    None when ARPACK fails.  H - sigma is factored once for every k, by
+    LAPACK's band LU (dgbtrf) of ``DynamoMatrix.band``, and each of ARPACK's
+    solves is one dgbtrs; no scipy.sparse matrix is built.  None when sigma is
+    an eigenvalue to working precision (an exactly zero pivot).
 
-    shifted = m.to_csc(shift=sigma)
-    v0 = _start_vector(m.size)
-    try:
-        inverse = LinearOperator(shifted.shape, matvec=splu(shifted).solve, dtype=float)
-    except RuntimeError:
+    ARPACK runs in the band's node-by-node numbering, (u1_i, u2_i), not in
+    H's block numbering.  The eigenvalues do not depend on the numbering and
+    no caller reads ARPACK's vectors; a caller that asks for vectors must map
+    them back to the block numbering.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+
+    kl, ku = m.BAND
+    lu, piv, info = dgbtrf(m.band(sigma), kl, ku, overwrite_ab=1)
+    if info:
         return None
+    v0 = _start_vector(m.size)
+    inverse = LinearOperator((m.size,) * 2, matvec=lambda b: dgbtrs(lu, kl, ku, b, piv)[0], dtype=float)
 
     def nearest(k: int) -> Optional[np.ndarray]:
         try:
             # with OPinv given, eigs uses only the shape and dtype of its first argument
-            return eigs(shifted, k, sigma=sigma, OPinv=inverse, v0=v0, return_eigenvectors=False)
+            return eigs(inverse, k, sigma=sigma, OPinv=inverse, v0=v0, return_eigenvectors=False)
         except ArpackError:  # ArpackNoConvergence included
             return None
 

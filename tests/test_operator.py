@@ -77,27 +77,24 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(build_grid(10), ONE, 0)
 
-    def test_csc_form_equals_dense_matrix(self):
-        m = assemble(build_grid(17), AlphaProfile.polynomial([1.0, -3.0]), 2)
-        assert m.matrix is m.matrix and not m.matrix.flags.writeable
-        size = m.size
-        assert np.array_equal(m.to_csc().toarray(), m.matrix)
-        assert np.array_equal(m.to_csc(shift=-2.5).toarray(), m.matrix + 2.5 * np.eye(size))
-
     @pytest.mark.parametrize("n", [8, 17, 60, 133])
-    def test_csc_form_equals_a_fresh_lexsort_construction(self, n):
-        from scipy.sparse import csc_array
-
+    def test_band_form_equals_node_interleaved_dense_matrix(self, n):
         m = assemble(build_grid(n), AlphaProfile.polynomial([1.0, -3.0, 0.5]), 2)
-        for shift in (0.0, -2.5, 3.7, -1e4):
-            rows, cols, vals = m._entries(shift)
-            order = np.lexsort((rows, cols))
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m.size))))
-            fresh = csc_array((vals[order], rows[order], indptr), shape=(m.size, m.size))
-            got = m.to_csc(shift)
-            assert got.has_sorted_indices
-            for a, b in ((got.data, fresh.data), (got.indices, fresh.indices), (got.indptr, fresh.indptr)):
-                assert np.array_equal(a, b)
+        assert m.matrix is m.matrix and not m.matrix.flags.writeable
+        kl, ku = m.BAND
+        size = m.size
+        node = np.arange(size) // 2 + (np.arange(size) % 2) * n  # (u1_i, u2_i) -> block numbering
+        r, c = np.nonzero(np.tri(size, size, ku, dtype=bool) & ~np.tri(size, size, -kl - 1, dtype=bool))
+        used = np.zeros((2 * kl + ku + 1, size), dtype=bool)
+        used[kl + ku + r - c, c] = True
+        assert not used[:kl].any()  # the fill rows of dgbtrf
+        for shift in (0.0, -2.5):
+            dense = (m.matrix - shift * np.eye(size))[np.ix_(node, node)]
+            ab = m.band(shift)
+            assert ab.shape == used.shape
+            assert np.array_equal(ab[kl + ku + r - c, c], dense[r, c])
+            assert np.count_nonzero(dense) == np.count_nonzero(dense[r, c])  # nothing outside the band
+            assert not ab[~used].any()  # the fill rows and the unused corners
 
     @pytest.mark.parametrize(
         "alpha, l, n",

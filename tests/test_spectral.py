@@ -325,6 +325,44 @@ class TestLeadingEigen:
             eigen(m, leading=0)
 
 
+class TestBandFactorization:
+    """The shift-invert solves factor DynamoMatrix.band once with LAPACK's dgbtrf."""
+
+    @pytest.fixture
+    def singular(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        true_dgbtrf = scipy.linalg.lapack.dgbtrf
+        calls = []
+
+        def zero_pivot(*args, **kwargs):  # as if the shift were an eigenvalue
+            lu, piv, _ = true_dgbtrf(*args, **kwargs)
+            calls.append(args[1:3])
+            return lu, piv, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", zero_pivot)
+        return calls
+
+    def test_singular_shift_gives_the_dense_spectrum_near(self, singular):
+        m = assemble(build_grid(100), parse_profile("poly:9.7,-29.1"), 1)
+        spec = eigen(m, near=[-38.0])
+        assert singular == [(3, 2)]
+        assert spec.disk is None and np.array_equal(spec.eigenvalues, eigen(m).eigenvalues)
+
+    def test_singular_shift_gives_the_dense_leading_values(self, singular, dense_cases):
+        m, vals = dense_cases("poly:1,0,0.5", 1, 300)
+        spec = eigen(m, leading=12)
+        assert singular == [(3, 2)]
+        assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
+
+    def test_local_solves_build_no_dense_matrix(self):
+        near = assemble(build_grid(100), parse_profile("poly:9.7,-29.1"), 1)
+        leading = assemble(build_grid(300), parse_profile("poly:1,0,0.5"), 1)
+        assert eigen(near, near=[-38.0]).disk is not None
+        assert eigen(leading, leading=12).right_of is not None
+        assert "matrix" not in near.__dict__ and "matrix" not in leading.__dict__
+
+
 class TestPencilConsistencyOnEigenpairs:
     def test_eigenpairs_satisfy_pencil(self, spec_alpha1):
         spec, m = spec_alpha1
