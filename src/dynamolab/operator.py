@@ -112,11 +112,9 @@ class DynamoMatrix:
         return m
 
     def band(self, shift: float = 0.0) -> np.ndarray:
-        """H - shift * I numbered node by node, (u1_i, u2_i), in LAPACK band storage.
+        """H - shift * I numbered node by node, (u1_i, u2_i), in LAPACK band storage, (kl, ku) = ``BAND``.
 
-        Entry (r, c) of the renumbered matrix sits at [kl + ku + r - c, c], with
-        (kl, ku) = ``BAND``; the first kl rows are zero, room for the pivoting
-        fill of ``dgbtrf``.  Shape (2 kl + ku + 1, 2n).
+        Entry (r, c) sits at [kl + ku + r - c, c]; the first kl rows stay zero for the fill of dgbtrf.
         """
         kl, ku = self.BAND
         ab = np.zeros((2 * kl + ku + 1, self.size))

@@ -12,11 +12,12 @@ vector) near two-fold degeneracies.
 A caller that needs only the eigenvalues near a few known points (branch
 tracking, exceptional-point bisection) passes them as ``near``.  For an
 assembled dynamo operator ``eigen`` then runs ARPACK in shift-invert mode
-(Lehoucq, Sorensen & Yang, 1998) on the sparse operator and returns the
-eigenvalues nearest a real shift sigma, together with a disk |lambda - sigma|
-< radius that contains every eigenvalue of the operator inside it.  A caller
-accepts a local result only when its decision provably depends on nothing
-outside that disk (``Spectrum.covers``), and otherwise asks for the dense one.
+(Lehoucq, Sorensen & Yang, 1998), each of its solves a back substitution
+through one LAPACK band LU of H - sigma, and returns the eigenvalues nearest
+a real shift sigma, together with a disk |lambda - sigma| < radius that
+contains every eigenvalue of the operator inside it.  A caller accepts a
+local result only when its decision provably depends on nothing outside that
+disk (``Spectrum.covers``), and otherwise asks for the dense one.
 The disk rests on ARPACK's converged Ritz values being the eigenvalues of
 largest |1/(lambda - sigma)|; a Krylov method cannot see the multiplicity of
 a double eigenvalue, so at alpha == 0, where every eigenvalue is double, the
@@ -101,9 +102,12 @@ _V0_SEED = 20020813  # fixed ARPACK and inverse-iteration start vector: repeated
 # far inside the farthest returned eigenvalue so rounding cannot reorder them.
 _DISK_MARGIN = 1e-10
 # Leading eigenvalues come from shift-invert ARPACK from this many rows up.
-# Below it dense dgeev is about as fast: for 12 leading values on one BLAS
-# thread, dense against ARPACK plus count took 9.8 against 10.9 ms at 120
-# rows, 12.3 against 12.5 ms at 140 and 31 against 16 ms at 200.  A first
+# For 12 leading values on one BLAS thread (medians of 41 interleaved calls
+# in each of three runs, between which the host's speed drifted), dense
+# against ARPACK plus count took 7.3-8.7 against 6.2-8.5 ms at 120 rows,
+# 7.3-11.3 against 5.4-9.4 ms at 140 and 19-29 against 7.3-12 ms at 200.
+# So ARPACK is no slower from 120 rows up; lowering the threshold would
+# change the ``pencil-check`` output at n = 60-99.  A first
 # ``import scipy.sparse.linalg`` (about 0.3 s) also costs more than the solve.
 _LEADING_MIN_SIZE = 200
 # The sampling rule of the argument-principle count (``_count_right``).
@@ -130,8 +134,8 @@ def _shift_invert(m: DynamoMatrix, sigma: float):
     ``nearest(k)`` gives the k eigenvalues of largest |1/(lambda - sigma)|, or
     None when ARPACK fails.  H - sigma is factored once for every k, by
     LAPACK's band LU (dgbtrf) of ``DynamoMatrix.band``, and each of ARPACK's
-    solves is one dgbtrs; no scipy.sparse matrix is built.  None when sigma is
-    an eigenvalue to working precision (an exactly zero pivot).
+    solves is one dgbtrs.  None when sigma is an eigenvalue to working
+    precision (an exactly zero pivot).
 
     ARPACK runs in the band's node-by-node numbering, (u1_i, u2_i), not in
     H's block numbering.  The eigenvalues do not depend on the numbering and
