@@ -32,6 +32,15 @@ def first_dirichlet_mode(grid, l=1):
     return vals[0], vecs[:, 0]
 
 
+def band_positions(m):
+    """Node-interleaved numbering (u1_i, u2_i) -> block index, and the (row, col) pairs inside ``m.BAND``."""
+    kl, ku = m.BAND
+    size, n = m.size, m.size // 2
+    node = np.arange(size) // 2 + (np.arange(size) % 2) * n
+    r, c = np.nonzero(np.tri(size, size, ku, dtype=bool) & ~np.tri(size, size, -kl - 1, dtype=bool))
+    return node, r, c
+
+
 class TestSharp:
     def test_identity(self):
         assert np.array_equal(sharp(np.eye(2)), np.eye(2))
@@ -77,19 +86,26 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(build_grid(10), ONE, 0)
 
+    def test_band_form_equals_dense_matrix(self):
+        m = assemble(build_grid(17), AlphaProfile.polynomial([1.0, -3.0]), 2)
+        assert m.matrix is m.matrix and not m.matrix.flags.writeable
+        kl, ku = m.BAND
+        node, r, c = band_positions(m)
+        for shift in (0.0, -2.5):
+            rebuilt = np.zeros((m.size, m.size))
+            rebuilt[r, c] = m.band(shift)[kl + ku + r - c, c]
+            assert np.array_equal(rebuilt, (m.matrix - shift * np.eye(m.size))[np.ix_(node, node)])
+
     @pytest.mark.parametrize("n", [8, 17, 60, 133])
     def test_band_form_equals_node_interleaved_dense_matrix(self, n):
         m = assemble(build_grid(n), AlphaProfile.polynomial([1.0, -3.0, 0.5]), 2)
-        assert m.matrix is m.matrix and not m.matrix.flags.writeable
         kl, ku = m.BAND
-        size = m.size
-        node = np.arange(size) // 2 + (np.arange(size) % 2) * n  # (u1_i, u2_i) -> block numbering
-        r, c = np.nonzero(np.tri(size, size, ku, dtype=bool) & ~np.tri(size, size, -kl - 1, dtype=bool))
-        used = np.zeros((2 * kl + ku + 1, size), dtype=bool)
+        node, r, c = band_positions(m)
+        used = np.zeros((2 * kl + ku + 1, m.size), dtype=bool)
         used[kl + ku + r - c, c] = True
         assert not used[:kl].any()  # the fill rows of dgbtrf
-        for shift in (0.0, -2.5):
-            dense = (m.matrix - shift * np.eye(size))[np.ix_(node, node)]
+        for shift in (0.0, -2.5, 3.7, -1e4):
+            dense = (m.matrix - shift * np.eye(m.size))[np.ix_(node, node)]
             ab = m.band(shift)
             assert ab.shape == used.shape
             assert np.array_equal(ab[kl + ku + r - c, c], dense[r, c])
