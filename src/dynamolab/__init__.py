@@ -56,7 +56,6 @@ from .nogo import (
     degenerate_case_check,
     intertwining_defect,
     nogo_certificate,
-    sample_rho,
 )
 from .operator import (
     DynamoMatrix,
@@ -130,7 +129,6 @@ __all__ = [
     "product_invariant_check",
     "pseudo_hermiticity_residual",
     "riccati_residual",
-    "sample_rho",
     "sharp",
     "sweep",
     "verify_isospectral",

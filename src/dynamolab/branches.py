@@ -24,6 +24,7 @@ the pair comes from a local solve near it, under the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -162,8 +163,6 @@ def _advance(
         # the pair moves as a set without approaching any third branch
         for i in violating:
             others = [j for j in range(len(prev)) if j != i]
-            if not others:
-                continue
             j = min(others, key=lambda j: abs(prev[j] - prev[i]))
             pair_prev = np.array([prev[i], prev[j]])
             pair_new = np.array([matched[i], matched[j]])
@@ -215,13 +214,13 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
     branches = np.empty((track, cfg.steps), dtype=complex)
     branches[:, 0] = first[:track]
     bounds = np.zeros(cfg.steps - 1)
+    events = []
     for k in range(cfg.steps - 1):
-        matched, movement = _advance(
-            spectrum_at, branches[:, k], cs[k], cs[k + 1], cfg.pair_tol
-        )
-        branches[:, k + 1] = matched
+        a = branches[:, k]
+        b, movement = _advance(spectrum_at, a, cs[k], cs[k + 1], cfg.pair_tol)
+        branches[:, k + 1] = b
         bounds[k] = movement.max() * (1.0 + 1e-12) + 1e-300
-    events = _collect_events(cs, branches, cfg.pair_tol)
+        events += _interval_events(float(cs[k]), float(cs[k + 1]), a, b, cfg.pair_tol)
     for arr in (cs, branches, bounds):
         arr.setflags(write=False)
     return BranchTrace(
@@ -234,50 +233,34 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
     )
 
 
-def _collect_events(cs: np.ndarray, branches: np.ndarray, pair_tol: float) -> list:
+def _interval_events(c_a: float, c_b: float, a: np.ndarray, b: np.ndarray, pair_tol: float) -> list:
+    """The branch events of one grid interval [c_a, c_b] from its end values a and b.
+
+    A RealToComplex or ComplexToReal event is a pair of _transition_pairs
+    whose two branches flip the same way; each branch joins at most one
+    event, lowest index first.
+    """
+    in_a = np.abs(a.imag) <= pair_tol
+    in_b = np.abs(b.imag) <= pair_tol
+    pairs = np.triu(_transition_pairs(a, b, pair_tol) & (in_a[:, None] == in_a[None, :]), 1)
     events = []
-    t, steps = branches.shape
-    for k in range(steps - 1):
-        a = branches[:, k]
-        b = branches[:, k + 1]
-        in_a = np.abs(a.imag) <= pair_tol
-        in_b = np.abs(b.imag) <= pair_tol
-        seen = set()
-        scale = 1.0 + np.max(np.abs(b))
-        for i in range(t):
-            if i in seen or in_a[i] == in_b[i]:
-                continue
-            side = b if not in_b[i] else a
-            partners = [
-                j
-                for j in range(t)
-                if j != i and j not in seen and in_a[j] != in_b[j] and in_a[j] == in_a[i]
-            ]
-            if not partners:
-                continue
-            j = min(partners, key=lambda j: abs(side[i] - np.conj(side[j])))
-            if abs(side[i] - np.conj(side[j])) > 1e-6 * scale:
-                continue
+    joined = set()
+    for i, j in np.argwhere(pairs).tolist():
+        if i not in joined and j not in joined:
             kind = "RealToComplex" if in_a[i] else "ComplexToReal"
-            events.append(BranchEvent(float(cs[k]), float(cs[k + 1]), (min(i, j), max(i, j)), kind))
-            seen.update((i, j))
-        contact_tol = 1e-8 * scale
-        for i in range(t):
-            for j in range(i + 1, t):
-                if (i, j) in seen or i in seen or j in seen:
-                    continue
-                if in_a[i] and in_a[j] and in_b[i] and in_b[j]:
-                    da = a[i].real - a[j].real
-                    db = b[i].real - b[j].real
-                    # order exchange, or two real branches entering contact at
-                    # the interval end (value-only matching relabels colliding
-                    # branches, so contact is the observable signature)
-                    exchanged = da * db < 0
-                    entering_contact = abs(db) <= contact_tol < abs(da)
-                    if exchanged or entering_contact:
-                        events.append(
-                            BranchEvent(float(cs[k]), float(cs[k + 1]), (i, j), "Crossing")
-                        )
+            events.append(BranchEvent(c_a, c_b, (i, j), kind))
+            joined.update((i, j))
+    contact_tol = 1e-8 * (1.0 + np.max(np.abs(b)))
+    for i, j in combinations(np.flatnonzero(in_a & in_b).tolist(), 2):
+        da = a[i].real - a[j].real
+        db = b[i].real - b[j].real
+        # order exchange, or two real branches entering contact at
+        # the interval end (value-only matching relabels colliding
+        # branches, so contact is the observable signature)
+        exchanged = da * db < 0
+        entering_contact = abs(db) <= contact_tol < abs(da)
+        if exchanged or entering_contact:
+            events.append(BranchEvent(c_a, c_b, (i, j), "Crossing"))
     return events
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +45,6 @@ from .profiles import AlphaProfile
 
 Q_FLOOR = 1e-10
 RHO_WINDOW = (0.1, 1.0)  # where rho is sampled: q has a removable zero at r = 0
-
-
-def _above_q_floor(q) -> np.ndarray:
-    return np.abs(q) >= Q_FLOOR
 
 
 @dataclass(frozen=True)
@@ -190,56 +186,57 @@ class StructureFunctions:
         la0 = self.pair.alpha0.d1(r) / self.pair.alpha0(r)
         return -0.5 * (la0 * np.tan(eps) + deps / np.cos(eps) ** 2)
 
-    def q_admissible(self, r) -> Tuple[np.ndarray, np.ndarray]:
-        """q(r) and the mask |q| >= Q_FLOOR of the radii where b1 and rho are defined.
+    def _chain(self, r):
+        """The q floor's mask on r, and r, q, b1, b1', b2 and rho on the radii it keeps.
 
-        Raises DegenerateQError when the floor excludes every radius.
+        alpha0, alpha1 and their first two derivatives are evaluated once, on
+        all of r, and the chain b1 -> b1' -> b2 -> rho runs on the kept radii,
+        so no floored radius is divided by.  Raises DegenerateQError when the
+        floor excludes every radius.
         """
-        q = np.atleast_1d(self.q(r))
-        return q, self._admissible(q)
-
-    def _admissible(self, q) -> np.ndarray:
-        keep = _above_q_floor(q)
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        p = self.pair
+        a0, a1, d1a0, d1a1 = p.alpha0(r), p.alpha1(r), p.alpha0.d1(r), p.alpha1.d1(r)
+        d2a0, d2a1 = p.alpha0.d2(r), p.alpha1.d2(r)
+        q = 0.5 * (d1a0 / a0 - d1a1 / a1)
+        keep = np.abs(q) >= Q_FLOOR
         if not np.any(keep):
             raise DegenerateQError(
-                f"q vanishes on the whole window for {self.pair.label} (proportional "
+                f"q vanishes on the whole window for {p.label} (proportional "
                 "profiles); the closed form b1 has no admissible evaluation point"
             )
-        return keep
-
-    def _terms(self, r):
-        """alpha0, alpha1 and their first and second derivatives at r, one evaluation each."""
-        p = self.pair
-        return p.alpha0(r), p.alpha1(r), p.alpha0.d1(r), p.alpha1.d1(r), p.alpha0.d2(r), p.alpha1.d2(r)
-
-    @staticmethod
-    def _chain(terms):
-        """The b1 -> rho chain from the profile terms (see _terms).
-
-        Returns q, q', b1, b1', alpha0, alpha1 and alpha1'/alpha1, shaped like
-        the terms.  Raises DegenerateQError when the q floor excludes any radius.
-        """
-        a0, a1, d1a0, d1a1, d2a0, d2a1 = terms
+        r, q, a0, a1, d1a0, d1a1, d2a0, d2a1 = (
+            t[keep] for t in (r, q, a0, a1, d1a0, d1a1, d2a0, d2a1)
+        )
         la0 = d1a0 / a0
         la1 = d1a1 / a1
-        q = 0.5 * (la0 - la1)
-        if not np.all(_above_q_floor(q)):
-            raise DegenerateQError(
-                "q(r) vanishes inside the requested window; proportional profiles "
-                "belong to degenerate_case_check"
-            )
         qp = 0.5 * (d2a0 / a0 - la0**2 - d2a1 / a1 + la1**2)
         u = 4.0 * q**2 + a0**2 + a1**2
         up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
         b1 = -u / (8.0 * q)
         b1p = -(up * q - u * qp) / (8.0 * q**2)
-        return q, qp, b1, b1p, a0, a1, la1
+        with np.errstate(divide="ignore"):  # b1 is finite at r = 0, rho is infinite there
+            cent = -2.0 * p.l1 / r**2
+        rhs = cent + 2.0 * q * (b1 - la1) + a0**2 / 2.0 + qp - q**2
+        return keep, r, q, b1, b1p, 2.0 * q / a1, 2.0 * b1p - rhs
+
+    def _column(self, r, index):
+        """Column index of _chain at r, shaped like r, NaN where the q floor excludes a radius."""
+        chain = self._chain(r)
+        out = np.full(chain[0].shape, np.nan)
+        out[chain[0]] = chain[index]
+        return out.reshape(np.shape(r))[()]
 
     def b1(self, r):
-        return self._chain(self._terms(r))[2]
+        """The closed form of b1 at r, NaN where the q floor excludes a radius.
+
+        Raises DegenerateQError only when the floor excludes every radius.
+        """
+        return self._column(r, 3)
 
     def b1prime(self, r):
-        return self._chain(self._terms(r))[3]
+        """b1' at r, NaN where the q floor excludes a radius (see b1)."""
+        return self._column(r, 4)
 
     # -- the obstruction ----------------------------------------------------
 
@@ -248,49 +245,19 @@ class StructureFunctions:
 
         rho == 0 would be required for a consistent intertwiner; the closed
         form of b1 makes that impossible because only the explicit -2 l1/r^2
-        term knows about l1.
+        term knows about l1.  NaN where the q floor excludes a radius; raises
+        DegenerateQError only when the floor excludes every radius.
         """
-        r = np.asarray(r, dtype=float)
-        return self._b1_b2_rho(r, self._terms(r))[2]
+        return self._column(r, 6)
 
     def table(self, r):
         """The nogo table's columns r, q, b1, b2 and rho on the radii of r the q floor keeps.
 
-        Each profile term is evaluated once, on all of r, and the chain runs on
-        its kept entries, so no floored radius is divided by.  Raises
+        One evaluation of each profile term on all of r (see _chain); raises
         DegenerateQError when the floor excludes every radius.
         """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        terms = self._terms(r)
-        a0, a1, d1a0, d1a1 = terms[:4]
-        q = 0.5 * (d1a0 / a0 - d1a1 / a1)
-        keep = self._admissible(q)
-        return (r[keep], q[keep]) + self._b1_b2_rho(r[keep], [t[keep] for t in terms])
-
-    def _b1_b2_rho(self, r, terms):
-        """b1, b2 and rho at r from one pass of the chain over the profile terms at r."""
-        q, qp, b1, b1p, a0, a1, la1 = self._chain(terms)
-        rhs = (
-            -2.0 * self.pair.l1 / r**2
-            + 2.0 * q * (b1 - la1)
-            + a0**2 / 2.0
-            + qp
-            - q**2
-        )
-        return b1, 2.0 * q / a1, 2.0 * b1p - rhs
-
-
-def sample_rho(pair: AlphaPair, rs: np.ndarray) -> np.ndarray:
-    """rho at rs, NaN where the q floor excludes a radius.
-
-    rho is evaluated only on the admissible radii; raises DegenerateQError
-    when the floor excludes every radius.
-    """
-    sf = StructureFunctions(pair)
-    _, keep = sf.q_admissible(rs)
-    out = np.full(np.shape(rs), np.nan)
-    out[keep] = sf.rho(rs[keep])
-    return out
+        _, r, q, b1, _, b2, rho = self._chain(r)
+        return r, q, b1, b2, rho
 
 
 # --------------------------------------------------------------------------
@@ -596,11 +563,12 @@ def nogo_certificate(
         )
 
     radii_all = np.linspace(*RHO_WINDOW, samples)
-    rho_samples = np.array([sample_rho(p, radii_all) for p in family])
+    rho_samples = np.array([StructureFunctions(p).rho(radii_all) for p in family])
 
     pair0 = family[0]
     radii = np.linspace(*RHO_WINDOW, 100)
-    shift = sample_rho(replace(pair0, l1=pair0.l1 + 1), radii) - sample_rho(pair0, radii)
+    shifted = StructureFunctions(replace(pair0, l1=pair0.l1 + 1))
+    shift = shifted.rho(radii) - StructureFunctions(pair0).rho(radii)
     l_shift_dev = float(np.nanmax(np.abs(shift - 2.0 / radii**2)))
 
     degenerate = degenerate_case_check(replace(pair0, alpha1=pair0.alpha0))

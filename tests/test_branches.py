@@ -14,8 +14,10 @@ from dynamolab import (
     pencil_coefficients,
 )
 from dynamolab.branches import (
+    BranchEvent,
     SweepConfig,
     _greedy_assign,
+    _interval_events,
     _transition_pairs,
     dynamo_family,
     locate_ep,
@@ -147,6 +149,14 @@ class TestSweepSynthetic:
         assert crossings[0].c_lo == pytest.approx(0.4)
         assert crossings[0].c_hi == pytest.approx(0.5)
 
+    def test_no_event_when_the_conjugate_partner_is_not_tracked(self):
+        # only the upper branch is tracked; it turns complex at C = 1 while its
+        # conjugate partner, the lower branch, is not followed
+        cfg = SweepConfig(base=ONE, c_min=0.0, c_max=2.0, steps=21, track_count=1)
+        trace = sweep(cfg, family=synthetic_ep_family)
+        assert abs(trace.branches[0, -1].imag) > 1.0
+        assert trace.events == []
+
     def test_refinement_exhaustion_raises(self):
         # a discontinuous jump larger than a quarter of the branch gap can
         # never be resolved by halving the step
@@ -184,6 +194,19 @@ class TestLocateEP:
     def test_no_transition_raises(self):
         with pytest.raises(BracketError):
             locate_ep(synthetic_ep_family, (0.1, 0.5), 1e-6)
+
+    def test_closest_pair_among_three_eigenvalues(self):
+        # a third eigenvalue at 5 leads the spectrum: the colliding pair is the
+        # closest mutual pair, not the two leading values
+        def family(c):
+            m = np.zeros((3, 3))
+            m[:2, :2] = synthetic_ep_family(c)
+            m[2, 2] = 5.0
+            return m
+
+        c_star, lam_star = locate_ep(family, (0.5, 1.5), 1e-6)
+        assert c_star == pytest.approx(1.0, abs=1e-6)
+        assert abs(lam_star) <= 1e-6
 
     def test_jordan_chain_at_exact_synthetic_ep(self):
         m = synthetic_ep_family(1.0)
@@ -287,6 +310,22 @@ class TestLocalSolveOracle:
         dense = locate_ep(lambda c: dyn_family(c).matrix, bracket, 1e-6, lambda_ref=-38 + 0j)
         assert local[0] == dense[0]
         assert local[1] == pytest.approx(dense[1], rel=1e-9)
+
+    def test_locate_ep_falls_back_to_the_dense_spectrum(self, monkeypatch, dyn_family):
+        # a local solve that does not cover the pair sends every C to the dense path
+        from dynamolab.spectral import Spectrum
+
+        dense = locate_ep(lambda c: dyn_family(c).matrix, (9.5, 9.75), 1e-4, lambda_ref=-38 + 0j)
+        refused = []
+
+        def never(self, points, reach):
+            refused.append(reach)
+            return False
+
+        monkeypatch.setattr(Spectrum, "covers", never)
+        forced = locate_ep(dyn_family, (9.5, 9.75), 1e-4, lambda_ref=-38 + 0j)
+        assert refused
+        assert forced == dense
 
     def test_local_spectrum_covers_its_disk(self, dyn_family):
         m = dyn_family(9.7)
@@ -447,3 +486,101 @@ def test_transition_pairs_match_the_pairwise_loop():
         assert np.array_equal(mask, mask.T) and not mask.diagonal().any()
         found += len(want)
     assert found > 100
+
+
+def reference_collect_events(cs, branches, pair_tol):
+    """Reference events by a pairing loop: each flipping branch, lowest index
+    first, pairs with its closest same-way flipping partner when that is close."""
+    events = []
+    t, steps = branches.shape
+    for k in range(steps - 1):
+        a = branches[:, k]
+        b = branches[:, k + 1]
+        in_a = np.abs(a.imag) <= pair_tol
+        in_b = np.abs(b.imag) <= pair_tol
+        seen = set()
+        scale = 1.0 + np.max(np.abs(b))
+        for i in range(t):
+            if i in seen or in_a[i] == in_b[i]:
+                continue
+            side = b if not in_b[i] else a
+            partners = [
+                j
+                for j in range(t)
+                if j != i and j not in seen and in_a[j] != in_b[j] and in_a[j] == in_a[i]
+            ]
+            if not partners:
+                continue
+            j = min(partners, key=lambda j: abs(side[i] - np.conj(side[j])))
+            if abs(side[i] - np.conj(side[j])) > 1e-6 * scale:
+                continue
+            kind = "RealToComplex" if in_a[i] else "ComplexToReal"
+            events.append(BranchEvent(float(cs[k]), float(cs[k + 1]), (min(i, j), max(i, j)), kind))
+            seen.update((i, j))
+        contact_tol = 1e-8 * scale
+        for i in range(t):
+            for j in range(i + 1, t):
+                if (i, j) in seen or i in seen or j in seen:
+                    continue
+                if in_a[i] and in_a[j] and in_b[i] and in_b[j]:
+                    da = a[i].real - a[j].real
+                    db = b[i].real - b[j].real
+                    exchanged = da * db < 0
+                    entering_contact = abs(db) <= contact_tol < abs(da)
+                    if exchanged or entering_contact:
+                        events.append(
+                            BranchEvent(float(cs[k]), float(cs[k + 1]), (i, j), "Crossing")
+                        )
+    return events
+
+
+def random_interval(rng):
+    """End values of one interval, in blocks at least 3 apart.
+
+    Only a "pair" block holds two branches that flip the same way close to
+    conjugate, so every flipping branch has at most one close partner; a
+    "triple" block gives one branch two exact partners, a tie both rules
+    break by the lower index.
+    """
+    a, b = [], []
+    x = 0.0
+    for _ in range(int(rng.integers(1, 5))):
+        x += float(rng.integers(3, 6))
+        kind = rng.choice(["pair", "triple", "lone", "real", "swap", "complex"])
+        y = float(rng.choice([1.0, 0.5, -0.5]))
+        if kind == "pair":  # two real branches and a conjugate pair, either way
+            noise = float(rng.choice([0.0, 1e-9, 1e-3]))
+            real, cplx = [x - 0.1, x + 0.1], [x + 1j * y, x - 1j * y + noise]
+        elif kind == "triple":
+            real, cplx = [x - 0.1, x, x + 0.1], [x + 1j * y, x - 1j * y, x - 1j * y]
+        elif kind == "lone":  # the partner of a flipping branch is not tracked
+            real, cplx = [x], [x + 1j * y]
+        elif kind == "real":  # two real branches, exchanging order or meeting
+            da, db = rng.choice([-0.2, 0.0, 0.2]), rng.choice([-0.2, 0.0, 0.2, 1e-12])
+            a += [x, x + da]
+            b += [x + 0.01, x + 0.01 + db]
+            continue
+        elif kind == "swap":  # close, but one turns complex as the other turns real
+            a += [x, x + 1e-7j]
+            b += [x + 1e-7j, x]
+            continue
+        else:
+            real, cplx = [x + 1j * y], [x + 1j * y + 0.01]
+        if rng.random() < 0.5:
+            real, cplx = cplx, real
+        a += real
+        b += cplx
+    perm = rng.permutation(len(a))
+    return np.array(a, dtype=complex)[perm], np.array(b, dtype=complex)[perm]
+
+
+def test_interval_events_match_the_pairing_loop():
+    rng = np.random.default_rng(14)
+    kinds = dict.fromkeys(["RealToComplex", "ComplexToReal", "Crossing"], 0)
+    for _ in range(2000):
+        a, b = random_interval(rng)
+        got = _interval_events(0.0, 1.0, a, b, 1e-8)
+        assert got == reference_collect_events(np.array([0.0, 1.0]), np.stack([a, b], axis=1), 1e-8)
+        for e in got:
+            kinds[e.kind] += 1
+    assert min(kinds.values()) > 100

@@ -294,7 +294,7 @@ class TestNogo:
         pair = AlphaPair(parse_profile("poly:1,0,0.5"), parse_profile("const:1"), l0=1, l1=2, e=0.0)
         sf = StructureFunctions(pair)
         rs = np.linspace(0.1, 1.0, 20000)
-        q, keep = sf.q_admissible(rs)
+        q, keep = sf.q(rs), np.isfinite(sf.rho(rs))
         kept = rs[keep]
         rows = np.array([[float(x) for x in ln.split(",")] for ln in read_lines(out)[1:-2]])
         assert rows.shape == (kept.size, 5)

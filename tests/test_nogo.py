@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +19,6 @@ from dynamolab.nogo import (
     degenerate_case_check,
     intertwining_defect,
     nogo_certificate,
-    sample_rho,
 )
 from dynamolab.operator import DynamoMatrix, sharp
 
@@ -296,12 +296,12 @@ class TestOdeResidual:
     def test_rho_positive_on_builtin_family(self):
         rs = np.linspace(*RHO_WINDOW, 512)
         for pair in builtin_pair_family():
-            rho = sample_rho(pair, rs)
+            rho = StructureFunctions(pair).rho(rs)
             assert not np.any(np.isnan(rho))  # q vanishes only at r = 0 for these pairs
             assert np.max(np.abs(rho)) > 0.0
 
     def test_partial_exclusion_agrees_across_entry_points(self, tmp_path):
-        rho = sample_rho(Q_ZERO_PAIR, np.linspace(*RHO_WINDOW, 10))
+        rho = StructureFunctions(Q_ZERO_PAIR).rho(np.linspace(*RHO_WINDOW, 10))
         assert np.flatnonzero(np.isnan(rho)).tolist() == [4]  # r = 0.5
         sup = float(np.nanmax(np.abs(rho)))
         assert sup == 405.56679199110215
@@ -316,10 +316,19 @@ class TestOdeResidual:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 9 + 2
         assert lines[-2:] == [f"min_abs_rho_inf={sup!r}", "excluded_samples=1"]
+        # b1, b1' and rho are NaN at the floored radius only, and the table's
+        # values on the kept radii
+        sf = StructureFunctions(Q_ZERO_PAIR)
+        rs = np.linspace(*RHO_WINDOW, 10)
+        kept, _, b1, _, rho_kept = sf.table(rs)
+        assert np.array_equal(kept, np.delete(rs, 4))
+        for got, want in ((sf.rho(rs), rho_kept), (sf.b1(rs), b1), (sf.b1prime(rs), sf.b1prime(kept))):
+            assert np.flatnonzero(np.isnan(got)).tolist() == [4]
+            assert np.array_equal(np.delete(got, 4), want)
 
     def test_rho_sup_rejects_proportional(self):
         with pytest.raises(DegenerateQError):
-            sample_rho(pair_of(ONE, ONE), np.linspace(*RHO_WINDOW, 512))
+            StructureFunctions(pair_of(ONE, ONE)).rho(np.linspace(*RHO_WINDOW, 512))
 
 
 class TestDegenerateCase:
@@ -412,6 +421,23 @@ class TestCertificate:
         nogo_certificate()
         assert len(checked) == len(set(checked)) == 6
 
+    def test_profile_evaluations(self, monkeypatch):
+        # each of the 32 rho calls (the 30 pairs, and the first pair at l1 and
+        # l1 + 1) evaluates every term of both profiles once: 64 of each; the
+        # rest are positivity, the proportional branch, the small-r fits and
+        # the two defect witnesses
+        calls = []
+        for name in ("__call__", "d1", "d2"):
+            method = getattr(AlphaProfile, name)
+
+            def counted(self, r, name=name, method=method):
+                calls.append(name)
+                return method(self, r)
+
+            monkeypatch.setattr(AlphaProfile, name, counted)
+        nogo_certificate()
+        assert Counter(calls) == {"__call__": 100, "d1": 69, "d2": 64}
+
     def test_min_rho_positive(self, report):
         assert report.min_rho_sup > 1e-6
 
@@ -468,7 +494,7 @@ class TestCertificate:
         assert np.allclose(sups, report.rho_sup)
         # the derived per-pair sup is the direct computation, bit for bit
         for i, pair in enumerate(builtin_pair_family()):
-            assert report.rho_sup[i] == np.nanmax(np.abs(sample_rho(pair, report.sample_radii)))
+            assert report.rho_sup[i] == np.nanmax(np.abs(StructureFunctions(pair).rho(report.sample_radii)))
 
     def test_m_evaluators_match_operator_blocks(self):
         # M carries the centrifugal, shift and coupling structure of the
