@@ -38,7 +38,7 @@ from .darboux import (
     product_invariant_check,
     verify_isospectral,
 )
-from .grid import RadialGrid, TridiagOp, build_grid, diffusion_alpha, inner_product, laplacian_l
+from .grid import RadialGrid, TridiagOp, build_grid, inner_product, laplacian_l
 from .mre import (
     MatrixODESolution,
     eigenfunction_equivalence,
@@ -109,7 +109,6 @@ __all__ = [
     "classify_pairs",
     "darboux_partner",
     "degenerate_case_check",
-    "diffusion_alpha",
     "dynamo_family",
     "eigen",
     "eigenfunction_equivalence",

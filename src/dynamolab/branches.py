@@ -30,8 +30,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BracketError, ConfigurationError, TrackingError
-from .grid import build_grid, laplacian_l
-from .operator import DynamoMatrix, assemble_samples
+from .grid import build_grid
+from .operator import DynamoMatrix, scaled_family
 from .profiles import AlphaProfile
 from .spectral import Spectrum, eigen
 
@@ -42,22 +42,12 @@ MOVE_GAP_RATIO = 0.25
 
 
 def dynamo_family(base: AlphaProfile, l: int, n: int) -> MatrixFamily:
-    """Matrix family C -> dynamo operator for the scaled profile C * alpha*.
+    """Matrix family C -> dynamo operator for the scaled profile C * alpha*, on the n-node grid.
 
-    lap_l and alpha*'s samples are formed once and each C scales the samples,
-    so family(C) equals ``assemble(grid, base.scaled(C), l)`` entry for entry.
+    ``operator.scaled_family`` samples alpha* once, so family(C) equals
+    ``assemble(grid, base.scaled(C), l)`` entry for entry.
     """
-    grid = build_grid(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by assemble_samples
-        lap = laplacian_l(grid, l)
-    a_half = np.asarray(base(grid.half_nodes), dtype=float)
-    a_nodes = np.asarray(base(grid.nodes), dtype=float)
-
-    def family(c: float) -> DynamoMatrix:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return assemble_samples(grid, lap, float(c) * a_half, float(c) * a_nodes, l)
-
-    return family
+    return scaled_family(build_grid(n), base, l)
 
 
 @dataclass(frozen=True)
@@ -124,6 +114,8 @@ def _transition_pairs(prev: np.ndarray, matched: np.ndarray, pair_tol: float) ->
     """Symmetric mask of the branch pairs that switch between two-real and conjugate-pair states."""
     in_band_b = np.abs(matched.imag) <= pair_tol
     flips = (np.abs(prev.imag) <= pair_tol) != in_band_b
+    if not flips.any():
+        return np.zeros((prev.shape[0],) * 2, dtype=bool)
     # partners on branch i's complex side; hypot rounds like abs(), np.abs of an array may not
     side = np.where(in_band_b[:, None], prev[:, None] - np.conj(prev), matched[:, None] - np.conj(matched))
     close = np.hypot(side.real, side.imag) <= 1e-6 * (1.0 + np.max(np.abs(matched)))

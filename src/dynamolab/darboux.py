@@ -25,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
-from .grid import RadialGrid, TridiagOp
+from .grid import RadialGrid, TridiagOp, flux_form
 from .mre import rk4_linear
 
 
@@ -60,12 +60,7 @@ class GivenSeed:
 
 def schrodinger_tridiag(grid: RadialGrid, v: Potential1D) -> TridiagOp:
     """Second-order discretization of -d^2/dx^2 + V with Dirichlet ends."""
-    h2 = grid.h**2
-    diag = 2.0 / h2 + v.sample(grid)
-    off = np.full(grid.n - 1, -1.0 / h2)
-    diag.setflags(write=False)
-    off.setflags(write=False)
-    return TridiagOp(diag=diag, off=off)
+    return flux_form(grid, np.ones(grid.n + 1), v.sample(grid))
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,19 @@ these coordinates the weighted measure r^2 dr of the physical problem becomes
 the flat measure dr, both boundary conditions become homogeneous Dirichlet
 conditions u(0) = u(1) = 0, and the two second-order building blocks are
 
-    lap_l  u = u'' - l(l+1)/r^2 u                  (signed Laplacian, negative definite)
-    diff_a u = -(alpha(r) u')' + alpha(r) l(l+1)/r^2 u   (positive definite for alpha > 0)
+    lap_l   u = u'' - l(l+1)/r^2 u                        (signed Laplacian, negative definite)
+    Q_alpha u = -(alpha(r) u')' + alpha(r) l(l+1)/r^2 u   (positive definite for alpha > 0)
 
-Both are discretized with second-order central differences on the interior
-nodes r_j = j*h, h = 1/(n+1).  Sampling alpha at half nodes makes diff_a an
-exactly symmetric matrix, which is what keeps the assembled dynamo operator
-exactly J-symmetric at machine precision.
+Both come from one flux-form stencil, ``flux_form``: second-order central
+differences on the interior nodes r_j = j*h, h = 1/(n+1), with the flux
+coefficient at the half nodes.  That makes Q_alpha an exactly symmetric
+matrix, which is what keeps the assembled dynamo operator exactly J-symmetric
+at machine precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -101,6 +101,19 @@ class TridiagOp:
         return TridiagOp(diag=_freeze(-self.diag), off=_freeze(-self.off))
 
 
+def flux_form(grid: RadialGrid, a_half: np.ndarray, w: np.ndarray) -> TridiagOp:
+    """Flux-form discretization of -(a u')' + w u with Dirichlet ends.
+
+    a is sampled at the n+1 half nodes and w at the n nodes; the result is
+    exactly symmetric, and a identically 1 gives the three-point stencil of
+    -u'' + w u.
+    """
+    h2 = grid.h ** 2
+    diag = _freeze((a_half[:-1] + a_half[1:]) / h2 + w)
+    off = _freeze(-a_half[1:-1] / h2)
+    return TridiagOp(diag=diag, off=off)
+
+
 def laplacian_l(grid: RadialGrid, l: int) -> TridiagOp:
     """Second-order discretization of u'' - l(l+1)/r^2 u with Dirichlet ends.
 
@@ -110,33 +123,7 @@ def laplacian_l(grid: RadialGrid, l: int) -> TridiagOp:
     """
     if l < 1:
         raise DomainError(f"angular mode number must satisfy l >= 1, got l={l}")
-    h2 = grid.h ** 2
-    centrifugal = l * (l + 1) / grid.nodes ** 2
-    diag = _freeze(-(2.0 / h2) - centrifugal)
-    off = _freeze(np.full(grid.n - 1, 1.0 / h2))
-    return TridiagOp(diag=diag, off=off)
-
-
-def diffusion_alpha(grid: RadialGrid, alpha: Callable[[np.ndarray], np.ndarray], l: int) -> TridiagOp:
-    """Flux-form discretization of -(alpha u')' + alpha l(l+1)/r^2 u.
-
-    alpha is sampled at half nodes for the flux term and at the nodes for the
-    centrifugal term; the result is exactly symmetric and reduces entrywise to
-    -laplacian_l for alpha identically 1.
-    """
-    if l < 1:
-        raise DomainError(f"angular mode number must satisfy l >= 1, got l={l}")
-    a_half = np.asarray(alpha(grid.half_nodes), dtype=float)
-    return diffusion_from_samples(grid, a_half, np.asarray(alpha(grid.nodes), dtype=float), l)
-
-
-def diffusion_from_samples(grid: RadialGrid, a_half: np.ndarray, a_node: np.ndarray, l: int) -> TridiagOp:
-    """``diffusion_alpha`` from alpha's samples at the half nodes and at the nodes."""
-    h2 = grid.h ** 2
-    centrifugal = l * (l + 1) / grid.nodes ** 2
-    diag = _freeze((a_half[:-1] + a_half[1:]) / h2 + a_node * centrifugal)
-    off = _freeze(-a_half[1:-1] / h2)
-    return TridiagOp(diag=diag, off=off)
+    return -flux_form(grid, np.ones(grid.n + 1), l * (l + 1) / grid.nodes ** 2)
 
 
 def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex:

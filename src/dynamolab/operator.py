@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
 from .errors import DegeneratePencilError, DomainError, ShapeError, SolverError
-from .grid import RadialGrid, TridiagOp, _freeze, diffusion_from_samples, inner_product, laplacian_l
+from .grid import RadialGrid, TridiagOp, _freeze, flux_form, inner_product, laplacian_l
 
 
 def sharp(c: np.ndarray) -> np.ndarray:
@@ -204,28 +204,34 @@ class DynamoMatrix:
         return solve
 
 
-def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
-    """Assemble the 2n x 2n dynamo operator; alpha may be any bounded real profile.
+def scaled_family(grid: RadialGrid, alpha, l: int) -> Callable[[float], DynamoMatrix]:
+    """C -> the dynamo operator of the scaled profile C * alpha; alpha may be any bounded real profile.
 
-    Raises DomainError when an entry of H is not finite, so no solver sees one.
+    lap_l, l(l+1)/r^2 and alpha's samples at the half nodes and the nodes are
+    formed once, and each C scales the samples.  Each H(C) raises DomainError
+    when one of its entries is not finite, so no solver sees one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by assemble_samples
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the finiteness check
         lap = laplacian_l(grid, l)
+        centrifugal = l * (l + 1) / grid.nodes ** 2
         a_half = np.asarray(alpha(grid.half_nodes), dtype=float)
-        a_nodes = np.array(alpha(grid.nodes), dtype=float)
-    return assemble_samples(grid, lap, a_half, a_nodes, l)
+        a_nodes = np.asarray(alpha(grid.nodes), dtype=float)
+
+    def family(c: float) -> DynamoMatrix:
+        c = float(c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_nodes = _freeze(c * a_nodes)
+            q_a = flux_form(grid, c * a_half, c_nodes * centrifugal)
+        if not np.isfinite(np.concatenate([lap.diag, lap.off, q_a.diag, q_a.off, c_nodes])).all():
+            raise DomainError(f"operator entries overflow or are not finite (l={l}, n={grid.n})")
+        return DynamoMatrix(grid=grid, lap=lap, q_alpha=q_a, alpha_nodes=c_nodes)
+
+    return family
 
 
-def assemble_samples(
-    grid: RadialGrid, lap: TridiagOp, a_half: np.ndarray, a_nodes: np.ndarray, l: int
-) -> DynamoMatrix:
-    """``assemble`` from lap_l and alpha's samples at the half nodes and the nodes (frozen here)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        q_a = diffusion_from_samples(grid, a_half, a_nodes, l)
-    a_nodes.setflags(write=False)
-    if not np.isfinite(np.concatenate([lap.diag, lap.off, q_a.diag, q_a.off, a_nodes])).all():
-        raise DomainError(f"operator entries overflow or are not finite (l={l}, n={grid.n})")
-    return DynamoMatrix(grid=grid, lap=lap, q_alpha=q_a, alpha_nodes=a_nodes)
+def assemble(grid: RadialGrid, alpha, l: int) -> DynamoMatrix:
+    """Assemble the 2n x 2n dynamo operator: ``scaled_family`` at C = 1, which scales each sample exactly."""
+    return scaled_family(grid, alpha, l)(1.0)
 
 
 def pseudo_hermiticity_residual(m: DynamoMatrix | np.ndarray) -> float:

@@ -365,27 +365,21 @@ def classify_pairs(spec: Spectrum, pair_tol: float) -> Spectrum:
     if not 0.0 < pair_tol < np.inf:
         raise ClassificationError(f"pair_tol must be finite and positive, got {pair_tol}")
     vals = spec.eigenvalues
-    n = vals.shape[0]
-    tags = np.full(n, REAL_TAG, dtype=int)
-    unmatched = [i for i in range(n) if abs(vals[i].imag) > pair_tol]
-    open_set = set(unmatched)
-    for i in unmatched:
-        if i not in open_set:
+    tags = np.full(vals.shape[0], REAL_TAG, dtype=int)
+    is_open = np.abs(vals.imag) > pair_tol
+    for i in np.flatnonzero(is_open).tolist():
+        if not is_open[i]:
             continue
-        open_set.discard(i)
-        best = None
-        best_d = np.inf
-        for j in sorted(open_set):
-            d = abs(vals[i] - np.conj(vals[j]))
-            if d < best_d - 0.0:
-                best_d = d
-                best = j
-        if best is None or best_d > pair_tol:
+        is_open[i] = False
+        diff = vals[i] - np.conj(vals)
+        d = np.where(is_open, np.hypot(diff.real, diff.imag), np.inf)  # hypot rounds like abs()
+        best = int(np.argmin(d))  # the first minimum: ties go to the smallest index
+        if not d[best] <= pair_tol:
             raise ClassificationError(
                 f"unpaired complex eigenvalue {vals[i]!r} "
-                f"(nearest conjugate distance {best_d:.3e}, pair_tol {pair_tol:.3e})"
+                f"(nearest conjugate distance {d[best]:.3e}, pair_tol {pair_tol:.3e})"
             )
-        open_set.discard(best)
+        is_open[best] = False
         tags[i] = best
         tags[best] = i
     return replace(spec, pair_index=tags, pair_tol=pair_tol)

@@ -173,6 +173,8 @@ class TestSweepSynthetic:
             SweepConfig(base=ONE, c_min=1.0, c_max=0.0, steps=5)
         with pytest.raises(ConfigurationError):
             SweepConfig(base=ONE, c_min=0.0, c_max=1.0, steps=1)
+        with pytest.raises(ConfigurationError, match="track_count"):
+            SweepConfig(base=ONE, c_min=0.0, c_max=1.0, steps=5, track_count=0)
 
 
 class TestLocateEP:
@@ -194,6 +196,13 @@ class TestLocateEP:
     def test_no_transition_raises(self):
         with pytest.raises(BracketError):
             locate_ep(synthetic_ep_family, (0.1, 0.5), 1e-6)
+
+    def test_bad_bracket_or_tolerance_rejected(self):
+        with pytest.raises(BracketError, match="increasing"):
+            locate_ep(synthetic_ep_family, (1.5, 0.5), 1e-6)
+        for tol_c in (0.0, -1e-6):
+            with pytest.raises(BracketError, match="tol_c"):
+                locate_ep(synthetic_ep_family, (0.5, 1.5), tol_c)
 
     def test_closest_pair_among_three_eigenvalues(self):
         # a third eigenvalue at 5 leads the spectrum: the colliding pair is the

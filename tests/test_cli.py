@@ -492,6 +492,20 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["sweep", "--alpha", "const:1", "--scale", "0,1"], "expected MIN,MAX,STEPS"),
+            (["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--window", "0.1,0.5,1"], "expected LO,HI"),
+        ],
+        ids=["scale", "window"],
+    )
+    def test_malformed_number_list(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nogo_full_window_accepted(self, tmp_path):
         out = tmp_path / "x.csv"
         argv = ["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--samples", "5"]

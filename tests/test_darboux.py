@@ -135,6 +135,8 @@ class TestIsospectral:
     def test_level_cap(self, box_pair):
         with pytest.raises(ConfigurationError):
             verify_isospectral(box_pair, levels=21, tol=1e-3)
+        with pytest.raises(ConfigurationError, match="at least one level"):
+            verify_isospectral(box_pair, levels=0, tol=1e-3)
 
 
 class TestFactorization:

@@ -10,10 +10,11 @@ from dynamolab import (
     ShapeError,
     assemble,
     build_grid,
-    diffusion_alpha,
     inner_product,
     laplacian_l,
 )
+from dynamolab.darboux import Potential1D, schrodinger_tridiag
+from dynamolab.grid import flux_form
 from oracles import K_L1
 
 
@@ -98,36 +99,36 @@ class TestDiffusionAlpha:
     def test_alpha_one_equals_minus_laplacian_exactly(self):
         g = build_grid(41)
         lap = laplacian_l(g, 2)
-        q1 = diffusion_alpha(g, lambda r: np.ones_like(r), 2)
+        q1 = assemble(g, lambda r: np.ones_like(r), 2).q_alpha
         assert np.array_equal(q1.diag, (-lap).diag)
         assert np.array_equal(q1.off, (-lap).off)
 
     def test_alpha_two_exact_scaling(self):
         g = build_grid(41)
         q1 = -laplacian_l(g, 1)
-        q2 = diffusion_alpha(g, lambda r: np.full_like(r, 2.0), 1)
+        q2 = assemble(g, lambda r: np.full_like(r, 2.0), 1).q_alpha
         assert np.array_equal(q2.diag, 2.0 * q1.diag)
         assert np.array_equal(q2.off, 2.0 * q1.off)
 
     def test_constant_scaling_any_c(self):
         g = build_grid(30)
-        q1 = diffusion_alpha(g, lambda r: np.ones_like(r), 1)
+        q1 = assemble(g, lambda r: np.ones_like(r), 1).q_alpha
         c = 0.731
-        qc = diffusion_alpha(g, lambda r: np.full_like(r, c), 1)
+        qc = assemble(g, lambda r: np.full_like(r, c), 1).q_alpha
         assert np.allclose(qc.diag, c * q1.diag, rtol=1e-14)
         assert np.allclose(qc.off, c * q1.off, rtol=1e-14)
 
     def test_positive_definite_for_positive_alpha(self):
-        op = diffusion_alpha(build_grid(500), lambda r: 1.0 + r**2, 1)
+        op = assemble(build_grid(500), lambda r: 1.0 + r**2, 1).q_alpha
         assert smallest_eig(op) > 0
 
     def test_l0_rejected(self):
         with pytest.raises(DomainError):
-            diffusion_alpha(build_grid(20), lambda r: np.ones_like(r), 0)
+            assemble(build_grid(20), lambda r: np.ones_like(r), 0).q_alpha
 
     def test_discrete_green_identity(self):
         g = build_grid(200)
-        q = diffusion_alpha(g, lambda r: 1.0 + 0.5 * np.sin(3 * r), 2)
+        q = assemble(g, lambda r: 1.0 + 0.5 * np.sin(3 * r), 2).q_alpha
         rng = np.random.default_rng(7)
         for _ in range(5):
             u = rng.standard_normal(g.n)
@@ -135,6 +136,22 @@ class TestDiffusionAlpha:
             lhs = inner_product(g, q.matvec(u), v)
             rhs = inner_product(g, u, q.matvec(v))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+class TestFluxForm:
+    def test_exact_entries_and_the_schrodinger_stencil(self):
+        g = build_grid(9)
+        h2 = g.h**2
+        a_half = 1.0 + g.half_nodes**2
+        w = np.sin(3.0 * g.nodes)
+        op = flux_form(g, a_half, w)
+        assert op.diag.tolist() == [(a_half[j] + a_half[j + 1]) / h2 + w[j] for j in range(9)]
+        assert op.off.tolist() == [-a_half[j + 1] / h2 for j in range(8)]
+        assert not op.diag.flags.writeable and not op.off.flags.writeable
+        v = Potential1D(v=lambda x: 5.0 * x - 7.0 * x**3)
+        schr = schrodinger_tridiag(g, v)
+        assert schr.diag.tolist() == [2.0 / h2 + v(x) for x in g.nodes.tolist()]
+        assert schr.off.tolist() == [-1.0 / h2] * 8
 
 
 class TestInnerProduct:

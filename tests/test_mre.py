@@ -151,6 +151,14 @@ class TestLinearSolve:
         with pytest.raises(ConfigurationError):
             mre_linear_solve("U", PAIR, 1e-3, 1.0, init="series")
 
+    def test_unknown_system_or_init(self):
+        with pytest.raises(ConfigurationError, match="unknown system"):
+            mre_linear_solve("X", PAIR, 0.1, 1.0, init=GENERIC_INIT)
+        with pytest.raises(ConfigurationError, match="unknown init"):
+            mre_linear_solve("B", PAIR, 0.1, 1.0, init="taylor")
+        with pytest.raises(ConfigurationError, match="2x2"):
+            mre_linear_solve("U", PAIR, 0.1, 1.0, init=(np.eye(3), np.eye(3)))
+
     def test_nonpositive_step(self):
         for step in (0.0, -1e-3):
             with pytest.raises(ConfigurationError):

@@ -359,6 +359,8 @@ class TestAsymptotics:
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(DomainError):
             asymptotic_l_increment(1, c1=0.0)
+        with pytest.raises(DomainError, match="l0"):
+            asymptotic_l_increment(0)
 
     def test_fitted_values_match_prediction(self):
         # mismatch coefficient is l1(l1-1) - l0(l0+1) = -2, 0, +4 for l0 = 1

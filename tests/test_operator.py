@@ -299,6 +299,15 @@ class TestPencil:
         alpha = AlphaProfile.polynomial([-0.5, 1.0])  # vanishes at r = 0.5
         with pytest.raises(DomainError):
             pencil_coefficients(assemble(g, alpha, 1), np.ones(g.n))
+        with pytest.raises(DomainError, match="psi2"):
+            pencil_psi2(assemble(g, alpha, 1), np.ones(g.n), 1.0)
+
+    def test_psi1_must_fit_and_be_nonzero(self):
+        m = assemble(build_grid(9), ONE, 1)
+        with pytest.raises(ShapeError, match="length 9"):
+            pencil_coefficients(m, np.ones(8))
+        with pytest.raises(DomainError, match="nonzero"):
+            pencil_coefficients(m, np.zeros(9))
 
     def test_psi2_reconstruction_constant_alpha(self):
         g = build_grid(300)

@@ -323,6 +323,8 @@ class TestLeadingEigen:
         m, _ = dense_cases("poly:1,0,0.5", 1, 60)
         with pytest.raises(ShapeError, match="leading"):
             eigen(m, leading=0)
+        with pytest.raises(ShapeError, match="near"):
+            eigen(m, near=[])
 
 
 class TestBandFactorization:
@@ -441,6 +443,13 @@ class TestJordanProbe:
         assert probe.chain_residual <= 1e-12
         # chain vector is a genuine associated vector: (M-0) chi == psi
         assert np.linalg.norm(m @ probe.chain_vector - psi) <= 1e-12
+
+    def test_psi_must_fit_and_be_nonzero(self):
+        m = np.diag([1.0, 2.0])
+        with pytest.raises(ShapeError, match="length 2"):
+            jordan_probe(m, 1.0, np.ones(3))
+        with pytest.raises(ShapeError, match="nonzero"):
+            jordan_probe(m, 1.0, np.zeros(2))
 
     def test_diagonalizable_no_chain(self):
         m = np.diag([1.0, 2.0])
