@@ -31,7 +31,7 @@ from .mre import mre_linear_solve, riccati_residual
 from .nogo import AlphaPair, StructureFunctions, nogo_certificate
 from .operator import assemble, pencil_coefficients, pencil_psi2
 from .profiles import parse_profile
-from .spectral import classify_pairs, eigen, eigenvectors
+from .spectral import classify_pairs, eigen
 
 
 def _fmt(x) -> str:
@@ -137,16 +137,16 @@ def _cmd_pencil_check(args) -> int:
     m = assemble(grid, alpha, args.l)
     if not m.alpha_nodes.all():  # before any eigensolve: the pencil divides by alpha
         raise DomainError("alpha vanishes on a grid node; the quadratic pencil needs alpha != 0")
-    vals = eigen(m, leading=args.modes).eigenvalues
+    spec = eigen(m, leading=args.modes, want_vectors=True)
     lines = ["index,re_lambda,im_lambda,a0,a1,a2,discriminant,pencil_residual,psi2_residual"]
     start = 0
     while len(lines) <= args.modes and start < m.size:
-        # vectors of the next eigenvalues only; a skipped one asks for more
+        # the next eigenpairs; a skipped one asks for more
         stop = start + args.modes + 1 - len(lines)
-        if vals.size < min(stop, m.size):  # a leading solve that holds too few
-            vals = eigen(m, leading=stop).eigenvalues
-        for idx, vec in zip(range(start, stop), eigenvectors(m, vals[start:stop]).T):
-            lam = vals[idx]
+        if spec.size < min(stop, m.size):  # a leading solve that holds too few
+            spec = eigen(m, leading=stop, want_vectors=True)
+        for idx in range(start, min(stop, spec.size)):
+            lam, vec = spec.eigenvalues[idx], spec.eigenvectors[:, idx]
             psi1 = vec[: grid.n]
             if np.linalg.norm(psi1) <= 1e-8:
                 continue

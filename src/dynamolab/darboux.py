@@ -219,8 +219,8 @@ def verify_isospectral(pair: DarbouxPair, levels: int, tol: float) -> Isospectra
 
     h0 = schrodinger_tridiag(pair.grid, pair.v0)
     h1 = schrodinger_tridiag(pair.grid, pair.v1)
-    e0 = eigh_tridiagonal(h0.diag, h0.off, select="i", select_range=(0, levels))[0]
-    e1 = eigh_tridiagonal(h1.diag, h1.off, select="i", select_range=(0, levels - 1))[0]
+    e0 = eigh_tridiagonal(h0.diag, h0.off, eigvals_only=True, select="i", select_range=(0, levels))
+    e1 = eigh_tridiagonal(h1.diag, h1.off, eigvals_only=True, select="i", select_range=(0, levels - 1))
     rows = []
     for m in range(levels):
         rel = abs(e1[m] - e0[m + 1]) / abs(e0[m + 1])

@@ -4,7 +4,8 @@ The assembled dynamo matrix is real, so its spectrum is closed under complex
 conjugation; J-symmetry sharpens that statement to "real or conjugate pairs".
 This module computes spectra with LAPACK's dense nonsymmetric solver dgeev,
 through numpy, and eigenvectors by inverse iteration at those eigenvalues
-through the O(n) block-LU solve of the operator.  It classifies each
+through the O(n) block-LU solve of the operator, or, for a certified leading
+solve, as ARPACK's Ritz vectors (below).  It classifies each
 eigenvalue as real or as one partner of a conjugate pair, and provides a
 diagnostic probe for Jordan-Keldysh chains (eigenvector plus associated
 vector) near two-fold degeneracies.
@@ -28,6 +29,9 @@ passes ``leading=k``.  ARPACK then returns the eigenvalues nearest 0, and the
 result is accepted only when an argument-principle count of the eigenvalues
 right of a line Re z = s, read from the pivots of the O(n) block LU of
 H - (s + iy), equals the number returned there; otherwise the solve is dense.
+With vectors asked for as well, the same ARPACK call returns them, each
+checked against the residual contract; a dense fallback computes them by
+inverse iteration for the leading values only.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ class Spectrum:
     """Eigenvalues sorted by (Re desc, Im desc), optional eigenvectors, pair tags.
 
     eigenvectors, when asked for, is a complex array with one unit column per
-    eigenvalue, from ``eigenvectors``; a conjugate pair has conjugate columns.
+    eigenvalue, from ``eigenvectors`` or, for a certified leading solve,
+    ARPACK's Ritz vectors; a conjugate pair has conjugate columns.
     pair_index[i] is REAL_TAG (-1) for a real eigenvalue and the index of the
     conjugate partner otherwise; None until classify_pairs has run.  disk and
     right_of are None for a full spectrum.  For a local one disk is
@@ -129,18 +134,18 @@ def _start_vector(size: int) -> np.ndarray:
 
 
 def _shift_invert(m: DynamoMatrix, sigma: float):
-    """ARPACK in shift-invert mode at a real shift: returns ``nearest(k)``, or None.
+    """ARPACK in shift-invert mode at a real shift: returns ``nearest(k, vectors=False)``, or None.
 
-    ``nearest(k)`` gives the k eigenvalues of largest |1/(lambda - sigma)|, or
-    None when ARPACK fails.  H - sigma is factored once for every k, by
-    LAPACK's band LU (dgbtrf) of ``DynamoMatrix.band``, and each of ARPACK's
-    solves is one dgbtrs.  None when sigma is an eigenvalue to working
-    precision (an exactly zero pivot).
+    ``nearest(k)`` gives the k eigenvalues of largest |1/(lambda - sigma)|,
+    and ``nearest(k, vectors=True)`` gives them with their Ritz vectors as
+    (values, vectors); None when ARPACK fails.  H - sigma is factored once
+    for every k, by LAPACK's band LU (dgbtrf) of ``DynamoMatrix.band``, and
+    each of ARPACK's solves is one dgbtrs.  None when sigma is an eigenvalue
+    to working precision (an exactly zero pivot).
 
     ARPACK runs in the band's node-by-node numbering, (u1_i, u2_i), not in
-    H's block numbering.  The eigenvalues do not depend on the numbering and
-    no caller reads ARPACK's vectors; a caller that asks for vectors must map
-    them back to the block numbering.
+    H's block numbering.  The eigenvalues do not depend on the numbering; the
+    Ritz vectors do, and ``_ritz_vectors`` maps them back.
     """
     from scipy.linalg.lapack import dgbtrf, dgbtrs
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
@@ -152,22 +157,23 @@ def _shift_invert(m: DynamoMatrix, sigma: float):
     v0 = _start_vector(m.size)
     inverse = LinearOperator((m.size,) * 2, matvec=lambda b: dgbtrs(lu, kl, ku, b, piv)[0], dtype=float)
 
-    def nearest(k: int) -> Optional[np.ndarray]:
+    def nearest(k: int, vectors: bool = False):
         try:
             # with OPinv given, eigs uses only the shape and dtype of its first argument
-            return eigs(inverse, k, sigma=sigma, OPinv=inverse, v0=v0, return_eigenvectors=False)
+            return eigs(inverse, k, sigma=sigma, OPinv=inverse, v0=v0, return_eigenvectors=vectors)
         except ArpackError:  # ArpackNoConvergence included
             return None
 
     return nearest
 
 
-def _sorted(vals: np.ndarray) -> np.ndarray:
-    """Complex eigenvalues sorted by (Re desc, Im desc), read-only."""
+def _sorted(vals: np.ndarray, vecs: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Complex eigenvalues sorted by (Re desc, Im desc), read-only, and the columns of ``vecs`` in their order."""
     vals = vals.astype(complex, copy=False)  # numpy gives a real array when every eigenvalue is real
-    vals = vals[np.lexsort((-vals.imag, -vals.real))]
+    order = np.lexsort((-vals.imag, -vals.real))
+    vals = vals[order]
     vals.setflags(write=False)
-    return vals
+    return vals, None if vecs is None else vecs[:, order]
 
 
 def _local_eigen(m: DynamoMatrix, near: np.ndarray) -> Optional[Spectrum]:
@@ -191,7 +197,7 @@ def _local_eigen(m: DynamoMatrix, near: np.ndarray) -> Optional[Spectrum]:
             return None
         radius = float(np.max(np.abs(vals - sigma))) * (1.0 - _DISK_MARGIN)
         if radius > 2.0 * spread:
-            return Spectrum(_sorted(vals), None, None, None, disk=(sigma, radius))
+            return Spectrum(_sorted(vals)[0], None, None, None, disk=(sigma, radius))
         k *= 2
     return None
 
@@ -247,17 +253,34 @@ def _pivot_phases(m: DynamoMatrix, s: float, ys: np.ndarray) -> Optional[np.ndar
     return np.angle(dets)
 
 
-def _leading_eigen(m: DynamoMatrix, count: int) -> Optional[Spectrum]:
+def _leading_cut(vals: np.ndarray, count: int) -> Optional[Tuple[int, float]]:
+    """(j, s) for sorted eigenvalues: vals[:j] are those right of the line Re z = s.
+
+    s lies halfway between the real part of the count-th value and the next
+    smaller one, so j >= count.  None when count reaches the number of values
+    or no value lies left of the count-th.
+    """
+    if count >= vals.size:
+        return None
+    below = np.flatnonzero(vals.real < vals[count - 1].real)
+    if not below.size:
+        return None
+    j = int(below[0])
+    return j, 0.5 * (vals[j - 1].real + vals[j].real)
+
+
+def _leading_eigen(m: DynamoMatrix, count: int, want_vectors: bool) -> Optional[Spectrum]:
     """At least the ``count`` leading eigenvalues, certified by ``_count_right``, or None.
 
     Shift-invert ARPACK at sigma = 0 returns the k = count + 4 eigenvalues
-    nearest 0.  Sorted by real part, the line Re z = s halfway between the
-    last needed value and the next returned value with a smaller real part
+    nearest 0.  Sorted by real part, the line Re z = s of ``_leading_cut``
     certifies them when _count_right(s) equals the number of returned values
     right of s: then no eigenvalue right of s was missed.  On a mismatch k
     doubles once; None when that fails too, when ARPACK fails, when the
     operator is smaller than _LEADING_MIN_SIZE, and when 4k >= N, where the
-    2k + 1 Arnoldi vectors of the doubled k would not fit.
+    2k + 1 Arnoldi vectors of the doubled k would not fit.  With want_vectors
+    the same ARPACK call returns the Ritz vectors (``_ritz_vectors``); None
+    also when one of them misses the residual contract.
     """
     k = count + 4
     if m.size < _LEADING_MIN_SIZE or 4 * k >= m.size:
@@ -266,17 +289,35 @@ def _leading_eigen(m: DynamoMatrix, count: int) -> Optional[Spectrum]:
     if nearest is None:
         return None
     for k in (k, 2 * k):
-        vals = nearest(k)
-        if vals is None:
+        got = nearest(k, want_vectors)
+        if got is None:
             return None
-        vals = _sorted(vals)
-        below = np.flatnonzero(vals.real < vals[count - 1].real)
-        if below.size:
-            j = int(below[0])
-            s = 0.5 * (vals[j - 1].real + vals[j].real)
-            if _count_right(m, s) == j:
-                return Spectrum(vals[:j], None, None, None, right_of=s)
+        vals, vecs = _sorted(*got) if want_vectors else _sorted(got)
+        cut = _leading_cut(vals, count)
+        if cut is not None and _count_right(m, cut[1]) == cut[0]:
+            j, s = cut
+            if want_vectors:
+                vecs = _ritz_vectors(m, vals[:j], vecs[:, :j])
+                if vecs is None:
+                    return None
+            return Spectrum(vals[:j], vecs, None, None, right_of=s)
     return None
+
+
+def _ritz_vectors(m: DynamoMatrix, vals: np.ndarray, ritz: np.ndarray) -> Optional[np.ndarray]:
+    """ARPACK's Ritz vectors as unit columns in H's block numbering, or None when one misses the residual contract.
+
+    The band numbers the unknowns node by node, (u1_i, u2_i), so u1 sits in
+    the even rows and u2 in the odd ones.  scipy builds the -Im member of a
+    conjugate pair from the same two real ARPACK columns as the conjugate of
+    its partner's vector, so the convention of ``eigenvectors`` holds.
+    """
+    vecs = np.concatenate([ritz[0::2], ritz[1::2]])
+    vecs /= np.linalg.norm(vecs, axis=0)
+    if _residual_check(m, vals, vecs)[2].size:
+        return None
+    vecs.setflags(write=False)
+    return vecs
 
 
 def eigen(
@@ -294,31 +335,47 @@ def eigen(
     nearest the points, with ``disk`` set.  With ``leading`` instead it gets
     at least that many leading eigenvalues by shift-invert ARPACK, certified
     by an argument-principle count, with ``right_of`` set; small operators
-    and large requests stay dense.  Every other case, and a partial solve
-    that cannot finish or be certified, gives the full dense spectrum.  A raw
+    and large requests stay dense.  With ``leading`` and want_vectors every
+    returned eigenvalue has a vector: ARPACK's Ritz vector on that path, and
+    on the dense one the eigenvalues right of the same cut, with
+    ``right_of`` set, and ``eigenvectors`` of those only (every eigenvalue
+    when ``leading`` reaches N).  Every other case, and a partial solve that
+    cannot finish or be certified, gives the full dense spectrum.  A raw
     array with a non-finite entry raises DomainError.
     """
     if want_vectors and not isinstance(m, DynamoMatrix):
         raise ShapeError("eigenvectors need an assembled dynamo operator, not a raw array")
     if leading is not None and leading < 1:
         raise ShapeError(f"leading must be at least 1, got {leading}")
-    if not want_vectors and isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
-        partial = None
-        if near is not None:
+    partial = None
+    if isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
+        if near is not None and not want_vectors:
             near = np.asarray(near, dtype=complex).ravel()
             if near.size == 0:
                 raise ShapeError("near must hold at least one point")
             partial = _local_eigen(m, near)
-        elif leading is not None:
-            partial = _leading_eigen(m, leading)
-        if partial is not None:
-            return partial
+        elif near is None and leading is not None:
+            partial = _leading_eigen(m, leading, want_vectors)
+    if partial is not None:
+        return partial
     try:
-        vals = _sorted(np.linalg.eigvals(_as_matrix(m)))
+        vals = _sorted(np.linalg.eigvals(_as_matrix(m)))[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverError(f"dense eigensolver did not converge: {exc}") from exc
+    cut = _leading_cut(vals, leading) if want_vectors and near is None and leading is not None else None
+    right_of = None
+    if cut is not None:
+        j, right_of = cut
+        vals = vals[:j]
     vecs = eigenvectors(m, vals) if want_vectors else None
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None, right_of=right_of)
+
+
+def _residual_check(m: DynamoMatrix, vals: np.ndarray, vecs: np.ndarray) -> tuple:
+    """(residuals, bound, failing columns) of the contract ||H v - lambda v|| <= 1e-8 ||H|| for unit columns."""
+    resid = np.linalg.norm(m.matvec(vecs) - vecs * vals, axis=0)
+    bound = _RESIDUAL_BOUND * m.norm_inf()
+    return resid, bound, np.flatnonzero(~(resid <= bound))
 
 
 def eigenvectors(m: DynamoMatrix, eigenvalues) -> np.ndarray:
@@ -342,9 +399,7 @@ def eigenvectors(m: DynamoMatrix, eigenvalues) -> np.ndarray:
         x /= np.linalg.norm(x, axis=0)
     vecs = x[:, column]
     vecs[:, lower] = vecs[:, lower].conj()
-    resid = np.linalg.norm(m.matvec(vecs) - vecs * vals, axis=0)
-    bound = _RESIDUAL_BOUND * m.norm_inf()  # every column has unit norm
-    bad = np.flatnonzero(~(resid <= bound))
+    resid, bound, bad = _residual_check(m, vals, vecs)
     if bad.size:
         raise SolverError(
             f"eigenpair residual contract violated: ||Mv-lv||={resid[bad[0]]:.3e} "

@@ -174,6 +174,17 @@ class TestPencilCheckLeading:
         assert len(read_lines(tmp_path / "p.csv")) == 13
         assert "matrix" not in built[0].__dict__
 
+    def test_vectors_come_from_the_leading_solve(self, tmp_path, monkeypatch):
+        from dynamolab import DynamoMatrix
+
+        def refuse(*args):
+            raise AssertionError("no dense solve and no inverse iteration may run")
+
+        monkeypatch.setattr(DynamoMatrix, "shifted_solver", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
+        assert len(read_lines(tmp_path / "p.csv")) == 13
+
     def test_rows_match_the_dense_path(self, tmp_path, monkeypatch):
         assert main(self.README + ["--out", str(tmp_path / "leading.csv")]) == 0
         self.dense(monkeypatch)
@@ -192,8 +203,12 @@ class TestPencilCheckLeading:
         true_eigs = scipy.sparse.linalg.eigs
 
         def drop_leading(*args, **kwargs):  # an ARPACK that misses the leading eigenvalue
-            vals = true_eigs(*args, **kwargs)
-            return np.delete(vals, np.argmax(vals.real))
+            got = true_eigs(*args, **kwargs)
+            if not kwargs["return_eigenvectors"]:
+                return np.delete(got, np.argmax(got.real))
+            vals, vecs = got
+            drop = np.argmax(vals.real)
+            return np.delete(vals, drop), np.delete(vecs, drop, axis=1)
 
         with monkeypatch.context() as patch:
             patch.setattr(scipy.sparse.linalg, "eigs", drop_leading)
@@ -202,28 +217,43 @@ class TestPencilCheckLeading:
         assert main(self.README + ["--out", str(tmp_path / "dense.csv")]) == 0
         assert (tmp_path / "miss.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
+    def test_bad_ritz_vector_output_identical_to_dense(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg
+
+        true_eigs = scipy.sparse.linalg.eigs
+
+        def corrupt_one_column(*args, **kwargs):  # an ARPACK whose leading Ritz vector is wrong
+            vals, vecs = true_eigs(*args, **kwargs)
+            vecs = vecs.copy()
+            vecs[:, np.argmax(vals.real)] = np.random.default_rng(7).standard_normal(vecs.shape[0])
+            return vals, vecs
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.sparse.linalg, "eigs", corrupt_one_column)
+            assert main(self.README + ["--out", str(tmp_path / "bad.csv")]) == 0
+        self.dense(monkeypatch)
+        assert main(self.README + ["--out", str(tmp_path / "dense.csv")]) == 0
+        assert (tmp_path / "bad.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
     def test_skipped_row_widens_the_request(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
         import dynamolab.cli
 
-        true_vectors, requests = dynamolab.cli.eigenvectors, []
-        true_eigen = dynamolab.cli.eigen
-
-        def first_psi1_zero(m, vals):  # the first eigenvector looks decoupled, so its row is skipped
-            vecs = true_vectors(m, vals).copy()
-            if len(requests) == 1:
-                vecs[: m.n, 0] = 0.0
-            requests.append(len(vals))
-            return vecs
+        true_eigen, requests = dynamolab.cli.eigen, []
 
         def counted_eigen(m, **kwargs):
             spec = true_eigen(m, **kwargs)
             requests.append(("eigen", kwargs["leading"], spec.right_of is not None))
+            if len(requests) == 1:  # the first eigenvector looks decoupled, so its row is skipped
+                vecs = spec.eigenvectors.copy()
+                vecs[: m.n, 0] = 0.0
+                spec = replace(spec, eigenvectors=vecs)
             return spec
 
-        monkeypatch.setattr(dynamolab.cli, "eigenvectors", first_psi1_zero)
         monkeypatch.setattr(dynamolab.cli, "eigen", counted_eigen)
         assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
-        assert requests == [("eigen", 12, True), 12, ("eigen", 13, True), 1]
+        assert requests == [("eigen", 12, True), ("eigen", 13, True)]
         lines = read_lines(tmp_path / "p.csv")
         assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(1, 13)]
 

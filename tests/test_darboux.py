@@ -132,6 +132,19 @@ class TestIsospectral:
             assert rc.e0 == pytest.approx(r0.e0 + c, abs=1e-8)
             assert rc.e1 == pytest.approx(r0.e1 + c, abs=1e-7)
 
+    def test_levels_are_solved_without_eigenvectors(self, grid2000, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("eigvals_only", False))
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+        verify_isospectral(darboux_partner(BOX, grid2000), levels=5, tol=1e-3)
+        assert calls == [False, True, True]  # the seed keeps its vector; both level checks ask for values only
+
     def test_level_cap(self, box_pair):
         with pytest.raises(ConfigurationError):
             verify_isospectral(box_pair, levels=21, tol=1e-3)

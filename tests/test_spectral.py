@@ -327,6 +327,90 @@ class TestLeadingEigen:
             eigen(m, near=[])
 
 
+class TestLeadingEigenvectors:
+    """eigen(m, leading=k, want_vectors=True): one vector per returned value, from the same solve."""
+
+    # no conjugate pair, two of them among the leading values, and a larger operator
+    RITZ_CASES = [("poly:1,0,0.5", 1, 300), ("poly:10,-30", 1, 300), ("const:1", 1, 500)]
+
+    @staticmethod
+    def refuse_inverse_iteration(monkeypatch):
+        def refuse(self, shifts):
+            raise AssertionError("the Ritz path must not run inverse iteration")
+
+        monkeypatch.setattr(DynamoMatrix, "shifted_solver", refuse)
+
+    @pytest.mark.parametrize("alpha, l, n", RITZ_CASES)
+    def test_ritz_values_equal_the_values_only_solve(self, dense_cases, monkeypatch, alpha, l, n):
+        m, _ = dense_cases(alpha, l, n)
+        values_only = eigen(m, leading=12)
+        self.refuse_inverse_iteration(monkeypatch)
+        spec = eigen(m, leading=12, want_vectors=True)
+        assert np.array_equal(spec.eigenvalues, values_only.eigenvalues)
+        assert spec.right_of == values_only.right_of
+        assert spec.eigenvectors.shape == (m.size, spec.size)
+
+    @pytest.mark.parametrize("alpha, l, n", RITZ_CASES)
+    def test_ritz_vectors_are_unit_eigenvectors_in_block_numbering(self, dense_cases, monkeypatch, alpha, l, n):
+        m, _ = dense_cases(alpha, l, n)
+        self.refuse_inverse_iteration(monkeypatch)
+        spec = eigen(m, leading=12, want_vectors=True)
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-14)
+        resid = np.linalg.norm(m.matrix @ vecs - vecs * vals, axis=0)  # the dense matrix numbers by block
+        assert np.all(resid <= 1e-12 * m.norm_inf())
+        for i in np.flatnonzero(vals.imag < 0):
+            partner = np.flatnonzero(vals == vals[i].conjugate())
+            assert partner.size == 1 and np.array_equal(vecs[:, i], vecs[:, partner[0]].conj())
+        if alpha == "poly:10,-30":
+            assert np.sum(vals.imag < 0) == 1
+
+    def test_bad_ritz_column_falls_back_to_dense(self, dense_cases, monkeypatch):
+        import scipy.sparse.linalg
+
+        from dynamolab.spectral import eigenvectors
+
+        true_eigs = scipy.sparse.linalg.eigs
+
+        def corrupt_one_column(*args, **kwargs):  # an ARPACK whose leading Ritz vector is wrong
+            vals, vecs = true_eigs(*args, **kwargs)
+            vecs = vecs.copy()
+            vecs[:, np.argmax(vals.real)] = np.random.default_rng(7).standard_normal(vecs.shape[0])
+            return vals, vecs
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", corrupt_one_column)
+        m, vals = dense_cases("poly:1,0,0.5", 1, 300)
+        spec = eigen(m, leading=12, want_vectors=True)
+        assert np.array_equal(spec.eigenvalues, vals[: spec.size])
+        assert np.array_equal(spec.eigenvectors, eigenvectors(m, vals[: spec.size]))
+
+    # (alpha, n, count): a conjugate pair among the leading 14, and one cut across by count = 3
+    @pytest.mark.parametrize(
+        "alpha, n, count", [("poly:1,0,0.5", 60, 12), ("const:1", 60, 12), ("poly:10,-30", 80, 14), ("poly:10,-30", 40, 3)]
+    )
+    def test_dense_cut_sets_right_of(self, alpha, n, count):
+        from dynamolab.spectral import eigenvectors
+
+        m = assemble(build_grid(n), parse_profile(alpha), 1)
+        vals = eigen(m).eigenvalues
+        spec = eigen(m, leading=count, want_vectors=True)
+        j = spec.size
+        assert j >= count and spec.right_of is not None
+        assert np.sum(vals.real > spec.right_of) == j
+        assert np.array_equal(spec.eigenvalues, vals[:j])
+        assert np.array_equal(spec.eigenvectors, eigenvectors(m, vals[:j]))
+        if count == 3:
+            assert j == 4  # the pair at the cut is kept whole
+
+    def test_dense_cut_past_the_last_value_keeps_every_value(self):
+        m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
+        spec = eigen(m, leading=m.size, want_vectors=True)
+        full = eigen(m, want_vectors=True)
+        assert spec.right_of is None
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+
+
 class TestBandFactorization:
     """The shift-invert solves factor DynamoMatrix.band once with LAPACK's dgbtrf."""
 
