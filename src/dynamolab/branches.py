@@ -280,7 +280,7 @@ def locate_ep(
     c_lo, c_hi = (float(bracket[0]), float(bracket[1]))
     if not (c_lo < c_hi):
         raise BracketError(f"bracket must be increasing, got {bracket!r}")
-    if tol_c <= 0:
+    if not tol_c > 0:  # NaN included
         raise BracketError("tol_c must be positive")
 
     def nearest_pair(vals: np.ndarray) -> np.ndarray:

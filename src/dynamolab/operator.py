@@ -25,7 +25,7 @@ J-symmetric operator.
 H is kept as its blocks and nothing else: lap_l and Q_alpha as symmetric
 tridiagonal operators, diag(alpha) as node samples.  ``DynamoMatrix``
 derives H v, its infinity norm, the dense matrix, the band form and the
-block LU of H - z (its solve and its pivot determinants) from them, and the
+pivot determinants of the block LU of H - z from them, and the
 pencil functionals read the same blocks, so the layout of H is known here
 alone.
 """
@@ -143,65 +143,31 @@ class DynamoMatrix:
         lap = row_sums(self.lap)
         return float(max(np.max(lap + np.abs(self.alpha_nodes)), np.max(row_sums(self.q_alpha) + lap)))
 
-    def _block_lu(self, shifts) -> Iterator[tuple]:
-        """Block LU of H - z for each shift z, node by node: yields (multiplier, inverse pivot, determinant).
+    def _block_lu(self, shifts) -> Iterator[np.ndarray]:
+        """Block LU of H - z for each shift z, node by node: yields each pivot determinant.
 
         Numbered node by node as (u1_i, u2_i), H - z is block tridiagonal:
         diagonal blocks D_i = [[lap_i - z, alpha_i], [q_i, lap_i - z]] and both
         off-diagonal blocks E_i = [[lap.off_i, 0], [q.off_i, lap.off_i]].  The
         factorization runs over the nodes without pivoting, vectorized over the
-        shifts, in O(n) per shift.  Node i yields the multiplier E P_{i-1}
-        (None at node 0), the inverse pivot P_i = (D_i - E P_{i-1} E)^{-1},
-        each a 4-tuple of arrays over the shifts, and the determinant of
-        D_i - E P_{i-1} E; det(H - z) is the product of the determinants.  A
-        caller keeps what it needs.  A zero pivot gives non-finite entries
-        from there on.
+        shifts, in O(n) per shift.  Node i yields the determinant of the pivot
+        D_i - E P_{i-1} E, with P_i the inverse of that pivot, as an array over
+        the shifts; det(H - z) is the product of the determinants.  A zero
+        pivot gives non-finite entries from there on.
         """
         lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
         dz = self.lap.diag[:, None] - np.asarray(shifts, dtype=complex)[None, :]
-        mult = None
         for i, (d, a, q) in enumerate(zip(dz, self.alpha_nodes.tolist(), self.q_alpha.diag.tolist())):
             u00, u01, u10, u11 = d, a, q, d
             if i:  # D_i - (E P) E
                 l, g = lo[i - 1], qo[i - 1]
-                mult = m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
+                m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
                 u00, u01 = u00 - (l * m00 + g * m01), u01 - l * m01
                 u10, u11 = u10 - (l * m10 + g * m11), u11 - l * m11
             det = u00 * u11 - u01 * u10
             r = 1.0 / det
             p00, p01, p10, p11 = u11 * r, -u01 * r, -u10 * r, u00 * r
-            yield mult, (p00, p01, p10, p11), det
-
-    def shifted_solver(self, shifts):
-        """Factor H - z for each shift z; returns ``solve(b)``, with (H - z_k) x[:, k] = b[:, k].
-
-        The factorization is ``_block_lu``; each solve is one forward and one
-        backward sweep over the nodes.  b and x have shape (2n, len(shifts)).
-        """
-        n = self.n
-        width = np.size(shifts)
-        lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
-        mult, piv, _ = zip(*self._block_lu(shifts))
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            if b.shape != (2 * n, width):
-                raise ShapeError(f"right-hand sides must have shape {(2 * n, width)}, got {b.shape}")
-            y0, y1 = b[0], b[n]
-            ys = [(y0, y1)]
-            for (m00, m01, m10, m11), c0, c1 in zip(mult[1:], b[1:n], b[n + 1 :]):  # y_i = b_i - E P y_{i-1}
-                y0, y1 = c0 - (m00 * y0 + m01 * y1), c1 - (m10 * y0 + m11 * y1)
-                ys.append((y0, y1))
-            x = np.empty(b.shape, dtype=complex)
-            for i in range(n - 1, -1, -1):  # x_i = P_i (y_i - E x_{i+1})
-                y0, y1 = ys[i]
-                if i < n - 1:
-                    y0, y1 = y0 - lo[i] * x0, y1 - (qo[i] * x0 + lo[i] * x1)
-                p00, p01, p10, p11 = piv[i]
-                x[i] = x0 = p00 * y0 + p01 * y1
-                x[n + i] = x1 = p10 * y0 + p11 * y1
-            return x
-
-        return solve
+            yield det
 
 
 def scaled_family(grid: RadialGrid, alpha, l: int) -> Callable[[float], DynamoMatrix]:

@@ -3,10 +3,9 @@
 The assembled dynamo matrix is real, so its spectrum is closed under complex
 conjugation; J-symmetry sharpens that statement to "real or conjugate pairs".
 This module computes spectra with LAPACK's dense nonsymmetric solver dgeev,
-through numpy, and eigenvectors by inverse iteration at those eigenvalues
-through the O(n) block-LU solve of the operator, or, for a certified leading
-solve, as ARPACK's Ritz vectors (below).  It classifies each
-eigenvalue as real or as one partner of a conjugate pair, and provides a
+through numpy, with its eigenvectors when they are asked for, or, for a
+certified leading solve, with ARPACK's Ritz vectors (below).  It classifies
+each eigenvalue as real or as one partner of a conjugate pair, and provides a
 diagnostic probe for Jordan-Keldysh chains (eigenvector plus associated
 vector) near two-fold degeneracies.
 
@@ -30,8 +29,8 @@ result is accepted only when an argument-principle count of the eigenvalues
 right of a line Re z = s, read from the pivots of the O(n) block LU of
 H - (s + iy), equals the number returned there; otherwise the solve is dense.
 With vectors asked for as well, the same ARPACK call returns them, each
-checked against the residual contract; a dense fallback computes them by
-inverse iteration for the leading values only.
+checked against the residual contract; a dense fallback returns every
+eigenvalue with its dgeev vector.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class Spectrum:
     """Eigenvalues sorted by (Re desc, Im desc), optional eigenvectors, pair tags.
 
     eigenvectors, when asked for, is a complex array with one unit column per
-    eigenvalue, from ``eigenvectors`` or, for a certified leading solve,
-    ARPACK's Ritz vectors; a conjugate pair has conjugate columns.
+    eigenvalue, from dgeev or, for a certified leading solve, ARPACK's Ritz
+    vectors; a conjugate pair has conjugate columns.
     pair_index[i] is REAL_TAG (-1) for a real eigenvalue and the index of the
     conjugate partner otherwise; None until classify_pairs has run.  disk and
     right_of are None for a full spectrum.  For a local one disk is
@@ -101,20 +100,11 @@ def _as_matrix(m) -> np.ndarray:
 
 
 _RESIDUAL_BOUND = 1e-8
-_V0_SEED = 20020813  # fixed ARPACK and inverse-iteration start vector: repeated runs give identical bytes
+_V0_SEED = 20020813  # fixed ARPACK start vector: repeated runs give identical bytes
 # Shift-invert Ritz values converge to ARPACK's default relative tolerance
 # (machine epsilon) in 1/(lambda - sigma); the certified radius stays this
 # far inside the farthest returned eigenvalue so rounding cannot reorder them.
 _DISK_MARGIN = 1e-10
-# Leading eigenvalues come from shift-invert ARPACK from this many rows up.
-# For 12 leading values on one BLAS thread (medians of 41 interleaved calls
-# in each of three runs, between which the host's speed drifted), dense
-# against ARPACK plus count took 7.3-8.7 against 6.2-8.5 ms at 120 rows,
-# 7.3-11.3 against 5.4-9.4 ms at 140 and 19-29 against 7.3-12 ms at 200.
-# So ARPACK is no slower from 120 rows up; lowering the threshold would
-# change the ``pencil-check`` output at n = 60-99.  A first
-# ``import scipy.sparse.linalg`` (about 0.3 s) also costs more than the solve.
-_LEADING_MIN_SIZE = 200
 # The sampling rule of the argument-principle count (``_count_right``).
 _COUNT_SAMPLES = 256
 _COUNT_DECADES = 16
@@ -247,7 +237,7 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
 def _pivot_phases(m: DynamoMatrix, s: float, ys: np.ndarray) -> Optional[np.ndarray]:
     """arg of every pivot determinant of H - (s + iy), shape (n, len(ys)); None if one is zero or not finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dets = np.array([det for _, _, det in m._block_lu(s + 1j * ys)])
+        dets = np.array(list(m._block_lu(s + 1j * ys)))
     if not (np.isfinite(dets).all() and dets.all()):
         return None
     return np.angle(dets)
@@ -276,14 +266,14 @@ def _leading_eigen(m: DynamoMatrix, count: int, want_vectors: bool) -> Optional[
     nearest 0.  Sorted by real part, the line Re z = s of ``_leading_cut``
     certifies them when _count_right(s) equals the number of returned values
     right of s: then no eigenvalue right of s was missed.  On a mismatch k
-    doubles once; None when that fails too, when ARPACK fails, when the
-    operator is smaller than _LEADING_MIN_SIZE, and when 4k >= N, where the
-    2k + 1 Arnoldi vectors of the doubled k would not fit.  With want_vectors
-    the same ARPACK call returns the Ritz vectors (``_ritz_vectors``); None
-    also when one of them misses the residual contract.
+    doubles once; None when that fails too, when ARPACK fails, and when
+    4k >= N, where the 2k + 1 Arnoldi vectors of the doubled k would not
+    fit.  With want_vectors the same ARPACK call returns the Ritz vectors
+    (``_ritz_vectors``); None also when one of them misses the residual
+    contract.
     """
     k = count + 4
-    if m.size < _LEADING_MIN_SIZE or 4 * k >= m.size:
+    if 4 * k >= m.size:
         return None
     nearest = _shift_invert(m, 0.0)
     if nearest is None:
@@ -310,7 +300,7 @@ def _ritz_vectors(m: DynamoMatrix, vals: np.ndarray, ritz: np.ndarray) -> Option
     The band numbers the unknowns node by node, (u1_i, u2_i), so u1 sits in
     the even rows and u2 in the odd ones.  scipy builds the -Im member of a
     conjugate pair from the same two real ARPACK columns as the conjugate of
-    its partner's vector, so the convention of ``eigenvectors`` holds.
+    its partner's vector, so a pair has conjugate columns, as from dgeev.
     """
     vecs = np.concatenate([ritz[0::2], ritz[1::2]])
     vecs /= np.linalg.norm(vecs, axis=0)
@@ -325,23 +315,23 @@ def eigen(
 ) -> Spectrum:
     """Spectrum of a dynamo matrix (or any square array), deterministically sorted.
 
-    The eigenvalues come from values-only dgeev.  With want_vectors an
-    assembled dynamo operator also gets ``eigenvectors(m, eigenvalues)``, one
-    column per sorted eigenvalue; a raw array with want_vectors raises
-    ShapeError.
+    The eigenvalues come from dgeev, values only.  With want_vectors an
+    assembled dynamo operator gets dgeev's unit eigenvectors too, one column
+    per sorted eigenvalue, each checked against the residual contract
+    ||H v - lambda v|| <= 1e-8 ||H||_inf (SolverError on a violation); a raw
+    array with want_vectors raises ShapeError.
 
     With ``near`` (and no vectors) an assembled dynamo operator with alpha not
     identically zero gets the local shift-invert solve: the eigenvalues
     nearest the points, with ``disk`` set.  With ``leading`` instead it gets
     at least that many leading eigenvalues by shift-invert ARPACK, certified
-    by an argument-principle count, with ``right_of`` set; small operators
-    and large requests stay dense.  With ``leading`` and want_vectors every
-    returned eigenvalue has a vector: ARPACK's Ritz vector on that path, and
-    on the dense one the eigenvalues right of the same cut, with
-    ``right_of`` set, and ``eigenvectors`` of those only (every eigenvalue
-    when ``leading`` reaches N).  Every other case, and a partial solve that
-    cannot finish or be certified, gives the full dense spectrum.  A raw
-    array with a non-finite entry raises DomainError.
+    by an argument-principle count, with ``right_of`` set, whenever the
+    Arnoldi vectors fit, 4 (leading + 4) < N; larger requests stay dense.
+    With want_vectors as well each of them comes with its Ritz vector from the
+    same ARPACK call.  Every other case, and a partial solve that cannot
+    finish or be certified, gives the full dense spectrum, with every vector
+    when they are asked for.  A raw array with a non-finite entry raises
+    DomainError.
     """
     if want_vectors and not isinstance(m, DynamoMatrix):
         raise ShapeError("eigenvectors need an assembled dynamo operator, not a raw array")
@@ -358,17 +348,21 @@ def eigen(
             partial = _leading_eigen(m, leading, want_vectors)
     if partial is not None:
         return partial
+    a = _as_matrix(m)
     try:
-        vals = _sorted(np.linalg.eigvals(_as_matrix(m)))[0]
+        vals, vecs = _sorted(*np.linalg.eig(a)) if want_vectors else _sorted(np.linalg.eigvals(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverError(f"dense eigensolver did not converge: {exc}") from exc
-    cut = _leading_cut(vals, leading) if want_vectors and near is None and leading is not None else None
-    right_of = None
-    if cut is not None:
-        j, right_of = cut
-        vals = vals[:j]
-    vecs = eigenvectors(m, vals) if want_vectors else None
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None, right_of=right_of)
+    if want_vectors:
+        vecs = vecs.astype(complex, copy=False)  # real when every eigenvalue is real
+        resid, bound, bad = _residual_check(m, vals, vecs)
+        if bad.size:
+            raise SolverError(
+                f"eigenpair residual contract violated: ||Mv-lv||={resid[bad[0]]:.3e} "
+                f"> {bound:.3e} at eigenvalue {vals[bad[0]]!r}"
+            )
+        vecs.setflags(write=False)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None)
 
 
 def _residual_check(m: DynamoMatrix, vals: np.ndarray, vecs: np.ndarray) -> tuple:
@@ -376,37 +370,6 @@ def _residual_check(m: DynamoMatrix, vals: np.ndarray, vecs: np.ndarray) -> tupl
     resid = np.linalg.norm(m.matvec(vecs) - vecs * vals, axis=0)
     bound = _RESIDUAL_BOUND * m.norm_inf()
     return resid, bound, np.flatnonzero(~(resid <= bound))
-
-
-def eigenvectors(m: DynamoMatrix, eigenvalues) -> np.ndarray:
-    """Unit eigenvectors of an assembled operator for some of its eigenvalues, one column each.
-
-    Two steps of inverse iteration from the fixed start vector, through
-    ``DynamoMatrix.shifted_solver`` at the given eigenvalues (one step left
-    psi2 errors above 1e-6 on the const:1 pencil check at n=500).  The -Im member
-    of a conjugate pair gets the conjugate of its partner's vector, and equal
-    eigenvalues get equal vectors.  Every column is checked against the
-    residual contract ||H v - lambda v|| <= 1e-8 ||H|| ||v||; a violation, or
-    a solve that broke down, raises SolverError.
-    """
-    vals = np.asarray(eigenvalues, dtype=complex).ravel()
-    lower = vals.imag < 0
-    shifts, column = np.unique(np.where(lower, vals.conj(), vals), return_inverse=True)
-    solve = m.shifted_solver(shifts)
-    x = np.broadcast_to(_start_vector(m.size)[:, None], (m.size, shifts.size))
-    for _ in range(2):
-        x = solve(x)
-        x /= np.linalg.norm(x, axis=0)
-    vecs = x[:, column]
-    vecs[:, lower] = vecs[:, lower].conj()
-    resid, bound, bad = _residual_check(m, vals, vecs)
-    if bad.size:
-        raise SolverError(
-            f"eigenpair residual contract violated: ||Mv-lv||={resid[bad[0]]:.3e} "
-            f"> {bound:.3e} at eigenvalue {vals[bad[0]]!r}"
-        )
-    vecs.setflags(write=False)
-    return vecs
 
 
 def classify_pairs(spec: Spectrum, pair_tol: float) -> Spectrum:

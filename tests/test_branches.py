@@ -200,7 +200,7 @@ class TestLocateEP:
     def test_bad_bracket_or_tolerance_rejected(self):
         with pytest.raises(BracketError, match="increasing"):
             locate_ep(synthetic_ep_family, (1.5, 0.5), 1e-6)
-        for tol_c in (0.0, -1e-6):
+        for tol_c in (0.0, -1e-6, float("nan")):
             with pytest.raises(BracketError, match="tol_c"):
                 locate_ep(synthetic_ep_family, (0.5, 1.5), tol_c)
 

@@ -48,6 +48,7 @@ class TestSpectrum:
                     "--out", str(out),
                 ],
                 capture_output=True,
+                env=fresh_env(),
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(out.read_bytes())
@@ -146,7 +147,7 @@ class TestPencilCheck:
 
 
 class TestPencilCheckLeading:
-    """Above the crossover size pencil-check takes its leading eigenvalues from ARPACK."""
+    """Whenever the Arnoldi vectors fit, pencil-check takes its leading eigenvalues from ARPACK."""
 
     README = ["pencil-check", "--alpha", "poly:1,0,0.5", "--l", "1", "--n", "300"]
 
@@ -154,7 +155,7 @@ class TestPencilCheckLeading:
     def dense(monkeypatch):
         import dynamolab.spectral
 
-        monkeypatch.setattr(dynamolab.spectral, "_LEADING_MIN_SIZE", 10**9)
+        monkeypatch.setattr(dynamolab.spectral, "_leading_eigen", lambda *args: None)
 
     def test_no_dense_solve_and_no_dense_matrix(self, tmp_path, monkeypatch):
         import dynamolab.cli
@@ -175,12 +176,10 @@ class TestPencilCheckLeading:
         assert "matrix" not in built[0].__dict__
 
     def test_vectors_come_from_the_leading_solve(self, tmp_path, monkeypatch):
-        from dynamolab import DynamoMatrix
-
         def refuse(*args):
-            raise AssertionError("no dense solve and no inverse iteration may run")
+            raise AssertionError("no dense solve may run")
 
-        monkeypatch.setattr(DynamoMatrix, "shifted_solver", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
         assert len(read_lines(tmp_path / "p.csv")) == 13

@@ -203,55 +203,11 @@ class TestAssemble:
             assemble(build_grid(16), AlphaProfile.constant(c), 1)
 
 
-def shifted_solve_recurrence(m, shifts, b):
-    """The block-LU solve of H - z written out in one function, as shifted_solver was before
-    its factorization moved into DynamoMatrix._block_lu; the reference for its arithmetic."""
-    n = m.n
-    lo, qo = m.lap.off.tolist(), m.q_alpha.off.tolist()
-    dz = m.lap.diag[:, None] - np.asarray(shifts, dtype=complex)[None, :]
-    mult, piv = [], []
-    for i, (d, a, q) in enumerate(zip(dz, m.alpha_nodes.tolist(), m.q_alpha.diag.tolist())):
-        u00, u01, u10, u11 = d, a, q, d
-        if i:
-            l, g = lo[i - 1], qo[i - 1]
-            m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
-            mult.append((m00, m01, m10, m11))
-            u00, u01 = u00 - (l * m00 + g * m01), u01 - l * m01
-            u10, u11 = u10 - (l * m10 + g * m11), u11 - l * m11
-        r = 1.0 / (u00 * u11 - u01 * u10)
-        p00, p01, p10, p11 = u11 * r, -u01 * r, -u10 * r, u00 * r
-        piv.append((p00, p01, p10, p11))
-    y0, y1 = b[0], b[n]
-    ys = [(y0, y1)]
-    for (m00, m01, m10, m11), c0, c1 in zip(mult, b[1:n], b[n + 1 :]):
-        y0, y1 = c0 - (m00 * y0 + m01 * y1), c1 - (m10 * y0 + m11 * y1)
-        ys.append((y0, y1))
-    x = np.empty(b.shape, dtype=complex)
-    for i in range(n - 1, -1, -1):
-        y0, y1 = ys[i]
-        if i < n - 1:
-            y0, y1 = y0 - lo[i] * x0, y1 - (qo[i] * x0 + lo[i] * x1)
-        p00, p01, p10, p11 = piv[i]
-        x[i] = x0 = p00 * y0 + p01 * y1
-        x[n + i] = x1 = p10 * y0 + p11 * y1
-    return x
-
-
 class TestBlockLU:
-    @pytest.mark.parametrize(
-        "alpha, l, n", [("const:1", 1, 100), ("poly:10,-30", 1, 120), ("poly:1,0,0.5", 2, 300)]
-    )
-    def test_solver_arithmetic_unchanged(self, alpha, l, n):
-        m = assemble(build_grid(n), parse_profile(alpha), l)
-        shifts = np.array([0.5, -20.0 + 5.0j, -14.79, -300.0 - 40.0j])
-        rng = np.random.default_rng(n)
-        b = rng.standard_normal((m.size, 4)) + 1j * rng.standard_normal((m.size, 4))
-        assert np.array_equal(m.shifted_solver(shifts)(b), shifted_solve_recurrence(m, shifts, b))
-
     @pytest.mark.parametrize("z", [0.5, -20.0 + 5.0j, -300.0 - 40.0j])
     def test_pivot_determinants_multiply_to_det(self, z):
         m = assemble(build_grid(12), parse_profile("poly:10,-30"), 1)
-        dets = np.array([det[0] for _, _, det in m._block_lu([z])])
+        dets = np.array([det[0] for det in m._block_lu([z])])
         sign, logdet = np.linalg.slogdet(m.matrix - z * np.eye(m.size))
         assert np.sum(np.log(np.abs(dets))) == pytest.approx(logdet, rel=1e-12)
         assert np.prod(dets / np.abs(dets)) == pytest.approx(sign, abs=1e-12)

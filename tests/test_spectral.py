@@ -125,20 +125,16 @@ class TestEigen:
         m = assemble(build_grid(40), parse_profile("poly:10,-30"), 1)
         vals = eigen(m).eigenvalues
         bad = vals[np.flatnonzero((vals.imag == 0.0) == real)[0]]
-        true_solver = DynamoMatrix.shifted_solver
+        true_eig = np.linalg.eig
 
-        def perturbed(self, shifts):
-            solve = true_solver(self, shifts)
-            k = np.flatnonzero(shifts == bad)[0]
+        def perturbed(a):
+            w, v = true_eig(a)
+            k = np.argmin(np.abs(w - bad))
+            v = v.copy()
+            v[:, k] += 1e-4 * np.linalg.norm(v[:, k])
+            return w, v
 
-            def perturbed_solve(b):
-                x = solve(b)
-                x[:, k] += 1e-4 * np.linalg.norm(x[:, k])
-                return x
-
-            return perturbed_solve
-
-        monkeypatch.setattr(DynamoMatrix, "shifted_solver", perturbed)
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
         with pytest.raises(SolverError, match="residual contract"):
             eigen(m, want_vectors=True)
 
@@ -157,22 +153,6 @@ class TestEigen:
 
 
 class TestInverseIteration:
-    @pytest.mark.parametrize("alpha", ["const:1", "poly:10,-30", "poly:1,0,0.5"])
-    def test_shifted_solve_matches_dense_solve(self, alpha):
-        m = assemble(build_grid(100), parse_profile(alpha), 1)
-        shifts = np.array([0.5, -20.0 + 5.0j])
-        rng = np.random.default_rng(7)
-        b = rng.standard_normal((m.size, 2)) + 1j * rng.standard_normal((m.size, 2))
-        x = m.shifted_solver(shifts)(b)
-        for k, z in enumerate(shifts):
-            ref = np.linalg.solve(m.matrix - z * np.eye(m.size), b[:, k])
-            assert np.linalg.norm(x[:, k] - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_solve_rejects_wrong_shape(self):
-        m = assemble(build_grid(20), AlphaProfile.constant(1.0), 1)
-        with pytest.raises(ShapeError, match="right-hand sides"):
-            m.shifted_solver([1.0, 2.0])(np.ones((m.size, 3)))
-
     def test_conjugate_pair_vectors_are_exact_conjugates(self):
         spec = eigen(assemble(build_grid(100), parse_profile("poly:10,-30"), 1), want_vectors=True)
         vals, vecs = spec.eigenvalues, spec.eigenvectors
@@ -186,15 +166,6 @@ class TestInverseIteration:
     def test_raw_array_vectors_rejected(self):
         with pytest.raises(ShapeError, match="assembled dynamo operator"):
             eigen(np.eye(4), want_vectors=True)
-
-    def test_no_lapack_eigenvectors(self, monkeypatch):
-        def refuse(a):
-            raise AssertionError("np.linalg.eig must not be called")
-
-        monkeypatch.setattr(np.linalg, "eig", refuse)
-        m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
-        spec = eigen(m, want_vectors=True)
-        assert spec.eigenvectors.shape == (m.size, m.size)
 
 
 # (alpha, l, n): the sampling rule's measured cases, l = 2, and a supercritical
@@ -269,10 +240,41 @@ class TestLeadingEigen:
         ref = vals[: spec.size]
         assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-9 * np.abs(ref))
 
-    def test_small_operators_stay_dense(self, dense_cases):
-        m, vals = dense_cases("poly:1,0,0.5", 1, 60)
-        spec = eigen(m, leading=12)
-        assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
+    def test_arpack_from_the_first_size_that_fits(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        true_eigs, calls = scipy.sparse.linalg.eigs, []
+
+        def counted_eigs(*args, **kwargs):
+            calls.append(args[1])
+            return true_eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted_eigs)
+        small = assemble(build_grid(16), parse_profile("poly:1,0,0.5"), 1)  # 4 (4 + 4) = 32 = N
+        spec = eigen(small, leading=4)
+        assert calls == [] and spec.right_of is None
+        assert np.array_equal(spec.eigenvalues, eigen(small).eigenvalues)
+        spec = eigen(assemble(build_grid(17), parse_profile("poly:1,0,0.5"), 1), leading=4)
+        assert calls == [8] and spec.right_of is not None
+
+    # every size from the first that fits k = 1 up; poly:10,-30 has conjugate pairs among the leading values
+    @pytest.mark.parametrize("n", [17, 20, 33, 40, 60, 80, 99])
+    @pytest.mark.parametrize("alpha", ["const:1", "poly:1,0,0.5", "poly:10,-30", "poly:1,-3"])
+    def test_certified_cut_equals_the_dense_cut(self, alpha, n):
+        m = assemble(build_grid(n), parse_profile(alpha), 1)
+        dense = eigen(m).eigenvalues
+        for k in [k for k in (1, 4, 12) if 4 * (k + 4) < m.size]:
+            spec = eigen(m, leading=k, want_vectors=True)
+            vals, vecs = spec.eigenvalues, spec.eigenvectors
+            assert spec.right_of is not None and spec.size >= k
+            assert np.sum(dense.real > spec.right_of) == spec.size
+            ref = dense[: spec.size]
+            assert np.all(np.abs(vals - ref) <= 1e-9 * np.abs(ref))
+            for i in np.flatnonzero(vals.imag < 0):
+                partner = np.flatnonzero(vals == vals[i].conjugate())
+                assert partner.size == 1 and np.array_equal(vecs[:, i], vecs[:, partner[0]].conj())
+        if alpha == "poly:10,-30" and n >= 33:
+            assert np.sum(vals.imag < 0) == 1  # the pair checked above, at k = 12
 
     def test_large_requests_stay_dense(self, dense_cases):
         m, vals = dense_cases("poly:1,0,0.5", 1, 300)
@@ -334,17 +336,17 @@ class TestLeadingEigenvectors:
     RITZ_CASES = [("poly:1,0,0.5", 1, 300), ("poly:10,-30", 1, 300), ("const:1", 1, 500)]
 
     @staticmethod
-    def refuse_inverse_iteration(monkeypatch):
-        def refuse(self, shifts):
-            raise AssertionError("the Ritz path must not run inverse iteration")
+    def refuse_dense_vectors(monkeypatch):
+        def refuse(a):
+            raise AssertionError("the Ritz path must not call np.linalg.eig")
 
-        monkeypatch.setattr(DynamoMatrix, "shifted_solver", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
 
     @pytest.mark.parametrize("alpha, l, n", RITZ_CASES)
     def test_ritz_values_equal_the_values_only_solve(self, dense_cases, monkeypatch, alpha, l, n):
         m, _ = dense_cases(alpha, l, n)
         values_only = eigen(m, leading=12)
-        self.refuse_inverse_iteration(monkeypatch)
+        self.refuse_dense_vectors(monkeypatch)
         spec = eigen(m, leading=12, want_vectors=True)
         assert np.array_equal(spec.eigenvalues, values_only.eigenvalues)
         assert spec.right_of == values_only.right_of
@@ -353,7 +355,7 @@ class TestLeadingEigenvectors:
     @pytest.mark.parametrize("alpha, l, n", RITZ_CASES)
     def test_ritz_vectors_are_unit_eigenvectors_in_block_numbering(self, dense_cases, monkeypatch, alpha, l, n):
         m, _ = dense_cases(alpha, l, n)
-        self.refuse_inverse_iteration(monkeypatch)
+        self.refuse_dense_vectors(monkeypatch)
         spec = eigen(m, leading=12, want_vectors=True)
         vals, vecs = spec.eigenvalues, spec.eigenvectors
         assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-14)
@@ -368,8 +370,6 @@ class TestLeadingEigenvectors:
     def test_bad_ritz_column_falls_back_to_dense(self, dense_cases, monkeypatch):
         import scipy.sparse.linalg
 
-        from dynamolab.spectral import eigenvectors
-
         true_eigs = scipy.sparse.linalg.eigs
 
         def corrupt_one_column(*args, **kwargs):  # an ARPACK whose leading Ritz vector is wrong
@@ -379,28 +379,28 @@ class TestLeadingEigenvectors:
             return vals, vecs
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", corrupt_one_column)
-        m, vals = dense_cases("poly:1,0,0.5", 1, 300)
+        m, _ = dense_cases("poly:1,0,0.5", 1, 300)
         spec = eigen(m, leading=12, want_vectors=True)
-        assert np.array_equal(spec.eigenvalues, vals[: spec.size])
-        assert np.array_equal(spec.eigenvectors, eigenvectors(m, vals[: spec.size]))
+        full = eigen(m, want_vectors=True)
+        assert spec.right_of is None
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, full.eigenvectors)
 
-    # (alpha, n, count): a conjugate pair among the leading 14, and one cut across by count = 3
+    # (alpha, n, count): whatever count asks for, the dense path lists every value
     @pytest.mark.parametrize(
         "alpha, n, count", [("poly:1,0,0.5", 60, 12), ("const:1", 60, 12), ("poly:10,-30", 80, 14), ("poly:10,-30", 40, 3)]
     )
-    def test_dense_cut_sets_right_of(self, alpha, n, count):
-        from dynamolab.spectral import eigenvectors
+    def test_dense_path_gives_every_value_a_vector(self, monkeypatch, alpha, n, count):
+        import dynamolab.spectral
 
         m = assemble(build_grid(n), parse_profile(alpha), 1)
-        vals = eigen(m).eigenvalues
+        monkeypatch.setattr(dynamolab.spectral, "_leading_eigen", lambda *args: None)
         spec = eigen(m, leading=count, want_vectors=True)
-        j = spec.size
-        assert j >= count and spec.right_of is not None
-        assert np.sum(vals.real > spec.right_of) == j
-        assert np.array_equal(spec.eigenvalues, vals[:j])
-        assert np.array_equal(spec.eigenvectors, eigenvectors(m, vals[:j]))
-        if count == 3:
-            assert j == 4  # the pair at the cut is kept whole
+        vals, vecs = np.linalg.eig(m.matrix)
+        order = np.lexsort((-vals.imag, -vals.real))
+        assert spec.right_of is None
+        assert np.array_equal(spec.eigenvalues, vals[order])
+        assert np.array_equal(spec.eigenvectors, vecs[:, order])  # dgeev's own vectors
 
     def test_dense_cut_past_the_last_value_keeps_every_value(self):
         m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
