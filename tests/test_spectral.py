@@ -402,6 +402,22 @@ class TestLeadingEigenvectors:
         assert np.array_equal(spec.eigenvalues, vals[order])
         assert np.array_equal(spec.eigenvectors, vecs[:, order])  # dgeev's own vectors
 
+    # (alpha, n, count): both fit ARPACK; a conjugate pair among the leading 14, and one cut across by count = 3
+    @pytest.mark.parametrize("alpha, n, count", [("poly:10,-30", 80, 14), ("poly:10,-30", 40, 3)])
+    def test_dense_cut_sets_right_of(self, alpha, n, count):
+        m = assemble(build_grid(n), parse_profile(alpha), 1)
+        vals = eigen(m).eigenvalues
+        spec = eigen(m, leading=count, want_vectors=True)
+        j = spec.size
+        assert j >= count and spec.right_of is not None
+        assert np.sum(vals.real > spec.right_of) == j  # the same cut as the dense spectrum's
+        assert np.all(np.abs(spec.eigenvalues - vals[:j]) <= 1e-9 * np.abs(vals[:j]))
+        resid = np.linalg.norm(m.matrix @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues, axis=0)
+        assert np.all(resid <= 1e-12 * m.norm_inf())
+        assert np.sum(spec.eigenvalues.imag < 0) == 1
+        if count == 3:
+            assert j == 4  # the pair at the cut is kept whole
+
     def test_dense_cut_past_the_last_value_keeps_every_value(self):
         m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
         spec = eigen(m, leading=m.size, want_vectors=True)
