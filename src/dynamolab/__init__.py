@@ -30,7 +30,6 @@ from .branches import BranchEvent, BranchTrace, SweepConfig, dynamo_family, loca
 from .darboux import (
     DarbouxPair,
     GivenSeed,
-    GroundState,
     Potential1D,
     darboux_partner,
     factorization_residual,
@@ -86,7 +85,6 @@ __all__ = [
     "DynamoMatrix",
     "GaugeChoice",
     "GivenSeed",
-    "GroundState",
     "JordanProbe",
     "MatrixODESolution",
     "NoGoReport",

@@ -62,6 +62,8 @@ class SweepConfig:
     pair_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.c_min, self.c_max]).all():
+            raise ConfigurationError(f"need finite c_min and c_max, got [{self.c_min}, {self.c_max}]")
         if not self.c_min < self.c_max:
             raise ConfigurationError(f"need c_min < c_max, got [{self.c_min}, {self.c_max}]")
         if self.steps < 2:
@@ -86,7 +88,6 @@ class BranchTrace:
     branches: np.ndarray  # (track_count, steps) complex
     events: list
     step_bounds: np.ndarray  # per-interval recorded movement bound
-    pair_tol: float
     dense_solves: int  # solves that took the dense path, the first C included
 
     @property
@@ -220,7 +221,6 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
         branches=branches,
         events=events,
         step_bounds=bounds,
-        pair_tol=cfg.pair_tol,
         dense_solves=dense_solves,
     )
 

@@ -167,7 +167,7 @@ def _cmd_darboux(args) -> int:
     v0_profile = parse_profile(args.v0)
     grid = build_grid(args.n)
     pair = darboux_partner(Potential1D(v=v0_profile, label=v0_profile.label), grid)
-    rep = verify_isospectral(pair, levels=args.levels, tol=1e-3)
+    rep = verify_isospectral(pair, levels=args.levels)
     lines = ["level,E0,E1,abs_rel_err"]
     for row in rep.levels:
         lines.append(f"{_fmt(row.level)},{_fmt(row.e0)},{_fmt(row.e1)},{_fmt(row.rel_err)}")

@@ -20,7 +20,7 @@ the radial grid can be reused; everything is evaluated on interior nodes only
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,13 +46,9 @@ class Potential1D:
         return vals
 
 
-class GroundState:
-    """Seed mode: use the discrete ground state of H0 as chi0."""
-
-
 @dataclass(frozen=True)
 class GivenSeed:
-    """Seed mode: a user-supplied nodeless chi0(x) with its factorization energy."""
+    """A user-supplied nodeless seed chi0(x) with its factorization energy."""
 
     chi0: Callable[[np.ndarray], np.ndarray]
     energy: float
@@ -138,39 +134,37 @@ def _nodeless_or_raise(samples: np.ndarray) -> np.ndarray:
 def darboux_partner(
     v0: Potential1D,
     grid: RadialGrid,
-    mode: Union[GroundState, GivenSeed] = GroundState(),
+    seed: Optional[GivenSeed] = None,
 ) -> DarbouxPair:
     """Construct the partner potential from a nodeless seed.
 
-    GroundState mode takes chi0 and E from the lowest discrete eigenpair of
-    H0; GivenSeed uses the supplied function and energy.  Both differentiate
-    the seed samples through the same ``LocalQuintic``, so the two modes agree
-    wherever the discrete ground state matches the supplied seed.
+    Without a seed, chi0 and E are the lowest discrete eigenpair of H0; a
+    GivenSeed supplies the function and energy.  Both differentiate the seed
+    samples through the same ``LocalQuintic``, so the two agree wherever the
+    discrete ground state matches the supplied seed.
     """
     from scipy.linalg import eigh_tridiagonal  # on use: slow to import
 
-    if isinstance(mode, GroundState):
+    if seed is None:
         h0 = schrodinger_tridiag(grid, v0)
         vals, vecs = eigh_tridiagonal(h0.diag, h0.off, select="i", select_range=(0, 0))
         energy = float(vals[0])
         chi0 = _nodeless_or_raise(vecs[:, 0])
-    elif isinstance(mode, GivenSeed):
-        energy = float(mode.energy)
-        chi0 = _nodeless_or_raise(np.asarray(mode.chi0(grid.nodes), dtype=float))
     else:
-        raise ConfigurationError(f"unknown Darboux seed mode {mode!r}")
+        energy = float(seed.energy)
+        chi0 = _nodeless_or_raise(np.asarray(seed.chi0(grid.nodes), dtype=float))
 
     # f = -(log chi0)' = -chi0'/chi0, differentiated through a local quintic
     # of the seed itself: the log has unbounded higher derivatives where the
     # seed vanishes, the seed does not
-    seed = LocalQuintic(grid, chi0)
+    quintic = LocalQuintic(grid, chi0)
 
     def f(x):
-        p, p1, _ = seed(x)
+        p, p1, _ = quintic(x)
         return -p1 / p
 
     def fprime(x):
-        p, p1, p2 = seed(x)
+        p, p1, p2 = quintic(x)
         ratio = p1 / p
         return -p2 / p + ratio**2
 
@@ -193,7 +187,6 @@ class IsospectralLevel:
 @dataclass(frozen=True)
 class IsospectralReport:
     levels: list
-    seed_energy: float
     lowest_partner_level: float
     seed_deleted: bool
 
@@ -202,10 +195,13 @@ class IsospectralReport:
         return self.seed_deleted and all(row.ok for row in self.levels)
 
 
-def verify_isospectral(pair: DarbouxPair, levels: int, tol: float) -> IsospectralReport:
+_ISO_TOL = 1e-3  # relative level tolerance of verify_isospectral
+
+
+def verify_isospectral(pair: DarbouxPair, levels: int) -> IsospectralReport:
     """Check spec(H1) against spec(H0) with the seed level removed.
 
-    Level m of H1 is compared with level m+1 of H0 (relative tolerance tol),
+    Level m of H1 is compared with level m+1 of H0 (relative tolerance _ISO_TOL),
     and the seed energy must be absent from the partner spectrum: the lowest
     H1 level has to sit at or above H0's second level.
     """
@@ -225,12 +221,11 @@ def verify_isospectral(pair: DarbouxPair, levels: int, tol: float) -> Isospectra
     for m in range(levels):
         rel = abs(e1[m] - e0[m + 1]) / abs(e0[m + 1])
         rows.append(
-            IsospectralLevel(level=m + 1, e0=float(e0[m + 1]), e1=float(e1[m]), rel_err=float(rel), ok=bool(rel <= tol))
+            IsospectralLevel(level=m + 1, e0=float(e0[m + 1]), e1=float(e1[m]), rel_err=float(rel), ok=bool(rel <= _ISO_TOL))
         )
-    seed_deleted = bool(e1[0] >= e0[1] * (1.0 - tol))
+    seed_deleted = bool(e1[0] >= e0[1] * (1.0 - _ISO_TOL))
     return IsospectralReport(
         levels=rows,
-        seed_energy=pair.energy,
         lowest_partner_level=float(e1[0]),
         seed_deleted=seed_deleted,
     )
@@ -262,12 +257,14 @@ def _smooth_test_vectors(grid: RadialGrid, count: int = _N_TEST_VECTORS) -> np.n
     return out
 
 
-def factorization_residual(pair: DarbouxPair, grid: RadialGrid):
+def factorization_residual(pair: DarbouxPair):
     """Max-norm residuals of (H0-E) - Adag A and (H1-E) - A Adag on smooth test vectors.
 
-    A = D + f with D the central difference; residuals are normalized by the
-    row-sum norm of H0 and are discretization-limited (second order in h).
+    A = D + f with D the central difference on the pair's grid; residuals are
+    normalized by the row-sum norm of H0 and are discretization-limited
+    (second order in h).
     """
+    grid = pair.grid
     e = pair.energy
     fx = np.asarray(pair.f(grid.nodes), dtype=float)
     h0 = schrodinger_tridiag(grid, pair.v0)
@@ -313,18 +310,16 @@ def partner_mode(pair: DarbouxPair) -> np.ndarray:
     return np.concatenate([back[:0:-1, 0], fwd[:, 0]])
 
 
-def product_invariant_check(
-    chi0: np.ndarray,
-    chi1: np.ndarray,
-    grid: RadialGrid,
-    window=(0.1, 0.9),
-):
-    """Mean of chi0*chi1 over the window and its maximum relative deviation."""
+_PRODUCT_WINDOW = (0.1, 0.9)  # clear of the ends, where chi1 = 1/chi0 blows up
+
+
+def product_invariant_check(chi0: np.ndarray, chi1: np.ndarray, grid: RadialGrid):
+    """Mean of chi0*chi1 over _PRODUCT_WINDOW and its maximum relative deviation."""
     chi0 = np.asarray(chi0, dtype=float)
     chi1 = np.asarray(chi1, dtype=float)
     if chi0.shape != (grid.n,) or chi1.shape != (grid.n,):
         raise ShapeError("chi0/chi1 must be sampled on the grid nodes")
-    mask = (grid.nodes >= window[0]) & (grid.nodes <= window[1])
+    mask = (grid.nodes >= _PRODUCT_WINDOW[0]) & (grid.nodes <= _PRODUCT_WINDOW[1])
     prod = chi0[mask] * chi1[mask]
     c_mean = float(np.mean(prod))
     rel_var = float(np.max(np.abs(prod - c_mean)) / abs(c_mean))

@@ -153,8 +153,6 @@ class MatrixODESolution:
     affine: np.ndarray  # (S, 2, 2), NaN where bot is ill conditioned
     cond_log: np.ndarray
     step: float
-    e: float
-    l: int
     warnings: list = field(default_factory=list)
     # coefficient tables reused by the residual checks (nodes and midpoints)
     alpha_nodes: np.ndarray = None
@@ -305,13 +303,14 @@ def mre_linear_solve(
         top, bot = y[..., :2, :], y[..., 2:, :]
         return sign * np.concatenate([c[..., 0, :, :] @ bot, c[..., 1, :, :] @ top], axis=-2)
 
-    traj = rk4_linear(
-        rhs,
-        np.stack([m_nodes, kinv_nodes], axis=1),
-        np.stack([m_mids, kinv_mids], axis=1),
-        np.concatenate([top0, bot0]),
-        h,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in cond_log below
+        traj = rk4_linear(
+            rhs,
+            np.stack([m_nodes, kinv_nodes], axis=1),
+            np.stack([m_mids, kinv_mids], axis=1),
+            np.concatenate([top0, bot0]),
+            h,
+        )
     tops, bots = traj[:, :2], traj[:, 2:]
 
     cond_log = cond2_log10(bots)
@@ -334,8 +333,6 @@ def mre_linear_solve(
         affine=affine,
         cond_log=cond_log,
         step=h,
-        e=e_val,
-        l=l,
         warnings=warnings,
         alpha_nodes=a_nodes,
         alpha_mids=a_mids,

@@ -37,9 +37,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .darboux import _central_difference
-from .errors import ConfigurationError, DegenerateQError, DomainError
+from .errors import ConfigurationError, DegenerateQError, DomainError, SolverError
 from .grid import build_grid
-from .mre import B_SYSTEM, IDENT2, inv2, kmat, mmat, mre_linear_solve
+from .mre import B_SYSTEM, IDENT2, inv2, kmat, mre_linear_solve
 from .operator import assemble, sharp
 from .profiles import AlphaProfile
 
@@ -131,7 +131,7 @@ def build_R(pair: AlphaPair, gauge: GaugeChoice, r) -> np.ndarray:
 class StructureFunctions:
     """Vectorized evaluators for every derived quantity of the Ansatz.
 
-    All closed-form members (q, b1, b2, b4, f, N, M) are algebraic in the
+    All closed-form members (q, b1, b2, b4, f, N) are algebraic in the
     profile values and their first two derivatives; nothing here is obtained
     by numerical differentiation.
     """
@@ -165,14 +165,6 @@ class StructureFunctions:
         out[..., 1, 1] = q
         return out
 
-    # -- matrix coefficients -----------------------------------------------
-
-    def m0(self, r):
-        return mmat(self.pair.alpha0(r), self.pair.l0, self.pair.e, r)
-
-    def m1(self, r):
-        return mmat(self.pair.alpha1(r), self.pair.l1, self.pair.e, r)
-
     # -- components of B ----------------------------------------------------
 
     def b2(self, r):
@@ -192,7 +184,8 @@ class StructureFunctions:
         alpha0, alpha1 and their first two derivatives are evaluated once, on
         all of r, and the chain b1 -> b1' -> b2 -> rho runs on the kept radii,
         so no floored radius is divided by.  Raises DegenerateQError when the
-        floor excludes every radius.
+        floor excludes every radius, and SolverError when b1 or b1' overflows
+        on a kept radius.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         p = self.pair
@@ -211,10 +204,13 @@ class StructureFunctions:
         la0 = d1a0 / a0
         la1 = d1a1 / a1
         qp = 0.5 * (d2a0 / a0 - la0**2 - d2a1 / a1 + la1**2)
-        u = 4.0 * q**2 + a0**2 + a1**2
-        up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
-        b1 = -u / (8.0 * q)
-        b1p = -(up * q - u * qp) / (8.0 * q**2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = 4.0 * q**2 + a0**2 + a1**2
+            up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
+            b1 = -u / (8.0 * q)
+            b1p = -(up * q - u * qp) / (8.0 * q**2)
+        if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b1p))):
+            raise SolverError(f"b1 or b1' is not finite on a kept radius for {p.label}")
         with np.errstate(divide="ignore"):  # b1 is finite at r = 0, rho is infinite there
             cent = -2.0 * p.l1 / r**2
         rhs = cent + 2.0 * q * (b1 - la1) + a0**2 / 2.0 + qp - q**2
@@ -363,9 +359,8 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
         raise DomainError("l0 must be >= 1")
     if c1 == 0.0:
         raise DomainError("leading profile coefficient c1 must not vanish")
-    # positive root of l1 (l1 - 1) = l0 (l0 + 1)
-    l1 = int(round(0.5 * (1.0 + np.sqrt(1.0 + 4.0 * l0 * (l0 + 1)))))
-    assert l1 * (l1 - 1) == l0 * (l0 + 1)
+    # l1 (l1 - 1) - l0 (l0 + 1) = (l1 - l0 - 1)(l1 + l0), and l1 + l0 > 0
+    l1 = l0 + 1
     fits = {cand: _singular_mismatch_c2(cand, l0, c1, e) for cand in (l0, l0 + 1, l0 + 2)}
     wrong = [fits[l0], fits[l0 + 2]]
     ratio = float(min(wrong) / max(fits[l0 + 1], 1e-300))
@@ -391,7 +386,6 @@ class DefectRecord:
     means the discretization is too coarse to see it)."""
 
     defect: float
-    unnormalized: float
     flagged: bool
     truncated: bool
 
@@ -421,7 +415,6 @@ def intertwining_defect(
     pair: AlphaPair,
     gauge: GaugeChoice = DEFAULT_GAUGE,
     n: int = 300,
-    test_scale: float = 1.0,
 ) -> DefectRecord:
     """Measure || A^#(H0 - E) phi - (H1 - E) A^# phi || on smooth test fields.
 
@@ -461,19 +454,15 @@ def intertwining_defect(
         return np.concatenate([w[:, 0], w[:, 1]])
 
     rel = np.empty(_DEFECT_TESTS)
-    unnorm = np.empty(_DEFECT_TESTS)
     for i, phi2 in enumerate(_bump_profiles(nodes)):
-        phi = test_scale * np.concatenate([phi2[0], phi2[1]]).astype(complex)
+        phi = np.concatenate([phi2[0], phi2[1]]).astype(complex)
         t1 = apply_a_sharp(h0.matvec(phi) - e_val * phi)
         a_phi = apply_a_sharp(phi)
         t2 = h1.matvec(a_phi) - e_val * a_phi
-        d = np.linalg.norm(t1 - t2)
-        unnorm[i] = d
-        rel[i] = d / (np.linalg.norm(t1) + np.linalg.norm(t2))
+        rel[i] = np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2))
     defect = float(np.max(rel))
     return DefectRecord(
         defect=defect,
-        unnormalized=float(np.max(unnorm)),
         flagged=bool(defect < 10.0 * h**2),
         truncated=truncated,
     )

@@ -65,7 +65,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
     pair_index: Optional[np.ndarray]
-    pair_tol: Optional[float]
     disk: Optional[Tuple[float, float]] = None
     right_of: Optional[float] = None
 
@@ -187,7 +186,7 @@ def _local_eigen(m: DynamoMatrix, near: np.ndarray) -> Optional[Spectrum]:
             return None
         radius = float(np.max(np.abs(vals - sigma))) * (1.0 - _DISK_MARGIN)
         if radius > 2.0 * spread:
-            return Spectrum(_sorted(vals)[0], None, None, None, disk=(sigma, radius))
+            return Spectrum(_sorted(vals)[0], None, None, disk=(sigma, radius))
         k *= 2
     return None
 
@@ -290,7 +289,7 @@ def _leading_eigen(m: DynamoMatrix, count: int, want_vectors: bool) -> Optional[
                 vecs = _ritz_vectors(m, vals[:j], vecs[:, :j])
                 if vecs is None:
                     return None
-            return Spectrum(vals[:j], vecs, None, None, right_of=s)
+            return Spectrum(vals[:j], vecs, None, right_of=s)
     return None
 
 
@@ -362,12 +361,13 @@ def eigen(
                 f"> {bound:.3e} at eigenvalue {vals[bad[0]]!r}"
             )
         vecs.setflags(write=False)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None, pair_tol=None)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, pair_index=None)
 
 
 def _residual_check(m: DynamoMatrix, vals: np.ndarray, vecs: np.ndarray) -> tuple:
     """(residuals, bound, failing columns) of the contract ||H v - lambda v|| <= 1e-8 ||H|| for unit columns."""
-    resid = np.linalg.norm(m.matvec(vecs) - vecs * vals, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf residual fails the contract below
+        resid = np.linalg.norm(m.matvec(vecs) - vecs * vals, axis=0)
     bound = _RESIDUAL_BOUND * m.norm_inf()
     return resid, bound, np.flatnonzero(~(resid <= bound))
 
@@ -400,7 +400,7 @@ def classify_pairs(spec: Spectrum, pair_tol: float) -> Spectrum:
         is_open[best] = False
         tags[i] = best
         tags[best] = i
-    return replace(spec, pair_index=tags, pair_tol=pair_tol)
+    return replace(spec, pair_index=tags)
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,6 @@ class JordanProbe:
     belong to the caller.
     """
 
-    lambda0: complex
     eigvec_residual: float
     chain_residual: float
     chain_vector: np.ndarray
@@ -444,7 +443,6 @@ def jordan_probe(m, lambda0: complex, psi: np.ndarray) -> JordanProbe:
     chi = vh.conj().T[:, keep] @ coeff
     chain_res = float(np.linalg.norm(shifted @ chi - psi) / norm_psi)
     return JordanProbe(
-        lambda0=complex(lambda0),
         eigvec_residual=eig_res,
         chain_residual=chain_res,
         chain_vector=chi,

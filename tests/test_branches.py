@@ -173,6 +173,8 @@ class TestSweepSynthetic:
             SweepConfig(base=ONE, c_min=1.0, c_max=0.0, steps=5)
         with pytest.raises(ConfigurationError):
             SweepConfig(base=ONE, c_min=0.0, c_max=1.0, steps=1)
+        with pytest.raises(ConfigurationError, match="finite"):
+            SweepConfig(base=ONE, c_min=0.0, c_max=np.inf, steps=5)
         with pytest.raises(ConfigurationError, match="track_count"):
             SweepConfig(base=ONE, c_min=0.0, c_max=1.0, steps=5, track_count=0)
 

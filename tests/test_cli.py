@@ -579,6 +579,27 @@ class TestExitCodes:
         assert "derivative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, rc, message",
+        [
+            (["nogo", "--alpha0", "poly:1,0,1e200", "--alpha1", "const:1", "--samples", "8"], 3, "numerical failure: "),
+            (["sweep", "--alpha", "const:1", "--scale", "0,inf,5"], 2, "configuration error: "),
+            (["pencil-check", "--alpha", "const:1e200", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
+            (
+                ["mre-check", "--alpha0", "const:1e200", "--alpha1", "const:1", "--step", "0.01"],
+                0,
+                "warning: bottom block numerically singular on ",
+            ),
+        ],
+        ids=["nogo", "sweep", "pencil-check", "mre-check"],
+    )
+    def test_huge_values_give_the_exit_code_and_no_numpy_warning(self, tmp_path, capsys, argv, rc, message):
+        # a numpy RuntimeWarning is an error under this suite's warning filter
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == rc
+        assert capsys.readouterr().err.startswith(message)
+        assert out.exists() == (rc == 0)
+
     def test_exact_conjugation_of_real_matrices(self, tmp_path):
         # LAPACK returns bit-exact conjugate pairs for real input, so even a
         # pair tolerance at the underflow limit classifies cleanly

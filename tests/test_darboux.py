@@ -8,7 +8,6 @@ from dynamolab import ConfigurationError, RadialGrid, SingularSuperpotentialErro
 from dynamolab.darboux import (
     DarbouxPair,
     GivenSeed,
-    GroundState,
     LocalQuintic,
     Potential1D,
     darboux_partner,
@@ -110,13 +109,13 @@ class TestLocalQuintic:
 
 class TestIsospectral:
     def test_box_levels(self, box_pair):
-        rep = verify_isospectral(box_pair, levels=5, tol=1e-3)
+        rep = verify_isospectral(box_pair, levels=5)
         assert rep.all_ok
         for m, row in enumerate(rep.levels, start=2):
             assert row.e1 == pytest.approx((m * np.pi) ** 2, rel=1e-3)
 
     def test_seed_level_absent(self, box_pair):
-        rep = verify_isospectral(box_pair, levels=5, tol=1e-3)
+        rep = verify_isospectral(box_pair, levels=5)
         assert rep.seed_deleted
         assert rep.lowest_partner_level >= 4 * PI2 * (1 - 1e-3)
 
@@ -125,8 +124,8 @@ class TestIsospectral:
         shifted = Potential1D(lambda x: np.full_like(x, c), "box+c")
         pair0 = darboux_partner(BOX, grid2000)
         pair_c = darboux_partner(shifted, grid2000)
-        rep0 = verify_isospectral(pair0, levels=3, tol=1e-3)
-        rep_c = verify_isospectral(pair_c, levels=3, tol=1e-3)
+        rep0 = verify_isospectral(pair0, levels=3)
+        rep_c = verify_isospectral(pair_c, levels=3)
         assert pair_c.energy == pytest.approx(pair0.energy + c, abs=1e-9)
         for r0, rc in zip(rep0.levels, rep_c.levels):
             assert rc.e0 == pytest.approx(r0.e0 + c, abs=1e-8)
@@ -142,19 +141,19 @@ class TestIsospectral:
             return eigh_tridiagonal(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
-        verify_isospectral(darboux_partner(BOX, grid2000), levels=5, tol=1e-3)
+        verify_isospectral(darboux_partner(BOX, grid2000), levels=5)
         assert calls == [False, True, True]  # the seed keeps its vector; both level checks ask for values only
 
     def test_level_cap(self, box_pair):
         with pytest.raises(ConfigurationError):
-            verify_isospectral(box_pair, levels=21, tol=1e-3)
+            verify_isospectral(box_pair, levels=21)
         with pytest.raises(ConfigurationError, match="at least one level"):
-            verify_isospectral(box_pair, levels=0, tol=1e-3)
+            verify_isospectral(box_pair, levels=0)
 
 
 class TestFactorization:
     def test_box_residuals(self, box_pair, grid2000):
-        r0, r1 = factorization_residual(box_pair, grid2000)
+        r0, r1 = factorization_residual(box_pair)
         assert r0 <= 1e-3
         assert r1 <= 1e-3
 
@@ -163,16 +162,16 @@ class TestFactorization:
         for n in (2000, 4000):
             g = build_grid(n)
             pair = darboux_partner(BOX, g)
-            res[n] = factorization_residual(pair, g)
+            res[n] = factorization_residual(pair)
         assert res[2000][0] / res[4000][0] >= 3.5
         assert res[2000][1] / res[4000][1] >= 3.5
 
     def test_energy_shift_detector(self, box_pair, grid2000):
         # shift large enough to rise above the h^2 discretization floor
         delta = 10.0
-        base0, _ = factorization_residual(box_pair, grid2000)
+        base0, _ = factorization_residual(box_pair)
         shifted = dataclasses.replace(box_pair, energy=box_pair.energy + delta)
-        shifted0, _ = factorization_residual(shifted, grid2000)
+        shifted0, _ = factorization_residual(shifted)
         h0 = schrodinger_tridiag(grid2000, BOX)
         norm_h0 = np.max(np.abs(h0.diag)) + 2.0 / grid2000.h**2
         assert shifted0 == pytest.approx(delta / norm_h0, rel=0.3)

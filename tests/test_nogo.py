@@ -5,9 +5,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from dynamolab import AlphaProfile, ConfigurationError, DegenerateQError, DomainError
+from dynamolab import AlphaProfile, ConfigurationError, DegenerateQError, DomainError, SolverError
 from dynamolab.cli import main
-from dynamolab.mre import kmat
+from dynamolab.mre import kmat, mmat
 from dynamolab.nogo import (
     RHO_WINDOW,
     AlphaPair,
@@ -330,6 +330,12 @@ class TestOdeResidual:
         with pytest.raises(DegenerateQError):
             StructureFunctions(pair_of(ONE, ONE)).rho(np.linspace(*RHO_WINDOW, 512))
 
+    def test_overflowing_b1_raises(self):
+        # alpha0^2 overflows on every kept radius, so b1 would be -inf and rho NaN
+        sf = StructureFunctions(pair_of(AlphaProfile.polynomial([1.0, 0.0, 1e200]), ONE))
+        with pytest.raises(SolverError, match="b1"):
+            sf.rho(np.linspace(0.0, 1.0, 8))
+
 
 class TestDegenerateCase:
     def test_constant_profiles(self):
@@ -392,11 +398,6 @@ class TestIntertwiningDefect:
         pair = pair_of(ONE, AlphaProfile.polynomial([1.0, 0.0, 0.5]))
         shifted = intertwining_defect(pair, gauge=GaugeChoice(gamma=0.7))
         assert abs(shifted.defect - witness.defect) <= 1e-10
-
-    def test_unnormalized_linearity(self, witness):
-        pair = pair_of(ONE, AlphaProfile.polynomial([1.0, 0.0, 0.5]))
-        scaled = intertwining_defect(pair, test_scale=10.0)
-        assert scaled.unnormalized == pytest.approx(10.0 * witness.unnormalized, rel=1e-9)
 
 
 class TestCertificate:
@@ -500,17 +501,16 @@ class TestCertificate:
 
     def test_m_evaluators_match_operator_blocks(self):
         # M carries the centrifugal, shift and coupling structure of the
-        # shifted operator; spot-check the batched evaluators entrywise
+        # shifted operator; spot-check the batched evaluator entrywise
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.0, 0.5]), EXP_R, e=0.7)
-        sf = StructureFunctions(pair)
         r = 0.4
-        m0 = sf.m0(np.array([r]))[0]
+        m0 = mmat(pair.alpha0(r), pair.l0, pair.e, r)[0]
         cent = pair.l0 * (pair.l0 + 1) / r**2
         a0 = float(pair.alpha0(r))
         assert m0[0, 0] == pytest.approx(cent + 0.7)
         assert m0[0, 1] == pytest.approx(-a0)
         assert m0[1, 0] == pytest.approx(-a0 * cent)
-        m1 = sf.m1(np.array([r]))[0]
+        m1 = mmat(pair.alpha1(r), pair.l1, pair.e, r)[0]
         cent1 = pair.l1 * (pair.l1 + 1) / r**2
         a1 = float(pair.alpha1(r))
         assert m1[1, 0] == pytest.approx(-a1 * cent1)

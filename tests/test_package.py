@@ -6,6 +6,29 @@ from pathlib import Path
 import dynamolab
 
 
+PUBLIC_NAMES = {
+    "AlphaPair", "AlphaProfile", "BracketError", "BranchEvent", "BranchTrace",
+    "ClassificationError", "ConfigurationError", "DarbouxPair", "DegeneratePencilError",
+    "DegenerateQError", "DomainError", "DynamoLabError", "DynamoMatrix", "GaugeChoice",
+    "GivenSeed", "JordanProbe", "MatrixODESolution", "NoGoReport", "PencilCoefficients",
+    "Potential1D", "RadialGrid", "ShapeError", "SingularSuperpotentialError", "SolverError",
+    "Spectrum", "StructureFunctions", "SweepConfig", "TrackingError", "TridiagOp",
+    "assemble", "asymptotic_l_increment", "build_R", "build_grid", "builtin_pair_family",
+    "classify_pairs", "darboux_partner", "degenerate_case_check", "dynamo_family", "eigen",
+    "eigenfunction_equivalence", "factorization_residual", "inner_product",
+    "intertwining_defect", "jordan_probe", "lambda_pm", "laplacian_l", "locate_ep",
+    "mre_linear_solve", "nogo_certificate", "parse_profile", "partner_mode",
+    "pencil_coefficients", "pencil_psi2", "product_invariant_check",
+    "pseudo_hermiticity_residual", "riccati_residual", "sharp", "sweep", "verify_isospectral",
+}
+
+
+def test_public_names_are_pinned():
+    # a new or removed public name has to show up here as a test edit
+    assert len(PUBLIC_NAMES) == 59
+    assert set(dynamolab.__all__) == PUBLIC_NAMES
+
+
 def test_public_names_resolve_once():
     names = dynamolab.__all__
     assert len(names) == len(set(names))

@@ -317,7 +317,7 @@ class TestLeadingEigen:
         assert spec.right_of is None and np.array_equal(spec.eigenvalues, vals)
 
     def test_covers_reads_the_half_plane(self):
-        spec = Spectrum(np.array([-1.0 + 0j]), None, None, None, right_of=-10.0)
+        spec = Spectrum(np.array([-1.0 + 0j]), None, None, right_of=-10.0)
         assert spec.covers([-5.0 + 3.0j, -2.0], 4.9)
         assert not spec.covers([-5.0 + 3.0j, -2.0], 5.1)
 
@@ -498,7 +498,7 @@ class TestClassify:
 
     def test_simple_pair(self):
         vals = np.array([1 + 2j, 1 - 2j, 3.0 + 0j])
-        spec = Spectrum(eigenvalues=vals, eigenvectors=None, pair_index=None, pair_tol=None)
+        spec = Spectrum(eigenvalues=vals, eigenvectors=None, pair_index=None)
         out = classify_pairs(spec, 1e-6)
         assert out.pair_index[0] == 1 and out.pair_index[1] == 0
         assert out.pair_index[2] == -1
@@ -518,7 +518,7 @@ class TestClassify:
 
     def test_unpaired_complex_raises(self):
         vals = np.array([1 + 2j, 1 - 2.00001j])
-        spec = Spectrum(eigenvalues=vals, eigenvectors=None, pair_index=None, pair_tol=None)
+        spec = Spectrum(eigenvalues=vals, eigenvectors=None, pair_index=None)
         with pytest.raises(ClassificationError):
             classify_pairs(spec, 1e-6)
 
