@@ -33,7 +33,7 @@ from .errors import BracketError, ConfigurationError, TrackingError
 from .grid import build_grid
 from .operator import DynamoMatrix, scaled_family
 from .profiles import AlphaProfile
-from .spectral import Spectrum, eigen
+from .spectral import PAIR_TOL, Spectrum, eigen
 
 MatrixFamily = Callable[[float], Union[DynamoMatrix, np.ndarray]]
 
@@ -59,7 +59,6 @@ class SweepConfig:
     l: int = 1
     n: int = 100
     track_count: int = 6
-    pair_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not np.isfinite([self.c_min, self.c_max]).all():
@@ -70,8 +69,6 @@ class SweepConfig:
             raise ConfigurationError(f"need at least 2 sweep steps, got {self.steps}")
         if self.track_count < 1:
             raise ConfigurationError("track_count must be positive")
-        if not 0.0 < self.pair_tol < np.inf:
-            raise ConfigurationError(f"pair_tol must be finite and positive, got {self.pair_tol}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,10 @@ def _greedy_assign(prev: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.n
     return matched, np.abs(matched - prev)
 
 
-def _transition_pairs(prev: np.ndarray, matched: np.ndarray, pair_tol: float) -> np.ndarray:
+def _transition_pairs(prev: np.ndarray, matched: np.ndarray) -> np.ndarray:
     """Symmetric mask of the branch pairs that switch between two-real and conjugate-pair states."""
-    in_band_b = np.abs(matched.imag) <= pair_tol
-    flips = (np.abs(prev.imag) <= pair_tol) != in_band_b
+    in_band_b = np.abs(matched.imag) <= PAIR_TOL
+    flips = (np.abs(prev.imag) <= PAIR_TOL) != in_band_b
     if not flips.any():
         return np.zeros((prev.shape[0],) * 2, dtype=bool)
     # partners on branch i's complex side; hypot rounds like abs(), np.abs of an array may not
@@ -129,7 +126,6 @@ def _advance(
     prev: np.ndarray,
     c_a: float,
     c_b: float,
-    pair_tol: float,
     depth: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Match branches from c_a to c_b, refining the step when movement is ambiguous.
@@ -142,7 +138,7 @@ def _advance(
     matched, movement = _greedy_assign(prev, spec.eigenvalues)
     if not spec.covers(prev, movement.max()):
         matched, movement = _greedy_assign(prev, spectrum_at(c_b).eigenvalues)
-    exempt = _transition_pairs(prev, matched, pair_tol)
+    exempt = _transition_pairs(prev, matched)
     floor = 1e-9 * (1.0 + np.max(np.abs(prev)))
     diff = prev[:, None] - prev[None, :]
     d = np.hypot(diff.real, diff.imag)
@@ -173,8 +169,8 @@ def _advance(
                 )
         return matched, movement
     c_m = 0.5 * (c_a + c_b)
-    mid, mv1 = _advance(spectrum_at, prev, c_a, c_m, pair_tol, depth + 1)
-    out, mv2 = _advance(spectrum_at, mid, c_m, c_b, pair_tol, depth + 1)
+    mid, mv1 = _advance(spectrum_at, prev, c_a, c_m, depth + 1)
+    out, mv2 = _advance(spectrum_at, mid, c_m, c_b, depth + 1)
     return out, mv1 + mv2
 
 
@@ -210,10 +206,11 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
     events = []
     for k in range(cfg.steps - 1):
         a = branches[:, k]
-        b, movement = _advance(spectrum_at, a, cs[k], cs[k + 1], cfg.pair_tol)
+        c_a, c_b = float(cs[k]), float(cs[k + 1])
+        b, movement = _advance(spectrum_at, a, c_a, c_b)
         branches[:, k + 1] = b
         bounds[k] = movement.max() * (1.0 + 1e-12) + 1e-300
-        events += _interval_events(float(cs[k]), float(cs[k + 1]), a, b, cfg.pair_tol)
+        events += _interval_events(c_a, c_b, a, b)
     for arr in (cs, branches, bounds):
         arr.setflags(write=False)
     return BranchTrace(
@@ -225,16 +222,16 @@ def sweep(cfg: SweepConfig, family: Optional[MatrixFamily] = None) -> BranchTrac
     )
 
 
-def _interval_events(c_a: float, c_b: float, a: np.ndarray, b: np.ndarray, pair_tol: float) -> list:
+def _interval_events(c_a: float, c_b: float, a: np.ndarray, b: np.ndarray) -> list:
     """The branch events of one grid interval [c_a, c_b] from its end values a and b.
 
     A RealToComplex or ComplexToReal event is a pair of _transition_pairs
     whose two branches flip the same way; each branch joins at most one
     event, lowest index first.
     """
-    in_a = np.abs(a.imag) <= pair_tol
-    in_b = np.abs(b.imag) <= pair_tol
-    pairs = np.triu(_transition_pairs(a, b, pair_tol) & (in_a[:, None] == in_a[None, :]), 1)
+    in_a = np.abs(a.imag) <= PAIR_TOL
+    in_b = np.abs(b.imag) <= PAIR_TOL
+    pairs = np.triu(_transition_pairs(a, b) & (in_a[:, None] == in_a[None, :]), 1)
     events = []
     joined = set()
     for i, j in np.argwhere(pairs).tolist():

@@ -84,11 +84,9 @@ def _write_svg(path: str, curves, title: str) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    if not 0.0 < args.pair_tol < np.inf:
-        raise ConfigurationError(f"--pair-tol must be finite and positive, got {args.pair_tol}")
     alpha = parse_profile(args.alpha)
     grid = build_grid(args.n)
-    spec = classify_pairs(eigen(assemble(grid, alpha, args.l)), args.pair_tol)
+    spec = classify_pairs(eigen(assemble(grid, alpha, args.l)))
     lines = ["re_lambda,im_lambda,class,pair_index"]
     labels = spec.labels()
     for i, lam in enumerate(spec.eigenvalues):
@@ -110,7 +108,6 @@ def _cmd_sweep(args) -> int:
         l=args.l,
         n=args.n,
         track_count=args.track,
-        pair_tol=args.pair_tol,
     )
     trace = sweep(cfg)
     lines = ["C,branch_id,re_lambda,im_lambda"]
@@ -269,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True, help="profile literal, e.g. const:1.0")
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--n", type=int, default=500)
-    sp.add_argument("--pair-tol", dest="pair_tol", type=float, default=1e-8)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_spectrum)
 
@@ -279,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--scale", type=_scale_triplet, required=True, help="MIN,MAX,STEPS")
     sw.add_argument("--n", type=int, default=300)
     sw.add_argument("--track", type=int, default=6)
-    sw.add_argument("--pair-tol", dest="pair_tol", type=float, default=1e-8)
     sw.add_argument("--out", required=True)
     sw.add_argument("--svg", default=None)
     sw.set_defaults(func=_cmd_sweep)

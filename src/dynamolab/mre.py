@@ -171,6 +171,7 @@ COND_LOG_MAX = 12.0
 PROPAGATOR_BLOCK = 256  # steps whose propagators rk4_linear builds in one batch
 SHOOTING_WINDOW = 8  # RK4 steps per multiple-shooting window of riccati_residual
 SHOOTING_RTOL = 1e-14  # Newton update of a window start, relative to it, taken as rounding
+_MAX_STEPS = 2 * 10**5  # RK4 steps of one trajectory: mre-check's peak RSS is about 0.2 GB at the cap
 
 
 def _rk4_step(rhs, c_node, c_mid, c_next, y, h):
@@ -270,7 +271,10 @@ def mre_linear_solve(
     alpha = pair.alpha0 if which == U_SYSTEM else pair.alpha1
     l = pair.l0 if which == U_SYSTEM else pair.l1
     e_val = pair.e
-    n_steps = max(1, int(round((r_end - r_start) / step)))
+    span = (r_end - r_start) / step
+    if span > _MAX_STEPS:  # before any array is sized by it
+        raise ConfigurationError(f"step {step} needs more than {_MAX_STEPS} RK4 steps on [{r_start}, {r_end}]")
+    n_steps = max(1, int(round(span)))
     h = (r_end - r_start) / n_steps
     rs = r_start + h * np.arange(n_steps + 1)
     mids = rs[:-1] + h / 2.0
@@ -410,7 +414,8 @@ def riccati_residual(
     def rhs(c, y):
         return _riccati_rhs(c, y, sign)
 
-    start = _mul2(sol.top[starts], inv2(sol.bot[starts]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start fails the check below
+        start = _mul2(sol.top[starts], inv2(sol.bot[starts]))
     start[local == 0] = sol.affine[starts[local == 0]]
     tangents = np.broadcast_to(np.eye(4).reshape(2, 2, 1, 4), (2, 2, seg.size, 4))
     y0 = np.concatenate([np.moveaxis(start, 0, -1)[..., None], tangents], axis=-1)

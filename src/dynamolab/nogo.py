@@ -189,10 +189,11 @@ class StructureFunctions:
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         p = self.pair
-        a0, a1, d1a0, d1a1 = p.alpha0(r), p.alpha1(r), p.alpha0.d1(r), p.alpha1.d1(r)
-        d2a0, d2a1 = p.alpha0.d2(r), p.alpha1.d2(r)
-        q = 0.5 * (d1a0 / a0 - d1a1 / a1)
-        keep = np.abs(q) >= Q_FLOOR
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite b1 or b1' raises below
+            a0, a1, d1a0, d1a1 = p.alpha0(r), p.alpha1(r), p.alpha0.d1(r), p.alpha1.d1(r)
+            d2a0, d2a1 = p.alpha0.d2(r), p.alpha1.d2(r)
+            q = 0.5 * (d1a0 / a0 - d1a1 / a1)
+        keep = ~(np.abs(q) < Q_FLOOR)  # a NaN q is kept, and fails the b1 check
         if not np.any(keep):
             raise DegenerateQError(
                 f"q vanishes on the whole window for {p.label} (proportional "
@@ -201,10 +202,10 @@ class StructureFunctions:
         r, q, a0, a1, d1a0, d1a1, d2a0, d2a1 = (
             t[keep] for t in (r, q, a0, a1, d1a0, d1a1, d2a0, d2a1)
         )
-        la0 = d1a0 / a0
-        la1 = d1a1 / a1
-        qp = 0.5 * (d2a0 / a0 - la0**2 - d2a1 / a1 + la1**2)
         with np.errstate(over="ignore", invalid="ignore"):
+            la0 = d1a0 / a0
+            la1 = d1a1 / a1
+            qp = 0.5 * (d2a0 / a0 - la0**2 - d2a1 / a1 + la1**2)
             u = 4.0 * q**2 + a0**2 + a1**2
             up = 8.0 * q * qp + 2.0 * a0 * d1a0 + 2.0 * a1 * d1a1
             b1 = -u / (8.0 * q)

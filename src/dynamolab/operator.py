@@ -240,23 +240,24 @@ def pencil_coefficients(m: DynamoMatrix, psi1: np.ndarray) -> PencilCoefficients
             "alpha vanishes on a grid node; the quadratic pencil needs alpha != 0"
         )
     q1 = -m.lap
-    inv_a = 1.0 / m.alpha_nodes
-    a2_vec = inv_a * psi1
-    q1_psi = q1.matvec(psi1)
-    a1_vec = q1.matvec(inv_a * psi1) + inv_a * q1_psi
-    a0_vec = q1.matvec(inv_a * q1_psi) - m.q_alpha.matvec(psi1)
-
-    out = []
-    for vec in (a0_vec, a1_vec, a2_vec):
-        raw = inner_product(m.grid, vec, psi1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        inv_a = 1.0 / m.alpha_nodes  # an infinite 1/alpha makes every a_j inf or NaN
+        a2_vec = inv_a * psi1
+        q1_psi = q1.matvec(psi1)
+        a1_vec = q1.matvec(inv_a * psi1) + inv_a * q1_psi
+        a0_vec = q1.matvec(inv_a * q1_psi) - m.q_alpha.matvec(psi1)
+        raws = [inner_product(m.grid, vec, psi1) for vec in (a0_vec, a1_vec, a2_vec)]
+    a0, a1, a2 = (raw.real for raw in raws)
+    disc = a1 * a1 - 4.0 * a0 * a2  # Python floats: an overflow gives inf, not a warning
+    if not np.all(np.isfinite(raws + [disc])):
+        raise SolverError(f"pencil functionals or discriminant not finite ({a0!r}, {a1!r}, {a2!r}; {disc!r})")
+    for raw in raws:
         if abs(raw.imag) > _IMAG_TOL * max(abs(raw), 1e-300):
             raise SolverError(
                 f"pencil functional has non-real value {raw!r}; "
                 "symmetric quadratic forms must be real to rounding"
             )
-        out.append(raw.real)
-    a0, a1, a2 = out
-    return PencilCoefficients(a0=a0, a1=a1, a2=a2, discriminant=a1 * a1 - 4.0 * a0 * a2)
+    return PencilCoefficients(a0=a0, a1=a1, a2=a2, discriminant=disc)
 
 
 def lambda_pm(c: PencilCoefficients) -> Tuple[complex, complex]:

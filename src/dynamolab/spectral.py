@@ -45,6 +45,7 @@ from .errors import ClassificationError, DomainError, ShapeError, SolverError
 from .operator import DynamoMatrix
 
 REAL_TAG = -1
+PAIR_TOL = 1e-8  # |Im| at or below this is real; a pair's conjugates close within it
 
 
 @dataclass(frozen=True)
@@ -372,19 +373,17 @@ def _residual_check(m: DynamoMatrix, vals: np.ndarray, vecs: np.ndarray) -> tupl
     return resid, bound, np.flatnonzero(~(resid <= bound))
 
 
-def classify_pairs(spec: Spectrum, pair_tol: float) -> Spectrum:
+def classify_pairs(spec: Spectrum) -> Spectrum:
     """Tag each eigenvalue Real or as one half of a conjugate pair.
 
     Greedy nearest-conjugate matching with ties broken by smallest index; an
-    eigenvalue with |Im| > pair_tol and no partner within pair_tol raises
-    ClassificationError (impossible for exactly real matrices unless the
-    tolerance is misconfigured).
+    eigenvalue with |Im| > PAIR_TOL and no partner within PAIR_TOL raises
+    ClassificationError (impossible for exactly real matrices, whose dgeev
+    pairs are exact conjugates).
     """
-    if not 0.0 < pair_tol < np.inf:
-        raise ClassificationError(f"pair_tol must be finite and positive, got {pair_tol}")
     vals = spec.eigenvalues
     tags = np.full(vals.shape[0], REAL_TAG, dtype=int)
-    is_open = np.abs(vals.imag) > pair_tol
+    is_open = np.abs(vals.imag) > PAIR_TOL
     for i in np.flatnonzero(is_open).tolist():
         if not is_open[i]:
             continue
@@ -392,10 +391,10 @@ def classify_pairs(spec: Spectrum, pair_tol: float) -> Spectrum:
         diff = vals[i] - np.conj(vals)
         d = np.where(is_open, np.hypot(diff.real, diff.imag), np.inf)  # hypot rounds like abs()
         best = int(np.argmin(d))  # the first minimum: ties go to the smallest index
-        if not d[best] <= pair_tol:
+        if not d[best] <= PAIR_TOL:
             raise ClassificationError(
                 f"unpaired complex eigenvalue {vals[i]!r} "
-                f"(nearest conjugate distance {d[best]:.3e}, pair_tol {pair_tol:.3e})"
+                f"(nearest conjugate distance {d[best]:.3e}, PAIR_TOL {PAIR_TOL:.3e})"
             )
         is_open[best] = False
         tags[i] = best

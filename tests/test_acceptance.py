@@ -117,7 +117,7 @@ def test_c04_conjugate_pair_closure(spec_const1, spec_const0):
     unpaired = 0
     complex_seen = 0
     for spec in spectra:
-        out = classify_pairs(spec, 1e-8)  # raises on any unpaired complex value
+        out = classify_pairs(spec)  # raises on any unpaired complex value
         complex_seen += int(np.sum(out.pair_index != -1))
     ok = unpaired == 0 and complex_seen > 0
     report(4, ok, f"all spectra classified at pair_tol 1e-8 ({complex_seen} paired complex values)")

@@ -491,7 +491,7 @@ def test_transition_pairs_match_the_pairwise_loop():
         prev = re + 1j * rng.choice([0.0, 1.0, -1.0, 1e-9], t) * rng.choice([1, 1 + 1e-7, 1 + 1e-5], t)
         im = rng.choice([0.0, 1.0, -1.0, 1e-9], t) * rng.choice([1, 1 + 1e-7, 1 + 3e-6], t)
         matched = re + rng.choice([0, 1e-7, 1e-3], t) + 1j * im
-        mask = _transition_pairs(prev, matched, 1e-8)
+        mask = _transition_pairs(prev, matched)
         want = reference_transition_pairs(prev, matched, 1e-8)
         assert set(zip(*np.nonzero(np.triu(mask, 1)))) == want
         assert np.array_equal(mask, mask.T) and not mask.diagonal().any()
@@ -590,7 +590,7 @@ def test_interval_events_match_the_pairing_loop():
     kinds = dict.fromkeys(["RealToComplex", "ComplexToReal", "Crossing"], 0)
     for _ in range(2000):
         a, b = random_interval(rng)
-        got = _interval_events(0.0, 1.0, a, b, 1e-8)
+        got = _interval_events(0.0, 1.0, a, b)
         assert got == reference_collect_events(np.array([0.0, 1.0]), np.stack([a, b], axis=1), 1e-8)
         for e in got:
             kinds[e.kind] += 1

@@ -448,25 +448,6 @@ class TestExitCodes:
         rc = main(["spectrum", "--alpha", "const:1", "--n", "4", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_negative_pair_tol(self, tmp_path):
-        rc = main(["spectrum", "--alpha", "const:1", "--n", "60", "--pair-tol", "-1", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["spectrum", "--alpha", "poly:10,-30", "--n", "60"],
-            ["sweep", "--alpha", "poly:1,-3", "--scale", "9,11,17", "--n", "40"],
-        ],
-        ids=["spectrum", "sweep"],
-    )
-    def test_non_finite_pair_tol(self, tmp_path, capsys, argv, tol):
-        out = tmp_path / "x.csv"
-        assert main(argv + ["--pair-tol", tol, "--out", str(out)]) == 2
-        assert "finite and positive" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -535,6 +516,27 @@ class TestExitCodes:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "literal, text, rc, expected",
+        [
+            ("const:inf", None, 2, "unbounded"),
+            ("const:nan", None, 2, "unbounded"),
+            ("spline", "0 1\n0.5 1 2\n1 1\n", 2, "expected two columns"),
+            ("spline", "# r alpha\n\n   \n", 2, "is empty"),
+            ("spline", "# r alpha\n0 1\n\n0.25 1.25\n# mid\n0.75 1.75\n  \n1 2\n", 0, ""),
+        ],
+        ids=["inf", "nan", "three-columns", "only-comments", "comments-between-rows"],
+    )
+    def test_profile_literal(self, tmp_path, capsys, literal, text, rc, expected):
+        if text is not None:
+            table = tmp_path / "alpha.txt"
+            table.write_text(text)
+            literal = f"spline:{table}"
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--alpha", literal, "--n", "16", "--out", str(out)]) == rc
+        assert expected in capsys.readouterr().err
+        assert out.exists() == (rc == 0)
+
     def test_nogo_full_window_accepted(self, tmp_path):
         out = tmp_path / "x.csv"
         argv = ["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--samples", "5"]
@@ -590,32 +592,46 @@ class TestExitCodes:
                 0,
                 "warning: bottom block numerically singular on ",
             ),
+            (["pencil-check", "--alpha", "const:1e-100", "--n", "40", "--modes", "2"], 0, ""),
+            (["pencil-check", "--alpha", "const:1e-160", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
+            (["pencil-check", "--alpha", "const:1e-200", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
+            (["pencil-check", "--alpha", "const:1e-300", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
+            (["pencil-check", "--alpha", "const:1e-320", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
+            (["mre-check", "--alpha0", "const:1", "--alpha1", "const:1", "--step", "1e-300"], 2, "configuration error: "),
+            # 0.9 / 4.4e-6 is just past the 2 * 10**5 steps of one trajectory
+            (["mre-check", "--alpha0", "const:1", "--alpha1", "const:1", "--step", "4.4e-6"], 2, "configuration error: "),
+            (["nogo", "--alpha0", "exp:1,700", "--alpha1", "const:1", "--samples", "4"], 3, "numerical failure: "),
+            (["nogo", "--alpha0", "exp:1,705", "--alpha1", "exp:1,706", "--samples", "4"], 3, "numerical failure: "),
+            (
+                [
+                    "mre-check", "--alpha0", "const:1", "--alpha1", "const:1", "--system", "B",
+                    "--init", "series", "--l1", "300", "--step", "0.01",
+                ],
+                3,
+                "numerical failure: ",
+            ),
+            (["sweep", "--alpha", "const:1", "--scale", "0,1e150,3", "--n", "20"], 3, "numerical failure: "),
         ],
-        ids=["nogo", "sweep", "pencil-check", "mre-check"],
+        ids=[
+            "nogo", "sweep", "pencil-check", "mre-check",
+            "pencil-1e-100", "pencil-1e-160", "pencil-1e-200", "pencil-1e-300", "pencil-1e-320",
+            "mre-step-1e-300", "mre-step-past-cap", "nogo-d2-overflow", "nogo-q-overflow", "mre-window-starts",
+            "sweep-message",
+        ],
     )
     def test_huge_values_give_the_exit_code_and_no_numpy_warning(self, tmp_path, capsys, argv, rc, message):
         # a numpy RuntimeWarning is an error under this suite's warning filter
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == rc
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "np.float64" not in err
         assert out.exists() == (rc == 0)
-
-    def test_exact_conjugation_of_real_matrices(self, tmp_path):
-        # LAPACK returns bit-exact conjugate pairs for real input, so even a
-        # pair tolerance at the underflow limit classifies cleanly
-        rc = main(
-            [
-                "spectrum", "--alpha", "poly:10,-30", "--l", "1", "--n", "100",
-                "--pair-tol", "1e-300", "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 0
-        assert any("Pair" in ln for ln in read_lines(tmp_path / "x.csv"))
 
 
 OPTION_SETS = {
-    "spectrum": {"--alpha", "--l", "--n", "--pair-tol", "--out"},
-    "sweep": {"--alpha", "--l", "--scale", "--n", "--track", "--pair-tol", "--out", "--svg"},
+    "spectrum": {"--alpha", "--l", "--n", "--out"},
+    "sweep": {"--alpha", "--l", "--scale", "--n", "--track", "--out", "--svg"},
     "pencil-check": {"--alpha", "--l", "--n", "--modes", "--out"},
     "darboux": {"--v0", "--n", "--levels", "--out"},
     "nogo": {"--alpha0", "--alpha1", "--l1", "--window", "--samples", "--out", "--svg"},

@@ -9,6 +9,7 @@ from dynamolab import (
     DynamoMatrix,
     PencilCoefficients,
     ShapeError,
+    SolverError,
     assemble,
     build_grid,
     inner_product,
@@ -264,6 +265,13 @@ class TestPencil:
             pencil_coefficients(m, np.ones(8))
         with pytest.raises(DomainError, match="nonzero"):
             pencil_coefficients(m, np.zeros(9))
+
+    @pytest.mark.parametrize("c", [1e-160, 1e-320])
+    def test_non_finite_functionals_raise(self, c):
+        # 1e-160: a1^2 overflows the discriminant; 1e-320: 1/alpha itself overflows
+        g = build_grid(40)
+        with pytest.raises(SolverError, match="not finite"):
+            pencil_coefficients(assemble(g, AlphaProfile.constant(c), 1), first_dirichlet_mode(g)[1])
 
     def test_psi2_reconstruction_constant_alpha(self):
         g = build_grid(300)

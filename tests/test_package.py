@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -27,6 +29,50 @@ def test_public_names_are_pinned():
     # a new or removed public name has to show up here as a test edit
     assert len(PUBLIC_NAMES) == 59
     assert set(dynamolab.__all__) == PUBLIC_NAMES
+
+
+# parameters and dataclass fields with a default, per public callable; the rest have none
+OPTIONAL_PARAMETERS = {
+    "AlphaPair": {"e"},
+    "GaugeChoice": {"deps", "eps", "gamma"},
+    "MatrixODESolution": {
+        "alpha_mids", "alpha_nodes", "kinv_mids", "kinv_nodes", "m_mids", "m_nodes", "warnings",
+    },
+    "Potential1D": {"label"},
+    "Spectrum": {"disk", "right_of"},
+    "StructureFunctions": {"gauge"},
+    "SweepConfig": {"l", "n", "track_count"},
+    "asymptotic_l_increment": {"c1", "e"},
+    "builtin_pair_family": {"l1"},
+    "darboux_partner": {"seed"},
+    "eigen": {"leading", "near", "want_vectors"},
+    "intertwining_defect": {"gauge", "n"},
+    "locate_ep": {"lambda_ref"},
+    "mre_linear_solve": {"cond_log_max", "init", "r_end", "step"},
+    "nogo_certificate": {"defect_n", "defect_samples", "family", "l1", "samples"},
+    "riccati_residual": {"r_min"},
+    "sweep": {"family"},
+}
+
+
+def optional_parameters(obj) -> set:
+    names = {p.name for p in inspect.signature(obj).parameters.values() if p.default is not p.empty}
+    if dataclasses.is_dataclass(obj):
+        missing = dataclasses.MISSING
+        names |= {f.name for f in dataclasses.fields(obj) if (f.default, f.default_factory) != (missing, missing)}
+    return names
+
+
+def test_optional_parameters_are_pinned():
+    # a new setting of the public API has to show up here as a test edit
+    callables = [
+        name for name in dynamolab.__all__
+        if not (isinstance(getattr(dynamolab, name), type) and issubclass(getattr(dynamolab, name), Exception))
+    ]
+    assert set(OPTIONAL_PARAMETERS) <= set(callables)
+    got = {name: optional_parameters(getattr(dynamolab, name)) for name in callables}
+    assert got == {name: OPTIONAL_PARAMETERS.get(name, set()) for name in callables}
+    assert sum(map(len, got.values())) == 39
 
 
 def test_public_names_resolve_once():
