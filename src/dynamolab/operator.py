@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -143,31 +143,43 @@ class DynamoMatrix:
         lap = row_sums(self.lap)
         return float(max(np.max(lap + np.abs(self.alpha_nodes)), np.max(row_sums(self.q_alpha) + lap)))
 
-    def _block_lu(self, shifts) -> Iterator[np.ndarray]:
-        """Block LU of H - z for each shift z, node by node: yields each pivot determinant.
+    def _block_lu(self, shifts) -> np.ndarray:
+        """Block LU of H - z for each shift z, node by node: the pivot determinants, shape (n, len(shifts)).
 
         Numbered node by node as (u1_i, u2_i), H - z is block tridiagonal:
         diagonal blocks D_i = [[lap_i - z, alpha_i], [q_i, lap_i - z]] and both
         off-diagonal blocks E_i = [[lap.off_i, 0], [q.off_i, lap.off_i]].  The
         factorization runs over the nodes without pivoting, vectorized over the
-        shifts, in O(n) per shift.  Node i yields the determinant of the pivot
-        D_i - E P_{i-1} E, with P_i the inverse of that pivot, as an array over
-        the shifts; det(H - z) is the product of the determinants.  A zero
-        pivot gives non-finite entries from there on.
+        shifts, in O(n) per shift.  Row i holds the determinant of the pivot
+        U_i = D_i - E U_{i-1}^{-1} E; det(H - z) is the product of the rows.
+        Each node first scales U_{i-1} by 1/det, whose adjugate is then
+        U_{i-1}^{-1}, so every intermediate stays near the size of the pivots;
+        one real 4 x 5 product then gives U_i + z: its first four columns hold
+        -E adj(.) E with the adjugate's signs and swap folded in, and its last
+        the constant (lap_i, alpha_i, q_i, lap_i), against a row of ones.  A
+        zero pivot gives non-finite entries from there on.
         """
-        lo, qo = self.lap.off.tolist(), self.q_alpha.off.tolist()
-        dz = self.lap.diag[:, None] - np.asarray(shifts, dtype=complex)[None, :]
-        for i, (d, a, q) in enumerate(zip(dz, self.alpha_nodes.tolist(), self.q_alpha.diag.tolist())):
-            u00, u01, u10, u11 = d, a, q, d
-            if i:  # D_i - (E P) E
-                l, g = lo[i - 1], qo[i - 1]
-                m00, m01, m10, m11 = l * p00, l * p01, g * p00 + l * p10, g * p01 + l * p11
-                u00, u01 = u00 - (l * m00 + g * m01), u01 - l * m01
-                u10, u11 = u10 - (l * m10 + g * m11), u11 - l * m11
-            det = u00 * u11 - u01 * u10
-            r = 1.0 / det
-            p00, p01, p10, p11 = u11 * r, -u01 * r, -u10 * r, u00 * r
-            yield det
+        z = np.asarray(shifts, dtype=complex)
+        l, g = self.lap.off, self.q_alpha.off
+        ll, lg, gg, o = l * l, l * g, g * g, np.zeros_like(l)
+        k = np.array([[o, lg, o, -ll], [o, ll, o, o], [-lg, gg, ll, -lg], [-ll, lg, o, o]])
+        w = np.zeros((self.n, 4, 5))  # rows: U_i's entries 00, 01, 10, 11; columns: U_{i-1}'s, then 1
+        w[1:, :, :4] = np.moveaxis(k, -1, 0)
+        w[:, :, 4] =np.stack([self.lap.diag, self.alpha_nodes, self.q_alpha.diag, self.lap.diag], axis=1)
+        x = np.zeros((5, z.size), dtype=complex)  # U_{i-1} / det, then the row of ones
+        x[4] = 1.0
+        u = np.empty((4, z.size), dtype=complex)
+        r = np.empty(z.size, dtype=complex)
+        dets = np.empty((self.n, z.size), dtype=complex)
+        x_parts, u_parts = x.view(float), u.view(float)  # real and imaginary parts side by side
+        for w_i, det in zip(w, dets):
+            np.dot(w_i, x_parts, out=u_parts)
+            u[::3] -= z
+            np.multiply(u[0], u[3], out=det)
+            det -= np.multiply(u[1], u[2], out=r)
+            np.divide(1.0, det, out=r)
+            np.multiply(u, r, out=x[:4])
+        return dets
 
 
 def scaled_family(grid: RadialGrid, alpha, l: int) -> Callable[[float], DynamoMatrix]:

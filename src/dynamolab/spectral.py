@@ -200,7 +200,9 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
     (H is real).  det(H - z) is the product of the block-LU pivot
     determinants (``DynamoMatrix._block_lu``), so the change is summed pivot
     by pivot from y = 0 to Y over y = 0 and _COUNT_SAMPLES log-spaced points
-    spanning _COUNT_DECADES decades below Y.  Y is large enough that the
+    spanning _COUNT_DECADES decades below Y, each pivot's step between two
+    samples taken into [-pi, pi] by adding or subtracting 2 pi where the
+    difference of the two args leaves it.  Y is large enough that the
     phase left out beyond it is at most N (||H|| + |s|) / Y = _COUNT_TAIL.
     Every interval where one pivot's phase moves by more than _PHASE_STEP is
     bisected, for at most _COUNT_ROUNDS rounds and _COUNT_MAX_SAMPLES samples.
@@ -220,7 +222,8 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
         if phase is None:
             return None
         steps = np.diff(phase, axis=1)
-        steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+        steps[steps > np.pi] -= 2.0 * np.pi  # each step into [-pi, pi]
+        steps[steps < -np.pi] += 2.0 * np.pi
         coarse = np.flatnonzero(np.max(np.abs(steps), axis=0) > _PHASE_STEP)
         if coarse.size == 0:
             right = 0.5 * size - float(np.sum(steps)) / np.pi
@@ -235,9 +238,9 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
 
 
 def _pivot_phases(m: DynamoMatrix, s: float, ys: np.ndarray) -> Optional[np.ndarray]:
-    """arg of every pivot determinant of H - (s + iy), shape (n, len(ys)); None if one is zero or not finite."""
+    """arg of the (n, len(ys)) pivot determinants of H - (s + iy), from one pass; None if one is zero or not finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dets = np.array(list(m._block_lu(s + 1j * ys)))
+        dets = m._block_lu(s + 1j * ys)
     if not (np.isfinite(dets).all() and dets.all()):
         return None
     return np.angle(dets)

@@ -33,6 +33,7 @@ from dynamolab.darboux import (
 )
 from dynamolab.mre import eigenfunction_equivalence, mre_linear_solve, riccati_residual
 from dynamolab.nogo import AlphaPair, asymptotic_l_increment, nogo_certificate
+from dynamolab.spectral import PAIR_TOL
 from oracles import K_L1, bessel_zero
 
 ONE = AlphaProfile.constant(1.0)
@@ -120,7 +121,7 @@ def test_c04_conjugate_pair_closure(spec_const1, spec_const0):
         out = classify_pairs(spec)  # raises on any unpaired complex value
         complex_seen += int(np.sum(out.pair_index != -1))
     ok = unpaired == 0 and complex_seen > 0
-    report(4, ok, f"all spectra classified at pair_tol 1e-8 ({complex_seen} paired complex values)")
+    report(4, ok, f"all spectra classified at spectral.PAIR_TOL = {PAIR_TOL:g} ({complex_seen} paired complex values)")
 
 
 def test_c05_pencil_consistency(spec_const1):

@@ -184,6 +184,21 @@ class TestPencilCheckLeading:
         assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
         assert len(read_lines(tmp_path / "p.csv")) == 13
 
+    @pytest.mark.parametrize("alpha", ["poly:1,0,0.5", "poly:1,0,0.9"])
+    def test_one_count_pass_of_257_shifts(self, tmp_path, monkeypatch, alpha):
+        from dynamolab import DynamoMatrix
+
+        true_block_lu, passes = DynamoMatrix._block_lu, []
+
+        def counted(self, shifts):
+            passes.append(len(shifts))
+            return true_block_lu(self, shifts)
+
+        monkeypatch.setattr(DynamoMatrix, "_block_lu", counted)
+        argv = ["pencil-check", "--alpha", alpha, "--l", "1", "--n", "300", "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 0
+        assert passes == [257]  # y = 0 and the 256 log-spaced samples, with no bisection round
+
     def test_rows_match_the_dense_path(self, tmp_path, monkeypatch):
         assert main(self.README + ["--out", str(tmp_path / "leading.csv")]) == 0
         self.dense(monkeypatch)

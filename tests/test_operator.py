@@ -208,10 +208,21 @@ class TestBlockLU:
     @pytest.mark.parametrize("z", [0.5, -20.0 + 5.0j, -300.0 - 40.0j])
     def test_pivot_determinants_multiply_to_det(self, z):
         m = assemble(build_grid(12), parse_profile("poly:10,-30"), 1)
-        dets = np.array([det[0] for det in m._block_lu([z])])
+        dets = m._block_lu([z])[:, 0]
         sign, logdet = np.linalg.slogdet(m.matrix - z * np.eye(m.size))
         assert np.sum(np.log(np.abs(dets))) == pytest.approx(logdet, rel=1e-12)
         assert np.prod(dets / np.abs(dets)) == pytest.approx(sign, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [-3.0, -50.0 + 7.0j, 2.0 + 1e4j])
+    @pytest.mark.parametrize("alpha", ["poly:1,-3", "poly:10,-30", "const:1"])
+    def test_each_pivot_is_a_ratio_of_leading_minors(self, alpha, z):
+        m = assemble(build_grid(10), parse_profile(alpha), 1)
+        node = band_positions(m)[0]
+        a = (m.matrix - z * np.eye(m.size))[np.ix_(node, node)]
+        minors = [1.0] + [np.linalg.det(a[: 2 * i, : 2 * i]) for i in range(1, m.n + 1)]
+        want = np.array(minors[1:]) / np.array(minors[:-1])
+        dets = m._block_lu([z])[:, 0]
+        assert np.all(np.abs(dets - want) <= 1e-12 * np.abs(want))
 
 
 class TestPencil:

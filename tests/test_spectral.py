@@ -220,6 +220,26 @@ class TestLeadingEigen:
         s = pair.real + side
         assert _count_right(m, s) == np.sum(vals.real > s)
 
+    # 2^330 scales every entry and line exactly; the pivots then reach about 1e220
+    @pytest.mark.parametrize("alpha, n", [("poly:1,0,0.5", 60), ("poly:10,-30", 100), ("const:5", 60)])
+    def test_count_unchanged_by_a_huge_scale(self, dense_cases, alpha, n):
+        from dynamolab.grid import TridiagOp
+        from dynamolab.spectral import _count_right
+
+        m, vals = dense_cases(alpha, 1, n)
+        f = 2.0**330
+        big = DynamoMatrix(
+            grid=m.grid,
+            lap=TridiagOp(diag=f * m.lap.diag, off=f * m.lap.off),
+            q_alpha=TridiagOp(diag=f * m.q_alpha.diag, off=f * m.q_alpha.off),
+            alpha_nodes=f * m.alpha_nodes,
+        )
+        re = np.unique(vals.real)[::-1][:8]
+        for s in 0.5 * (re[:-1] + re[1:]):
+            count = _count_right(m, s)
+            assert count == np.sum(vals.real > s), s
+            assert _count_right(big, f * s) == count, s
+
     def test_zero_pivot_gives_no_count(self):
         from dynamolab.grid import TridiagOp
         from dynamolab.spectral import _count_right
