@@ -165,7 +165,7 @@ class DynamoMatrix:
         k = np.array([[o, lg, o, -ll], [o, ll, o, o], [-lg, gg, ll, -lg], [-ll, lg, o, o]])
         w = np.zeros((self.n, 4, 5))  # rows: U_i's entries 00, 01, 10, 11; columns: U_{i-1}'s, then 1
         w[1:, :, :4] = np.moveaxis(k, -1, 0)
-        w[:, :, 4] =np.stack([self.lap.diag, self.alpha_nodes, self.q_alpha.diag, self.lap.diag], axis=1)
+        w[:, :, 4] = np.stack([self.lap.diag, self.alpha_nodes, self.q_alpha.diag, self.lap.diag], axis=1)
         x = np.zeros((5, z.size), dtype=complex)  # U_{i-1} / det, then the row of ones
         x[4] = 1.0
         u = np.empty((4, z.size), dtype=complex)
