@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
-from .grid import RadialGrid, TridiagOp, flux_form
+from .grid import RadialGrid, TridiagOp, central_difference, flux_form, smooth_fields
 from .mre import rk4_linear
 
 
@@ -231,38 +231,12 @@ def verify_isospectral(pair: DarbouxPair, levels: int) -> IsospectralReport:
     )
 
 
-def _central_difference(w: np.ndarray, h: float) -> np.ndarray:
-    """Central difference along axis 0 with Dirichlet zero-padding outside the interior."""
-    out = np.zeros_like(w)
-    out[1:-1] = (w[2:] - w[:-2]) / (2 * h)
-    out[0] = w[1] / (2 * h)
-    out[-1] = -w[-2] / (2 * h)
-    return out
-
-
-_N_TEST_VECTORS = 16
-_TEST_SEED = 20230917
-
-
-def _smooth_test_vectors(grid: RadialGrid, count: int = _N_TEST_VECTORS) -> np.ndarray:
-    """Random smooth vectors vanishing quadratically at both endpoints, |w|_inf = 1."""
-    rng = np.random.default_rng(_TEST_SEED)
-    x = grid.nodes
-    envelope = (x * (1.0 - x)) ** 2
-    out = np.empty((count, grid.n))
-    for i in range(count):
-        coeffs = rng.standard_normal(6)
-        w = envelope * sum(c * np.sin((k + 1) * np.pi * x) for k, c in enumerate(coeffs))
-        out[i] = w / np.max(np.abs(w))
-    return out
-
-
 def factorization_residual(pair: DarbouxPair):
-    """Max-norm residuals of (H0-E) - Adag A and (H1-E) - A Adag on smooth test vectors.
+    """Max-norm residuals of (H0-E) - Adag A and (H1-E) - A Adag on the shared smooth fields.
 
-    A = D + f with D the central difference on the pair's grid; residuals are
-    normalized by the row-sum norm of H0 and are discretization-limited
-    (second order in h).
+    The fields are ``smooth_fields`` on all of (0, 1), and A = D + f with D
+    the central difference on the pair's grid; residuals are normalized by
+    the row-sum norm of H0 and are discretization-limited (second order in h).
     """
     grid = pair.grid
     e = pair.energy
@@ -272,14 +246,14 @@ def factorization_residual(pair: DarbouxPair):
     norm_h0 = float(np.max(np.abs(h0.diag)) + 2.0 / grid.h**2)
 
     def apply_a(w):
-        return _central_difference(w, grid.h) + fx * w
+        return central_difference(w, grid.h) + fx * w
 
     def apply_adag(w):
-        return -_central_difference(w, grid.h) + fx * w
+        return -central_difference(w, grid.h) + fx * w
 
     res0 = 0.0
     res1 = 0.0
-    for w in _smooth_test_vectors(grid):
+    for w in smooth_fields(grid.nodes, (0.0, 1.0)):
         r0 = h0.matvec(w) - e * w - apply_adag(apply_a(w))
         r1 = h1.matvec(w) - e * w - apply_a(apply_adag(w))
         res0 = max(res0, float(np.max(np.abs(r0))))

@@ -126,6 +126,33 @@ def laplacian_l(grid: RadialGrid, l: int) -> TridiagOp:
     return -flux_form(grid, np.ones(grid.n + 1), l * (l + 1) / grid.nodes ** 2)
 
 
+def central_difference(w: np.ndarray, h: float) -> np.ndarray:
+    """Central difference along axis 0 with Dirichlet zero-padding outside the interior."""
+    out = np.zeros_like(w)
+    out[1:-1] = (w[2:] - w[:-2]) / (2 * h)
+    out[0] = w[1] / (2 * h)
+    out[-1] = -w[-2] / (2 * h)
+    return out
+
+
+_FIELD_SEED = 20230917
+
+
+def smooth_fields(nodes: np.ndarray, support: tuple) -> np.ndarray:
+    """The shared random smooth test fields: 16 rows on the nodes, each with |w|_inf = 1.
+
+    With s mapping support onto (0, 1), row i is (s(1-s))^2 times six modes
+    sin(k pi s), k = 1..6, with standard-normal weights from one fixed seed;
+    it vanishes quadratically at the ends of the support and is zero outside.
+    """
+    a, b = support
+    s = (nodes - a) / (b - a)
+    envelope = np.where((s > 0) & (s < 1), (s * (1.0 - s)) ** 2, 0.0)
+    coeffs = np.random.default_rng(_FIELD_SEED).standard_normal((16, 6))
+    w = envelope * sum(c[:, None] * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs.T))
+    return w / np.max(np.abs(w), axis=1, keepdims=True)
+
+
 def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex:
     """Flat-measure inner product sum_j w_j conj(f_j) g_j, conjugate-linear in f."""
     f = np.asarray(f)

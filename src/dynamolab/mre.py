@@ -34,7 +34,7 @@ trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -153,14 +153,14 @@ class MatrixODESolution:
     affine: np.ndarray  # (S, 2, 2), NaN where bot is ill conditioned
     cond_log: np.ndarray
     step: float
-    warnings: list = field(default_factory=list)
+    warnings: list
     # coefficient tables reused by the residual checks (nodes and midpoints)
-    alpha_nodes: np.ndarray = None
-    alpha_mids: np.ndarray = None
-    m_nodes: np.ndarray = None
-    m_mids: np.ndarray = None
-    kinv_nodes: np.ndarray = None
-    kinv_mids: np.ndarray = None
+    alpha_nodes: np.ndarray
+    alpha_mids: np.ndarray
+    m_nodes: np.ndarray
+    m_mids: np.ndarray
+    kinv_nodes: np.ndarray
+    kinv_mids: np.ndarray
 
     @property
     def sign(self) -> float:

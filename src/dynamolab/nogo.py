@@ -36,12 +36,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .darboux import _central_difference
 from .errors import ConfigurationError, DegenerateQError, DomainError, SolverError
-from .grid import build_grid
+from .grid import build_grid, central_difference, smooth_fields
 from .mre import B_SYSTEM, IDENT2, inv2, kmat, mre_linear_solve
 from .operator import assemble, sharp
-from .profiles import AlphaProfile
+from .profiles import AlphaProfile, derivative_mismatch
 
 Q_FLOOR = 1e-10
 RHO_WINDOW = (0.1, 1.0)  # where rho is sampled: q has a removable zero at r = 0
@@ -54,6 +53,8 @@ class GaugeChoice:
     The consistency conditions force gamma' = 0, so gamma is a number; eps may
     vary with r but must stay inside (-pi/2, pi/2) to keep tan eps finite.
     The default gauge gamma = 0, eps == 0 makes all structure functions real.
+    deps must be the derivative of eps: ``derivative_mismatch`` checks it by
+    the rule AlphaProfile applies to its d1.
     """
 
     gamma: float = 0.0
@@ -68,6 +69,9 @@ class GaugeChoice:
             vals = np.asarray(self.eps(rs), dtype=float)
             if np.any(np.abs(vals) >= np.pi / 2):
                 raise DomainError("gauge function eps must satisfy |eps| < pi/2 on (0,1]")
+            worst = derivative_mismatch(self.eps, self.deps, rs, vals, 1e-5)
+            if not worst <= 1e-8:  # NaN when deps is not finite
+                raise DomainError(f"gauge function deps is not the derivative of eps (worst rel. error {worst:.3e})")
 
     def eps_vals(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -391,25 +395,8 @@ class DefectRecord:
     truncated: bool
 
 
-_DEFECT_SEED = 20240311
-_DEFECT_TESTS = 8  # smooth test fields
 _DEFECT_SUPPORT = (0.1, 0.95)  # where the test fields live, clear of the singular origin
 _DEFECT_STEP = 2e-4  # RK4 step of the B-system trajectory
-
-
-def _bump_profiles(nodes: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng(_DEFECT_SEED)
-    a, b = _DEFECT_SUPPORT
-    s = (nodes - a) / (b - a)
-    env = np.where((s > 0) & (s < 1), (s * (1 - s)) ** 2, 0.0)
-    out = np.empty((_DEFECT_TESTS, 2, nodes.size))
-    for i in range(_DEFECT_TESTS):
-        for comp in range(2):
-            coeffs = rng.standard_normal(4)
-            wave = sum(c * np.sin((k + 1) * np.pi * np.clip(s, 0, 1)) for k, c in enumerate(coeffs))
-            out[i, comp] = env * wave
-        out[i] /= np.linalg.norm(out[i])
-    return out
 
 
 def intertwining_defect(
@@ -419,11 +406,12 @@ def intertwining_defect(
 ) -> DefectRecord:
     """Measure || A^#(H0 - E) phi - (H1 - E) A^# phi || on smooth test fields.
 
-    A^# = -i p R^# + Q^# with Q^# = B^# R^-1; B comes from the B-system
-    trajectory (series start near the origin), R from its closed form.  The
-    first-order part is realized by central differences on the radial grid.
-    The defect is strictly positive for every admissible pair: no B can
-    satisfy all consistency conditions at once.
+    The eight fields phi pair the rows of ``smooth_fields`` on _DEFECT_SUPPORT
+    into their two components.  A^# = -i p R^# + Q^# with Q^# = B^# R^-1; B
+    comes from the B-system trajectory (series start near the origin), R from
+    its closed form.  The first-order part is realized by central differences
+    on the radial grid.  The defect is strictly positive for every admissible
+    pair: no B can satisfy all consistency conditions at once.
     """
     sol_b = mre_linear_solve(B_SYSTEM, pair, 1e-3, 1.0, step=_DEFECT_STEP, init="series")
     grid = build_grid(n)
@@ -451,17 +439,17 @@ def intertwining_defect(
 
     def apply_a_sharp(u: np.ndarray) -> np.ndarray:
         um = np.stack([u[: grid.n], u[grid.n :]], axis=1)[..., None]
-        w = -_central_difference((r_sharp @ um)[..., 0], h) + (q_sharp @ um)[..., 0]
+        w = -central_difference((r_sharp @ um)[..., 0], h) + (q_sharp @ um)[..., 0]
         return np.concatenate([w[:, 0], w[:, 1]])
 
-    rel = np.empty(_DEFECT_TESTS)
-    for i, phi2 in enumerate(_bump_profiles(nodes)):
-        phi = np.concatenate([phi2[0], phi2[1]]).astype(complex)
+    rel = []
+    for phi in smooth_fields(nodes, _DEFECT_SUPPORT).reshape(-1, 2 * grid.n):  # rows 2i, 2i+1: (u1, u2)
+        phi = phi.astype(complex)
         t1 = apply_a_sharp(h0.matvec(phi) - e_val * phi)
         a_phi = apply_a_sharp(phi)
         t2 = h1.matvec(a_phi) - e_val * a_phi
-        rel[i] = np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2))
-    defect = float(np.max(rel))
+        rel.append(np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2)))
+    defect = float(max(rel))
     return DefectRecord(
         defect=defect,
         flagged=bool(defect < 10.0 * h**2),

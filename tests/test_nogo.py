@@ -5,10 +5,19 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from dynamolab import AlphaProfile, ConfigurationError, DegenerateQError, DomainError, SolverError
+from dynamolab import (
+    AlphaProfile,
+    ConfigurationError,
+    DegenerateQError,
+    DomainError,
+    SolverError,
+    parse_profile,
+)
 from dynamolab.cli import main
+from dynamolab.grid import build_grid, central_difference, smooth_fields
 from dynamolab.mre import kmat, mmat
 from dynamolab.nogo import (
+    _DEFECT_SUPPORT,
     RHO_WINDOW,
     AlphaPair,
     GaugeChoice,
@@ -20,7 +29,7 @@ from dynamolab.nogo import (
     intertwining_defect,
     nogo_certificate,
 )
-from dynamolab.operator import DynamoMatrix, sharp
+from dynamolab.operator import DynamoMatrix, assemble, sharp
 
 GAUGE0 = GaugeChoice()
 ONE = AlphaProfile.constant(1.0)
@@ -57,6 +66,16 @@ class TestPairAndGauge:
     def test_gauge_needs_both_eps_and_deps(self):
         with pytest.raises(ConfigurationError):
             GaugeChoice(eps=lambda r: np.zeros_like(np.asarray(r)))
+
+    @pytest.mark.parametrize(
+        "deps",
+        [lambda r: 0 * r, lambda r: 0.3 + 1e-6 * r, lambda r: -0.3 + 0 * r, lambda r: np.inf + 0 * r],
+        ids=["zero", "slightly-off", "wrong-sign", "infinite"],
+    )
+    def test_gauge_deps_must_be_the_derivative_of_eps(self, deps):
+        # with deps = 0, b4(0.5) of the active-gauge pair read -0.0315 for -0.1849
+        with pytest.raises(DomainError, match="deps"):
+            GaugeChoice(eps=lambda r: 0.3 * r, deps=deps)
 
 
 class TestBuildR:
@@ -390,7 +409,7 @@ def report():
 class TestIntertwiningDefect:
     def test_golden_witness(self, witness):
         assert witness.defect > 1e-3
-        assert witness.defect == pytest.approx(0.237823, rel=1e-3)
+        assert witness.defect == pytest.approx(0.135008, rel=1e-3)
         assert not witness.flagged
         assert not witness.truncated
 
@@ -398,6 +417,55 @@ class TestIntertwiningDefect:
         pair = pair_of(ONE, AlphaProfile.polynomial([1.0, 0.0, 0.5]))
         shifted = intertwining_defect(pair, gauge=GaugeChoice(gamma=0.7))
         assert abs(shifted.defect - witness.defect) <= 1e-10
+
+
+def shape_invariance_defect(literal, l0, n):
+    """Worst relative defect of A H_l0 = H_(l0+1) A on the witness's fields.
+
+    A = diag(a, a) with a = d/dr - (l0+1)/r.  For constant alpha,
+    H_l = K L_l + c sigma+ with constant K, and shape invariance of the radial
+    free operator, a L_l0 = L_(l0+1) a, makes A an exact intertwiner of the
+    operators: the grid defect is discretization error only.
+    """
+    grid = build_grid(n)
+    r = grid.nodes
+    alpha = parse_profile(literal)
+    h0, h1 = assemble(grid, alpha, l0), assemble(grid, alpha, l0 + 1)
+
+    def apply_a(u):
+        w = u.reshape(2, n).T  # columns u1, u2
+        return (central_difference(w, grid.h) - ((l0 + 1) / r)[:, None] * w).T.reshape(-1)
+
+    rel = []
+    for phi in smooth_fields(r, _DEFECT_SUPPORT).reshape(-1, 2 * n):
+        t1, t2 = apply_a(h0.matvec(phi)), h1.matvec(apply_a(phi))
+        rel.append(np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2)))
+    return max(rel)
+
+
+class TestZeroControl:
+    """The witness's fields and stencil read zero, up to O(h^2), on an exact intertwiner."""
+
+    LADDER = (60, 120, 240, 480)
+
+    @pytest.mark.parametrize("l0", [1, 3])
+    @pytest.mark.parametrize("literal", ["const:1", "const:5"])
+    def test_constant_profiles_converge_to_zero(self, literal, l0):
+        d = [shape_invariance_defect(literal, l0, n) for n in self.LADDER]
+        for coarse, fine in zip(d, d[1:]):
+            assert coarse / fine >= 3.5
+
+    @pytest.mark.parametrize("l0", [1, 3])
+    def test_varying_profile_plateaus(self, l0):
+        d = [shape_invariance_defect("poly:1,0,0.5", l0, n) for n in self.LADDER]
+        assert min(d) > 1e-3
+        for coarse, fine in zip(d, d[1:]):
+            assert 0.8 <= coarse / fine <= 1.25
+
+    def test_certificate_witness_is_far_above_the_floor(self, report):
+        # the certificate measures its witnesses at n = 240, l0 = 1
+        floor = shape_invariance_defect("const:1", 1, 240)
+        assert min(rec.defect for rec in report.defects) > 100.0 * floor
 
 
 class TestCertificate:
