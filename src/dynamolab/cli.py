@@ -210,7 +210,8 @@ def _cmd_mre_check(args) -> int:
         )
         default_start, r_min = 0.1, None
     r_start = default_start if args.r_start is None else args.r_start
-    sol = mre_linear_solve(args.system, pair, r_start, 1.0, step=args.step, init=init)
+    alpha, l = (pair.alpha0, pair.l0) if args.system == "U" else (pair.alpha1, pair.l1)
+    sol = mre_linear_solve(args.system, alpha, l, pair.e, r_start, 1.0, step=args.step, init=init)
     for warning in sol.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     _, per_node = riccati_residual(sol, r_min=r_min)

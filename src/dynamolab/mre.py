@@ -154,13 +154,10 @@ class MatrixODESolution:
     cond_log: np.ndarray
     step: float
     warnings: list
-    # coefficient tables reused by the residual checks (nodes and midpoints)
-    alpha_nodes: np.ndarray
-    alpha_mids: np.ndarray
-    m_nodes: np.ndarray
-    m_mids: np.ndarray
-    kinv_nodes: np.ndarray
-    kinv_mids: np.ndarray
+    # the (M, K^-1) table the flow steps, (S, 2, 2, 2) at the nodes and
+    # (S - 1, 2, 2, 2) at the midpoints; alpha = K^-1[1, 0] exactly
+    coef_nodes: np.ndarray
+    coef_mids: np.ndarray
 
     @property
     def sign(self) -> float:
@@ -244,20 +241,23 @@ def series_start_bottom(
 
 def mre_linear_solve(
     which: str,
-    pair,
+    alpha,
+    l: int,
+    e: float,
     r_start: float,
     r_end: float = 1.0,
     step: float = 1e-4,
     init: Union[str, Tuple[np.ndarray, np.ndarray]] = "series",
-    cond_log_max: float = COND_LOG_MAX,
 ) -> MatrixODESolution:
     """Integrate one linearized system by fixed-step RK4 and form its affine coordinate.
 
+    alpha is the system's profile (alpha0 for U, alpha1 for B), l its mode
+    number and e the factorization constant; alpha need not be positive.
     init is either an explicit (top0, bot0) pair of 2x2 arrays or the string
     "series" (B-system only), which starts the singular small-r branch from
-    the profile's leading Taylor data.  Nodes where the bottom block exceeds
-    the condition bound get NaN affine values and a recorded warning; the
-    linear trajectory itself continues.
+    the profile's leading Taylor data.  Nodes where the bottom block reaches
+    COND_LOG_MAX get NaN affine values and a recorded warning; the linear
+    trajectory itself continues.
     """
     if which not in (U_SYSTEM, B_SYSTEM):
         raise ConfigurationError(f"unknown system {which!r} (expected 'U' or 'B')")
@@ -267,10 +267,11 @@ def mre_linear_solve(
         raise DomainError(f"r_start must be >= 1e-3 (singular origin), got {r_start}")
     if not r_start < r_end <= 1.0:
         raise DomainError(f"need r_start < r_end <= 1, got [{r_start}, {r_end}]")
+    if l < 1:  # the series start divides by 2 - 4l
+        raise DomainError(f"mode number must satisfy l >= 1, got {l}")
+    if not np.isfinite(e):
+        raise DomainError(f"factorization constant E must be finite, got {e}")
 
-    alpha = pair.alpha0 if which == U_SYSTEM else pair.alpha1
-    l = pair.l0 if which == U_SYSTEM else pair.l1
-    e_val = pair.e
     span = (r_end - r_start) / step
     if span > _MAX_STEPS:  # before any array is sized by it
         raise ConfigurationError(f"step {step} needs more than {_MAX_STEPS} RK4 steps on [{r_start}, {r_end}]")
@@ -279,12 +280,11 @@ def mre_linear_solve(
     rs = r_start + h * np.arange(n_steps + 1)
     mids = rs[:-1] + h / 2.0
 
-    a_nodes = np.asarray(alpha(rs), dtype=float)
-    a_mids = np.asarray(alpha(mids), dtype=float)
-    m_nodes = mmat(a_nodes, l, e_val, rs)
-    m_mids = mmat(a_mids, l, e_val, mids)
-    kinv_nodes = kmat_inv(a_nodes)
-    kinv_mids = kmat_inv(a_mids)
+    def coef(r):  # (M, K^-1) stacked as (len(r), 2, 2, 2)
+        a = np.asarray(alpha(r), dtype=float)
+        return np.stack([mmat(a, l, e, r), kmat_inv(a)], axis=1)
+
+    coef_nodes, coef_mids = coef(rs), coef(mids)
 
     if isinstance(init, str):
         if init != "series":
@@ -292,7 +292,7 @@ def mre_linear_solve(
         if which != B_SYSTEM:
             raise ConfigurationError("series initial data is defined for the B-system")
         top0, bot0 = series_start_bottom(
-            l, float(alpha(0.0)), float(alpha.d1(0.0)), r_start, e=e_val
+            l, float(alpha(0.0)), float(alpha.d1(0.0)), r_start, e=e
         )
     else:
         top0 = np.asarray(init[0], dtype=complex)
@@ -308,17 +308,11 @@ def mre_linear_solve(
         return sign * np.concatenate([c[..., 0, :, :] @ bot, c[..., 1, :, :] @ top], axis=-2)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in cond_log below
-        traj = rk4_linear(
-            rhs,
-            np.stack([m_nodes, kinv_nodes], axis=1),
-            np.stack([m_mids, kinv_mids], axis=1),
-            np.concatenate([top0, bot0]),
-            h,
-        )
+        traj = rk4_linear(rhs, coef_nodes, coef_mids, np.concatenate([top0, bot0]), h)
     tops, bots = traj[:, :2], traj[:, 2:]
 
     cond_log = cond2_log10(bots)
-    ok = cond_log < cond_log_max
+    ok = cond_log < COND_LOG_MAX
     with np.errstate(invalid="ignore", over="ignore"):
         affine = tops @ inv2(bots)
     affine[~ok] = np.nan
@@ -327,7 +321,7 @@ def mre_linear_solve(
         last_ok = rs[ok][-1] if np.any(ok) else None
         warnings.append(
             f"bottom block numerically singular on {int(np.sum(~ok))} of {rs.size} nodes "
-            f"(cond_log >= {cond_log_max}); last well-conditioned r = {last_ok}"
+            f"(cond_log >= {COND_LOG_MAX}); last well-conditioned r = {last_ok}"
         )
     return MatrixODESolution(
         which=which,
@@ -338,12 +332,8 @@ def mre_linear_solve(
         cond_log=cond_log,
         step=h,
         warnings=warnings,
-        alpha_nodes=a_nodes,
-        alpha_mids=a_mids,
-        m_nodes=m_nodes,
-        m_mids=m_mids,
-        kinv_nodes=kinv_nodes,
-        kinv_mids=kinv_mids,
+        coef_nodes=coef_nodes,
+        coef_mids=coef_mids,
     )
 
 
@@ -406,8 +396,8 @@ def riccati_residual(
     mids = np.minimum(nodes[:-1], sol.rs.size - 2)
     # (M, K^-1) per step, entry-major like the state: (steps, 2, 2, 2, windows, 1)
     coef_nodes, coef_mids = (
-        np.moveaxis(np.stack([m[k], kinv[k]], axis=1), 2, -1)[..., None].copy()
-        for m, kinv, k in ((sol.m_nodes, sol.kinv_nodes, nodes), (sol.m_mids, sol.kinv_mids, mids))
+        np.moveaxis(table[k], 1, -1)[..., None].copy()
+        for table, k in ((sol.coef_nodes, nodes), (sol.coef_mids, mids))
     )
     sign = sol.sign
 
@@ -482,10 +472,10 @@ def eigenfunction_equivalence(sol: MatrixODESolution) -> float:
     if w.shape[0] < 3:
         raise ConfigurationError("trajectory too short for the finite-difference check")
     h = sol.step
-    k_mid = kmat(sol.alpha_mids).astype(complex)
+    k_mid = kmat(sol.coef_mids[:, 1, 1, 0]).astype(complex)
     flux = k_mid @ (w[1:] - w[:-1]) / h
     div = (flux[1:] - flux[:-1]) / h
-    mw = sol.m_nodes[1:-1] @ w[1:-1]
+    mw = sol.coef_nodes[1:-1, 0] @ w[1:-1]
     res = div - mw
     scale = np.max(np.abs(mw))
     if scale == 0.0:

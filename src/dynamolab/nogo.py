@@ -31,7 +31,6 @@ defect of the assembled candidate operator as a numerical witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,7 +66,7 @@ class GaugeChoice:
         if self.eps is not None:
             rs = np.linspace(1e-3, 1.0, 512)
             vals = np.asarray(self.eps(rs), dtype=float)
-            if np.any(np.abs(vals) >= np.pi / 2):
+            if not np.all(np.abs(vals) < np.pi / 2):  # also catches NaN
                 raise DomainError("gauge function eps must satisfy |eps| < pi/2 on (0,1]")
             worst = derivative_mismatch(self.eps, self.deps, rs, vals, 1e-5)
             if not worst <= 1e-8:  # NaN when deps is not finite
@@ -330,21 +329,21 @@ def _singular_mismatch_c2(l1_cand: int, l0: int, c1: float, e: float) -> float:
     (1,1) of the difference is least-squares fitted to c2/r^2 + c1/r + c0.
     """
     alpha1 = AlphaProfile.constant(c1)
-    pair = SimpleNamespace(alpha0=alpha1, alpha1=alpha1, l0=l0, l1=l1_cand, e=e)
     # the singular branch r^(-l1) loses against the regular branch r^(l1+1)
     # like (r/r0)^(2 l1 + 1); the short window and small step keep that
     # contamination below the fit noise for l1 up to ~6
-    sol = mre_linear_solve(B_SYSTEM, pair, 1e-3, 2.8e-3, step=5e-6, init="series")
+    sol = mre_linear_solve(B_SYSTEM, alpha1, l1_cand, e, 1e-3, 2.8e-3, step=5e-6, init="series")
     rs = sol.rs
     y = sol.bot
-    yp = -(sol.kinv_nodes @ sol.top)
+    m1, k1inv = sol.coef_nodes[:, 0], sol.coef_nodes[:, 1]
+    yp = -(k1inv @ sol.top)
     yinv = inv2(y)
     z = yp @ yinv
     # alpha1' == 0, so the alpha1' terms of y'', K1' and the left-hand side drop out
-    zp = (sol.kinv_nodes @ (sol.m_nodes @ y)) @ yinv - z @ z
-    k1 = kmat(sol.alpha_nodes).astype(complex)
+    zp = (k1inv @ (m1 @ y)) @ yinv - z @ z
+    k1 = kmat(k1inv[:, 1, 0]).astype(complex)
     cent = (l0 * (l0 + 1) / rs**2)[:, None, None] * IDENT2
-    rhs = cent - sol.kinv_nodes @ z @ k1 @ z
+    rhs = cent - k1inv @ z @ k1 @ z
     d11 = (-zp - rhs)[:, 0, 0].real
     mask = (rs >= 1.15e-3) & (rs <= 2.6e-3)
     basis = np.stack([1.0 / rs[mask] ** 2, 1.0 / rs[mask], np.ones(np.sum(mask))], axis=1)
@@ -413,7 +412,7 @@ def intertwining_defect(
     on the radial grid.  The defect is strictly positive for every admissible
     pair: no B can satisfy all consistency conditions at once.
     """
-    sol_b = mre_linear_solve(B_SYSTEM, pair, 1e-3, 1.0, step=_DEFECT_STEP, init="series")
+    sol_b = mre_linear_solve(B_SYSTEM, pair.alpha1, pair.l1, pair.e, 1e-3, 1.0, step=_DEFECT_STEP, init="series")
     grid = build_grid(n)
     nodes = grid.nodes
     h = grid.h

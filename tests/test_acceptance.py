@@ -258,8 +258,8 @@ def test_c10_mre_linearization():
             2,
             float(rng.uniform(-1.0, 1.0)),
         )
-        for which in ("U", "B"):
-            sol = mre_linear_solve(which, pair, 0.1, 1.0, step=1e-4, init=init)
+        for which, alpha, l in (("U", pair.alpha0, pair.l0), ("B", pair.alpha1, pair.l1)):
+            sol = mre_linear_solve(which, alpha, l, pair.e, 0.1, 1.0, step=1e-4, init=init)
             sup, _ = riccati_residual(sol)
             worst = max(worst, sup)
     pair0 = AlphaPair(
@@ -267,12 +267,12 @@ def test_c10_mre_linearization():
     )
     res = {}
     for h in (2e-3, 1e-3):
-        sol = mre_linear_solve("U", pair0, 0.1, 1.0, step=h, init=init)
+        sol = mre_linear_solve("U", pair0.alpha0, pair0.l0, pair0.e, 0.1, 1.0, step=h, init=init)
         res[h], _ = riccati_residual(sol)
     factor = res[2e-3] / res[1e-3]
     k1 = K_L1[0]
     pair_e = AlphaPair(ONE, ONE, 1, 2, -(k1**2) + k1)
-    sol = mre_linear_solve("U", pair_e, 0.1, 1.0, step=1e-4, init=init)
+    sol = mre_linear_solve("U", pair_e.alpha0, pair_e.l0, pair_e.e, 0.1, 1.0, step=1e-4, init=init)
     eig_res = eigenfunction_equivalence(sol)
     ok = worst <= 1e-6 and factor >= 12.0 and eig_res <= 1e-4
     report(

@@ -33,6 +33,9 @@ PAIR = AlphaPair(
     2,
     0.0,
 )
+# the profile, mode number and E that each system of PAIR integrates
+U_FLOW = (PAIR.alpha0, PAIR.l0, PAIR.e)
+B_FLOW = (PAIR.alpha1, PAIR.l1, PAIR.e)
 GENERIC_INIT = (
     np.array([[0.3 + 0.1j, -0.2], [0.1, 0.4]], dtype=complex),
     np.eye(2, dtype=complex),
@@ -100,10 +103,10 @@ class TestBlocks:
 
 class TestLinearSolve:
     def test_riccati_residual_contract(self):
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
         sup, per_node = riccati_residual(sol)
         assert sup <= 1e-6
-        solb = mre_linear_solve("B", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        solb = mre_linear_solve("B", *B_FLOW, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
         supb, _ = riccati_residual(solb)
         assert supb <= 1e-6
 
@@ -111,15 +114,15 @@ class TestLinearSolve:
         rng = np.random.default_rng(71)
         for _ in range(5):
             pair = random_positive_pair(rng)
-            for which in ("U", "B"):
-                sol = mre_linear_solve(which, pair, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+            for which, alpha, l in (("U", pair.alpha0, pair.l0), ("B", pair.alpha1, pair.l1)):
+                sol = mre_linear_solve(which, alpha, l, pair.e, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
                 sup, _ = riccati_residual(sol)
                 assert sup <= 1e-6
 
     def test_residual_checks_each_node(self):
         # the residual compares every node against its own nonlinear
         # integration: a perturbed affine value shows up at that node only
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
         _, base = riccati_residual(sol)
         k = sol.rs.size // 2
         affine = sol.affine.copy()
@@ -132,15 +135,14 @@ class TestLinearSolve:
     def test_fourth_order_convergence(self):
         res = {}
         for h in (2e-3, 1e-3):
-            sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=h, init=GENERIC_INIT)
+            sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=h, init=GENERIC_INIT)
             res[h], _ = riccati_residual(sol)
         assert res[2e-3] / res[1e-3] >= 12.0
 
     def test_series_asymptotics_b_system(self):
         # constant profile, l1 = 2: the affine coordinate must match its
         # singular-branch closed form l1/r (I - c1 sigma_minus) to 1% at r=0.01
-        pair = AlphaPair(AlphaProfile.constant(1.0), AlphaProfile.constant(1.0), 1, 2, 0.0)
-        sol = mre_linear_solve("B", pair, 1e-3, 0.02, step=1e-5, init="series")
+        sol = mre_linear_solve("B", AlphaProfile.constant(1.0), 2, 0.0, 1e-3, 0.02, step=1e-5, init="series")
         i = int(np.searchsorted(sol.rs, 0.01))
         r = sol.rs[i]
         expected = (2.0 / r) * np.array([[1.0, 0.0], [-1.0, 1.0]])
@@ -149,27 +151,27 @@ class TestLinearSolve:
 
     def test_series_requires_b_system(self):
         with pytest.raises(ConfigurationError):
-            mre_linear_solve("U", PAIR, 1e-3, 1.0, init="series")
+            mre_linear_solve("U", *U_FLOW, 1e-3, 1.0, init="series")
 
     def test_unknown_system_or_init(self):
         with pytest.raises(ConfigurationError, match="unknown system"):
-            mre_linear_solve("X", PAIR, 0.1, 1.0, init=GENERIC_INIT)
+            mre_linear_solve("X", *U_FLOW, 0.1, 1.0, init=GENERIC_INIT)
         with pytest.raises(ConfigurationError, match="unknown init"):
-            mre_linear_solve("B", PAIR, 0.1, 1.0, init="taylor")
+            mre_linear_solve("B", *B_FLOW, 0.1, 1.0, init="taylor")
         with pytest.raises(ConfigurationError, match="2x2"):
-            mre_linear_solve("U", PAIR, 0.1, 1.0, init=(np.eye(3), np.eye(3)))
+            mre_linear_solve("U", *U_FLOW, 0.1, 1.0, init=(np.eye(3), np.eye(3)))
 
     def test_nonpositive_step(self):
         for step in (0.0, -1e-3):
             with pytest.raises(ConfigurationError):
-                mre_linear_solve("U", PAIR, 0.1, 1.0, step=step, init=GENERIC_INIT)
+                mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=step, init=GENERIC_INIT)
 
     def test_peak_memory_bounded_by_outputs(self):
         # the propagators are built in blocks and chained in place, so the
         # integration holds little beyond the arrays it returns
         tracemalloc.start()
         try:
-            sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-5, init=GENERIC_INIT)
+            sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-5, init=GENERIC_INIT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -180,9 +182,17 @@ class TestLinearSolve:
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            mre_linear_solve("U", PAIR, 1e-4, 1.0, init=GENERIC_INIT)
+            mre_linear_solve("U", *U_FLOW, 1e-4, 1.0, init=GENERIC_INIT)
         with pytest.raises(DomainError):
-            mre_linear_solve("U", PAIR, 0.5, 0.2, init=GENERIC_INIT)
+            mre_linear_solve("U", *U_FLOW, 0.5, 0.2, init=GENERIC_INIT)
+
+    def test_mode_number_and_e_checked(self):
+        # the series start divides by 2 - 4l, and no AlphaPair checks them first
+        with pytest.raises(DomainError, match="l >= 1"):
+            mre_linear_solve("U", PAIR.alpha0, 0, 0.0, 0.1, 1.0, init=GENERIC_INIT)
+        for e in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                mre_linear_solve("B", PAIR.alpha1, 2, e, 1e-3, 1.0, init="series")
 
     def test_series_start_leading_structure(self):
         r0 = 1e-3
@@ -201,13 +211,7 @@ def sequential_linear_trajectory(sol):
     def rhs(c, y):
         return sign * np.stack([c[0] @ y[1], c[1] @ y[0]])
 
-    return rk4(
-        rhs,
-        np.stack([sol.m_nodes, sol.kinv_nodes], axis=1),
-        np.stack([sol.m_mids, sol.kinv_mids], axis=1),
-        np.stack([sol.top[0], sol.bot[0]]),
-        sol.step,
-    )
+    return rk4(rhs, sol.coef_nodes, sol.coef_mids, np.stack([sol.top[0], sol.bot[0]]), sol.step)
 
 
 def sequential_partner_mode(pair):
@@ -236,14 +240,24 @@ class TestPropagatorEquivalence:
     """The propagator driver reproduces the sequential RK4 to rounding."""
 
     def test_u_system_generic_start(self):
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
         ref = sequential_linear_trajectory(sol)
         new = np.stack([sol.top, sol.bot], axis=1)
         assert np.max(relative_node_error(ref, new)) <= 1e-10
 
     def test_b_system_series_start(self):
         # the defect-witness configuration of nogo.intertwining_defect
-        sol = mre_linear_solve("B", PAIR, 1e-3, 1.0, step=2e-4, init="series")
+        sol = mre_linear_solve("B", *B_FLOW, 1e-3, 1.0, step=2e-4, init="series")
+        ref = sequential_linear_trajectory(sol)
+        new = np.stack([sol.top, sol.bot], axis=1)
+        assert np.max(relative_node_error(ref, new)) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_u_system_sign_changing_profile(self, scale):
+        # poly:1,-3 changes sign at r = 1/3, so no AlphaPair can hold it
+        alpha = AlphaProfile.polynomial([1.0, -3.0]).scaled(scale)
+        sol = mre_linear_solve("U", alpha, 1, 0.0, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        assert sol.warnings == []
         ref = sequential_linear_trajectory(sol)
         new = np.stack([sol.top, sol.bot], axis=1)
         assert np.max(relative_node_error(ref, new)) <= 1e-10
@@ -285,8 +299,8 @@ def sequential_residual(sol, r_min=None):
     def rhs(c, u):
         return sign * (c[:, 0] - u @ c[:, 1] @ u)
 
-    coef_nodes = np.stack([sol.m_nodes, sol.kinv_nodes], axis=1)[:, None]
-    coef_mids = np.stack([sol.m_mids, sol.kinv_mids], axis=1)[:, None]
+    coef_nodes = sol.coef_nodes[:, None]
+    coef_mids = sol.coef_mids[:, None]
     per_node = np.full(sol.rs.size, np.nan)
     idx = np.flatnonzero(ok)
     for seg in np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1):
@@ -336,27 +350,28 @@ class TestShootingEquivalence:
         ids=["U-generic", "B-generic", "B-series"],
     )
     def test_benchmark_configurations(self, which, r_start, init, r_min):
-        sol = mre_linear_solve(which, PAIR, r_start, 1.0, step=1e-4, init=init)
+        flow = U_FLOW if which == "U" else B_FLOW
+        sol = mre_linear_solve(which, *flow, r_start, 1.0, step=1e-4, init=init)
         ref = self.assert_matches_sequential(sol, r_min)
         assert segment_count(ref) == 1
 
     def test_segment_shorter_than_window(self):
-        sol = mre_linear_solve("U", PAIR, 0.5, 0.505, step=1e-3, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.5, 0.505, step=1e-3, init=GENERIC_INIT)
         assert sol.rs.size - 1 < SHOOTING_WINDOW
         self.assert_matches_sequential(sol)
 
-    def test_ill_conditioned_nodes_split_segments(self):
+    def test_ill_conditioned_nodes_split_segments(self, monkeypatch):
         # E = -300 makes the real series trajectory oscillate; a condition
         # bound of 1e2 cuts it into segments of varying length
-        pair = dataclasses.replace(PAIR, e=-300.0)
-        sol = mre_linear_solve("B", pair, 1e-3, 1.0, step=1e-4, init="series", cond_log_max=2.0)
+        monkeypatch.setattr(mre, "COND_LOG_MAX", 2.0)
+        sol = mre_linear_solve("B", PAIR.alpha1, PAIR.l1, -300.0, 1e-3, 1.0, step=1e-4, init="series")
         ref = self.assert_matches_sequential(sol, r_min=0.1)
         assert segment_count(ref) >= 3
 
     def test_poor_starting_guess(self, monkeypatch):
         # window starts come from top @ inv2(bot); perturbing those by 1e-3
         # (affine unchanged) costs passes, not accuracy
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
         rng = np.random.default_rng(11)
         noisy = dataclasses.replace(
             sol,
@@ -370,7 +385,7 @@ class TestShootingEquivalence:
     def test_window_start_checks_its_own_node(self):
         # windows start from the linear trajectory, not from affine: a
         # perturbed affine value at a window start shows at that node only
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
         _, base = riccati_residual(sol)
         k = 3 * SHOOTING_WINDOW
         affine = sol.affine.copy()
@@ -383,7 +398,7 @@ class TestShootingEquivalence:
     def test_calls_stay_batched(self, monkeypatch):
         # the README U configuration: a handful of window-long rk4 calls, never
         # one long sequential integration
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
         steps = count_rk4_steps(monkeypatch)
         riccati_residual(sol)
         assert 1 <= len(steps) <= 3
@@ -392,8 +407,8 @@ class TestShootingEquivalence:
     def test_non_finite_integration_raises(self):
         # alpha0 = 100 at l0 = 10: the explicit nonlinear RK4 overflows on
         # nodes the condition bound keeps, which must not be dropped silently
-        pair = AlphaPair(AlphaProfile.constant(100.0), PAIR.alpha1, 10, 11, 0.0)
-        sol = mre_linear_solve("U", pair, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
+        alpha0 = AlphaProfile.constant(100.0)
+        sol = mre_linear_solve("U", alpha0, 10, 0.0, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
         assert sol.warnings
         with pytest.raises(SolverError):
             riccati_residual(sol)
@@ -450,21 +465,19 @@ class TestExactKernels:
 class TestEigenfunctionEquivalence:
     def test_constant_alpha_at_eigenvalue(self):
         k1 = K_L1[0]
-        pair = AlphaPair(
-            AlphaProfile.constant(1.0), AlphaProfile.constant(1.0), 1, 2, -(k1**2) + k1
-        )
-        sol = mre_linear_solve("U", pair, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
+        e = -(k1**2) + k1
+        sol = mre_linear_solve("U", AlphaProfile.constant(1.0), 1, e, 0.1, 1.0, step=1e-4, init=GENERIC_INIT)
         assert eigenfunction_equivalence(sol) <= 1e-4
 
     def test_second_order_in_step(self):
         res = {}
         for h in (4e-4, 2e-4):
-            sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=h, init=GENERIC_INIT)
+            sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=h, init=GENERIC_INIT)
             res[h] = eigenfunction_equivalence(sol)
         assert res[4e-4] / res[2e-4] >= 3.0
 
     def test_corruption_detector(self):
-        sol = mre_linear_solve("U", PAIR, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
+        sol = mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-3, init=GENERIC_INIT)
         bot = sol.bot.copy()
         bot[bot.shape[0] // 2] = 0.0
         corrupted = dataclasses.replace(sol, bot=bot)

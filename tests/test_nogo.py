@@ -60,8 +60,10 @@ class TestPairAndGauge:
             pair_of(ONE, EXP_R, e=e)
 
     def test_gauge_eps_bound(self):
-        with pytest.raises(DomainError):
-            GaugeChoice(eps=lambda r: 2.0 * np.ones_like(np.asarray(r)), deps=lambda r: np.zeros_like(np.asarray(r)))
+        # a NaN eps fails the |eps| < pi/2 check, not the derivative check after it
+        for value in (2.0, np.nan):
+            with pytest.raises(DomainError, match="pi/2"):
+                GaugeChoice(eps=lambda r: value * np.ones_like(np.asarray(r)), deps=lambda r: np.zeros_like(np.asarray(r)))
 
     def test_gauge_needs_both_eps_and_deps(self):
         with pytest.raises(ConfigurationError):
@@ -466,6 +468,50 @@ class TestZeroControl:
         # the certificate measures its witnesses at n = 240, l0 = 1
         floor = shape_invariance_defect("const:1", 1, 240)
         assert min(rec.defect for rec in report.defects) > 100.0 * floor
+
+
+class TestFamilyNoGo:
+    """rho is not identically zero on the family alpha_i = 1 + theta_i r^2, theta0 != theta1."""
+
+    def test_laurent_coefficients_have_no_real_common_zero(self):
+        sp = pytest.importorskip("sympy")
+        r, t0, t1, l1, w = sp.symbols("r theta0 theta1 l1 w", real=True)
+        # the formulas of StructureFunctions._chain, term for term
+        a0, a1 = 1 + t0 * r**2, 1 + t1 * r**2
+        d1a0, d1a1, d2a0, d2a1 = sp.diff(a0, r), sp.diff(a1, r), sp.diff(a0, r, 2), sp.diff(a1, r, 2)
+        la0, la1 = d1a0 / a0, d1a1 / a1
+        q = (la0 - la1) / 2
+        qp = (d2a0 / a0 - la0**2 - d2a1 / a1 + la1**2) / 2
+        u = 4 * q**2 + a0**2 + a1**2
+        up = 8 * q * qp + 2 * a0 * d1a0 + 2 * a1 * d1a1
+        b1 = -u / (8 * q)
+        b1p = -(up * q - u * qp) / (8 * q**2)
+        rho = 2 * b1p - (-2 * l1 / r**2 + 2 * q * (b1 - la1) + a0**2 / 2 + qp - q**2)
+
+        pair = pair_of(AlphaProfile.polynomial([1.0, 0.0, 0.2]), AlphaProfile.polynomial([1.0, 0.0, 0.6]))
+        radii = np.array([0.2, 0.5, 0.9])
+        exact = [float(rho.subs({r: x, t0: 0.2, t1: 0.6, l1: 2})) for x in radii]
+        assert StructureFunctions(pair).rho(radii) == pytest.approx(exact, rel=1e-12)
+
+        series = sp.series(rho, r, 0, 3).removeO()
+        coef = {k: sp.cancel(series.coeff(r, k)) for k in range(-2, 3)}
+        d = t0 - t1
+        assert coef[-1] == 0 and coef[1] == 0
+        closed = {
+            -2: (4 * l1 * d + 1) / (2 * d),
+            0: -(2 * t0**2 - 4 * t0 * t1 + t0 + 2 * t1**2 + t1) / d,
+            2: (32 * t0**3 - 32 * t0**2 * t1 - 11 * t0**2 - 32 * t0 * t1**2 - 14 * t0 * t1 + 32 * t1**3 - 11 * t1**2)
+            / (4 * d),
+        }
+        for k, want in closed.items():
+            assert sp.cancel(coef[k] - want) == 0
+
+        # rho == 0 would zero all three numerators with theta0 != theta1, i.e.
+        # with some w such that w (theta0 - theta1) = 1
+        numerators = [sp.fraction(coef[k])[0] for k in closed]
+        basis = sp.groebner(numerators + [w * d - 1], w, t0, t1, l1, order="lex")
+        assert set(basis.exprs) == {w + 4 * l1, 50 * t0 - 2 * l1 - 1, 50 * t1 + 2 * l1 - 1, 8 * l1**2 + 25}
+        assert sp.Poly(8 * l1**2 + 25, l1).count_roots() == 0  # no real l1
 
 
 class TestCertificate:

@@ -46,7 +46,7 @@ OPTIONAL_PARAMETERS = {
     "eigen": {"leading", "near", "want_vectors"},
     "intertwining_defect": {"gauge", "n"},
     "locate_ep": {"lambda_ref"},
-    "mre_linear_solve": {"cond_log_max", "init", "r_end", "step"},
+    "mre_linear_solve": {"init", "r_end", "step"},
     "nogo_certificate": {"defect_n", "defect_samples", "family", "l1", "samples"},
     "riccati_residual": {"r_min"},
     "sweep": {"family"},
@@ -70,7 +70,7 @@ def test_optional_parameters_are_pinned():
     assert set(OPTIONAL_PARAMETERS) <= set(callables)
     got = {name: optional_parameters(getattr(dynamolab, name)) for name in callables}
     assert got == {name: OPTIONAL_PARAMETERS.get(name, set()) for name in callables}
-    assert sum(map(len, got.values())) == 32
+    assert sum(map(len, got.values())) == 31
 
 
 def test_no_private_imports_between_modules():
