@@ -30,7 +30,6 @@ from .branches import BranchEvent, BranchTrace, SweepConfig, dynamo_family, loca
 from .darboux import (
     DarbouxPair,
     GivenSeed,
-    Potential1D,
     darboux_partner,
     factorization_residual,
     partner_mode,
@@ -89,7 +88,6 @@ __all__ = [
     "MatrixODESolution",
     "NoGoReport",
     "PencilCoefficients",
-    "Potential1D",
     "RadialGrid",
     "ShapeError",
     "SingularSuperpotentialError",

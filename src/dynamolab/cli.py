@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .branches import SweepConfig, sweep
-from .darboux import Potential1D, darboux_partner, verify_isospectral
+from .darboux import darboux_partner, verify_isospectral
 from .errors import ConfigurationError, DomainError, DynamoLabError, ShapeError
 from .grid import build_grid
 from .mre import mre_linear_solve, riccati_residual
@@ -161,9 +161,7 @@ def _cmd_pencil_check(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
-    v0_profile = parse_profile(args.v0)
-    grid = build_grid(args.n)
-    pair = darboux_partner(Potential1D(v=v0_profile, label=v0_profile.label), grid)
+    pair = darboux_partner(parse_profile(args.v0), build_grid(args.n))
     rep = verify_isospectral(pair, levels=args.levels)
     lines = ["level,E0,E1,abs_rel_err"]
     for row in rep.levels:

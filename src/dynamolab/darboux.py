@@ -14,7 +14,8 @@ chi0 * chi1 = const.
 
 The domain is fixed to (0,1) with Dirichlet conditions so the machinery of
 the radial grid can be reused; everything is evaluated on interior nodes only
-(partner potentials like 2 pi^2 / sin^2(pi x) blow up at the endpoints).
+(partner potentials like 2 pi^2 / sin^2(pi x) blow up at the endpoints).  A
+potential is any real callable on arrays of points in (0,1).
 """
 
 from __future__ import annotations
@@ -30,23 +31,6 @@ from .mre import rk4_linear
 
 
 @dataclass(frozen=True)
-class Potential1D:
-    """Real potential on (0,1); may be singular at the endpoints."""
-
-    v: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-    def __call__(self, x):
-        return self.v(np.asarray(x, dtype=float))
-
-    def sample(self, grid: RadialGrid) -> np.ndarray:
-        vals = np.asarray(self(grid.nodes), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ShapeError(f"potential {self.label!r} not finite on interior nodes")
-        return vals
-
-
-@dataclass(frozen=True)
 class GivenSeed:
     """A user-supplied nodeless seed chi0(x) with its factorization energy."""
 
@@ -54,22 +38,27 @@ class GivenSeed:
     energy: float
 
 
-def schrodinger_tridiag(grid: RadialGrid, v: Potential1D) -> TridiagOp:
+def schrodinger_tridiag(grid: RadialGrid, v: Callable[[np.ndarray], np.ndarray]) -> TridiagOp:
     """Second-order discretization of -d^2/dx^2 + V with Dirichlet ends."""
-    return flux_form(grid, np.ones(grid.n + 1), v.sample(grid))
+    vals = np.asarray(v(grid.nodes), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ShapeError("potential not finite on interior nodes")
+    return flux_form(grid, np.ones(grid.n + 1), vals)
 
 
 @dataclass(frozen=True)
 class DarbouxPair:
-    """A potential pair connected by V1 = V0 + 2 f' with f = -(log chi0)'."""
+    """A potential pair connected by V1 = V0 + 2 f' with f = -(log chi0)', and its two operators."""
 
-    v0: Potential1D
-    v1: Potential1D
+    v0: Callable[[np.ndarray], np.ndarray]
+    v1: Callable[[np.ndarray], np.ndarray]
     energy: float
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
     chi0: np.ndarray
     grid: RadialGrid
+    h0: TridiagOp
+    h1: TridiagOp
 
 
 # The six stencil nodes sit at s = -2..3 in units of h from the node left of
@@ -132,11 +121,11 @@ def _nodeless_or_raise(samples: np.ndarray) -> np.ndarray:
 
 
 def darboux_partner(
-    v0: Potential1D,
+    v0: Callable[[np.ndarray], np.ndarray],
     grid: RadialGrid,
     seed: Optional[GivenSeed] = None,
 ) -> DarbouxPair:
-    """Construct the partner potential from a nodeless seed.
+    """Construct the partner potential from a nodeless seed, and both operators on the grid.
 
     Without a seed, chi0 and E are the lowest discrete eigenpair of H0; a
     GivenSeed supplies the function and energy.  Both differentiate the seed
@@ -145,8 +134,8 @@ def darboux_partner(
     """
     from scipy.linalg import eigh_tridiagonal  # on use: slow to import
 
+    h0 = schrodinger_tridiag(grid, v0)
     if seed is None:
-        h0 = schrodinger_tridiag(grid, v0)
         vals, vecs = eigh_tridiagonal(h0.diag, h0.off, select="i", select_range=(0, 0))
         energy = float(vals[0])
         chi0 = _nodeless_or_raise(vecs[:, 0])
@@ -168,11 +157,13 @@ def darboux_partner(
         ratio = p1 / p
         return -p2 / p + ratio**2
 
-    v1 = Potential1D(
-        v=lambda x: v0(np.asarray(x, dtype=float)) + 2.0 * fprime(x),
-        label=f"partner({v0.label})",
+    def v1(x):
+        return v0(x) + 2.0 * fprime(x)
+
+    return DarbouxPair(
+        v0=v0, v1=v1, energy=energy, f=f, fprime=fprime, chi0=chi0, grid=grid,
+        h0=h0, h1=schrodinger_tridiag(grid, v1),
     )
-    return DarbouxPair(v0=v0, v1=v1, energy=energy, f=f, fprime=fprime, chi0=chi0, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -213,8 +204,7 @@ def verify_isospectral(pair: DarbouxPair, levels: int) -> IsospectralReport:
         raise ConfigurationError(f"{levels} levels need n >= {levels + 1}, got n={pair.grid.n}")
     from scipy.linalg import eigh_tridiagonal  # on use: slow to import
 
-    h0 = schrodinger_tridiag(pair.grid, pair.v0)
-    h1 = schrodinger_tridiag(pair.grid, pair.v1)
+    h0, h1 = pair.h0, pair.h1
     e0 = eigh_tridiagonal(h0.diag, h0.off, eigvals_only=True, select="i", select_range=(0, levels))
     e1 = eigh_tridiagonal(h1.diag, h1.off, eigvals_only=True, select="i", select_range=(0, levels - 1))
     rows = []
@@ -241,8 +231,7 @@ def factorization_residual(pair: DarbouxPair):
     grid = pair.grid
     e = pair.energy
     fx = np.asarray(pair.f(grid.nodes), dtype=float)
-    h0 = schrodinger_tridiag(grid, pair.v0)
-    h1 = schrodinger_tridiag(grid, pair.v1)
+    h0, h1 = pair.h0, pair.h1
     norm_h0 = float(np.max(np.abs(h0.diag)) + 2.0 / grid.h**2)
 
     def apply_a(w):

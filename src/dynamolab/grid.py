@@ -33,23 +33,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class RadialGrid:
     """Interior nodes of a uniform grid on (0,1) with Dirichlet ends excluded.
 
-    nodes[j-1] = j*h with h = 1/(n+1); weights are the trapezoid weights for
-    integrals of functions vanishing at both endpoints (h per interior node).
+    nodes[j-1] = j*h with h = 1/(n+1); the trapezoid rule for integrals of
+    functions vanishing at both endpoints weighs every interior node by h.
     """
 
     n: int
     h: float
     nodes: np.ndarray
-    weights: np.ndarray
 
     @classmethod
     def uniform(cls, n: int) -> "RadialGrid":
         if n < 1:
             raise ConfigurationError(f"grid needs at least one interior node, got n={n}")
         h = 1.0 / (n + 1)
-        nodes = _freeze(np.arange(1, n + 1) * h)
-        weights = _freeze(np.full(n, h))
-        return cls(n=n, h=h, nodes=nodes, weights=weights)
+        return cls(n=n, h=h, nodes=_freeze(np.arange(1, n + 1) * h))
 
     @property
     def half_nodes(self) -> np.ndarray:
@@ -154,11 +151,11 @@ def smooth_fields(nodes: np.ndarray, support: tuple) -> np.ndarray:
 
 
 def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex:
-    """Flat-measure inner product sum_j w_j conj(f_j) g_j, conjugate-linear in f."""
+    """Flat-measure trapezoid inner product h sum_j conj(f_j) g_j, conjugate-linear in f."""
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape != (grid.n,) or g.shape != (grid.n,):
         raise ShapeError(
             f"inner_product needs two length-{grid.n} vectors, got {f.shape} and {g.shape}"
         )
-    return complex(np.sum(grid.weights * np.conj(f) * g))
+    return complex(np.sum(grid.h * np.conj(f) * g))

@@ -291,14 +291,19 @@ def mre_linear_solve(
             raise ConfigurationError(f"unknown init mode {init!r}")
         if which != B_SYSTEM:
             raise ConfigurationError("series initial data is defined for the B-system")
-        top0, bot0 = series_start_bottom(
-            l, float(alpha(0.0)), float(alpha.d1(0.0)), r_start, e=e
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start fails the check below
+            top0, bot0 = series_start_bottom(
+                l, float(alpha(0.0)), float(alpha.d1(0.0)), r_start, e=e
+            )
+        if not np.isfinite([top0, bot0]).all():
+            raise SolverError(f"series initial data at r_start={r_start} is not finite")
     else:
         top0 = np.asarray(init[0], dtype=complex)
         bot0 = np.asarray(init[1], dtype=complex)
         if top0.shape != (2, 2) or bot0.shape != (2, 2):
             raise ConfigurationError("explicit initial data must be two 2x2 blocks")
+        if not np.isfinite([top0, bot0]).all():
+            raise ConfigurationError("explicit initial data must be finite")
 
     sign = 1.0 if which == U_SYSTEM else -1.0
 

@@ -365,7 +365,10 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
         raise DomainError("leading profile coefficient c1 must not vanish")
     # l1 (l1 - 1) - l0 (l0 + 1) = (l1 - l0 - 1)(l1 + l0), and l1 + l0 > 0
     l1 = l0 + 1
-    fits = {cand: _singular_mismatch_c2(cand, l0, c1, e) for cand in (l0, l0 + 1, l0 + 2)}
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fit fails the check below
+        fits = {cand: _singular_mismatch_c2(cand, l0, c1, e) for cand in (l0, l0 + 1, l0 + 2)}
+    if not np.all(np.isfinite(list(fits.values()))):
+        raise SolverError(f"the 1/r^2 mismatch fit is not finite at l0={l0}")
     wrong = [fits[l0], fits[l0 + 2]]
     ratio = float(min(wrong) / max(fits[l0 + 1], 1e-300))
     return AsymptoticRecord(

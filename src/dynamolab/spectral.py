@@ -211,11 +211,14 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
     whole multiple of 2 pi between two samples goes unseen.  (A bound on the
     total phase instead aliases whole windings: it counted 24 eigenvalues for
     12 at n=60.)  None when the rule does not settle within its caps, a pivot
-    is zero or not finite, or the count is not within _COUNT_SLACK of an
-    integer.
+    is zero or not finite, the count is not within _COUNT_SLACK of an
+    integer, or Y overflows.
     """
     size = m.size
-    top = size * (m.norm_inf() + abs(s)) / _COUNT_TAIL
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        top = size * (m.norm_inf() + abs(s)) / _COUNT_TAIL
+    if not np.isfinite(top):
+        return None
     ys = np.concatenate(([0.0], np.geomspace(top * 10.0**-_COUNT_DECADES, top, _COUNT_SAMPLES)))
     phase = _pivot_phases(m, s, ys)
     for rounds in range(_COUNT_ROUNDS + 1):

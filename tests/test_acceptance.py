@@ -24,7 +24,6 @@ from dynamolab import (
 from dynamolab.branches import SweepConfig, locate_ep, sweep
 from dynamolab.cli import main
 from dynamolab.darboux import (
-    Potential1D,
     darboux_partner,
     factorization_residual,
     partner_mode,
@@ -188,7 +187,7 @@ def test_c07_ep_machinery():
 
 
 def test_c08_darboux_positive_control():
-    box = Potential1D(lambda x: np.zeros_like(x), "box")
+    box = np.zeros_like
     res = {}
     for n in (2000, 4000):
         g = build_grid(n)

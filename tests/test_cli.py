@@ -626,12 +626,23 @@ class TestExitCodes:
                 "numerical failure: ",
             ),
             (["sweep", "--alpha", "const:1", "--scale", "0,1e150,3", "--n", "20"], 3, "numerical failure: "),
+            # the count's upper end N (||H|| + |s|) / tail overflows; the dense path then fails its contract
+            (["pencil-check", "--alpha", "const:1e300", "--n", "40", "--modes", "4"], 3, "numerical failure: "),
+            (
+                [
+                    "mre-check", "--alpha0", "poly:1,0.2,0.3", "--alpha1", "const:1e160", "--step", "1e-2",
+                    "--system", "B", "--init", "series",
+                ],
+                3,
+                "numerical failure: series initial data",
+            ),
+            (["certificate", "--l1", "1000", "--defect-n", "20"], 3, "numerical failure: the 1/r^2 mismatch fit"),
         ],
         ids=[
             "nogo", "sweep", "pencil-check", "mre-check",
             "pencil-1e-100", "pencil-1e-160", "pencil-1e-200", "pencil-1e-300", "pencil-1e-320",
             "mre-step-1e-300", "mre-step-past-cap", "nogo-d2-overflow", "nogo-q-overflow", "mre-window-starts",
-            "sweep-message",
+            "sweep-message", "pencil-count-top-overflow", "mre-series-start-overflow", "certificate-l1-1000",
         ],
     )
     def test_huge_values_give_the_exit_code_and_no_numpy_warning(self, tmp_path, capsys, argv, rc, message):

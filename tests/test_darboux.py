@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from dynamolab import ConfigurationError, RadialGrid, SingularSuperpotentialError, build_grid
+from dynamolab import ConfigurationError, RadialGrid, ShapeError, SingularSuperpotentialError, build_grid
 from dynamolab.darboux import (
     DarbouxPair,
     GivenSeed,
     LocalQuintic,
-    Potential1D,
     darboux_partner,
     factorization_residual,
     partner_mode,
@@ -18,7 +17,7 @@ from dynamolab.darboux import (
     verify_isospectral,
 )
 
-BOX = Potential1D(lambda x: np.zeros_like(x), "box")
+BOX = np.zeros_like
 PI2 = np.pi**2
 
 
@@ -41,6 +40,18 @@ class TestPartnerConstruction:
     def test_box_ground_state_energy(self, box_pair):
         assert box_pair.energy == pytest.approx(PI2, rel=1e-4)
 
+    @pytest.mark.parametrize("seed", [None, GivenSeed(lambda x: np.sin(np.pi * x), PI2)], ids=["ground", "given"])
+    def test_pair_carries_both_operators(self, grid2000, seed):
+        pair = darboux_partner(BOX, grid2000, seed)
+        for op, v in ((pair.h0, BOX), (pair.h1, pair.v1)):
+            ref = schrodinger_tridiag(grid2000, v)
+            assert np.array_equal(op.diag, ref.diag) and np.array_equal(op.off, ref.off)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_potential_rejected(self, grid2000, value):
+        with pytest.raises(ShapeError, match="not finite"):
+            darboux_partner(lambda x: np.full_like(x, value), grid2000)
+
     def test_box_partner_potential_closed_form(self, box_pair, grid2000):
         x = grid2000.nodes
         win = (x >= 0.1) & (x <= 0.9)
@@ -55,8 +66,7 @@ class TestPartnerConstruction:
 
     def test_harmonic_symmetry(self):
         g = build_grid(999)
-        harm = Potential1D(lambda x: 100.0 * (x - 0.5) ** 2, "harmonic")
-        pair = darboux_partner(harm, g)
+        pair = darboux_partner(lambda x: 100.0 * (x - 0.5) ** 2, g)
         assert abs(pair.f(0.5)) <= 1e-8
 
     def test_given_seed_matches_ground_state(self, box_pair, box_pair_analytic, grid2000):
@@ -91,6 +101,10 @@ class TestLocalQuintic:
             exact = p.deriv(k)(x) if k else p(x)
             assert np.max(np.abs(value - exact)) <= 1e-12 * np.max(np.abs(exact))
 
+    def test_rejects_samples_off_the_nodes(self):
+        with pytest.raises(ShapeError, match="20 samples"):
+            LocalQuintic(build_grid(20), np.ones(19))
+
     def test_superpotential_derivative_converges_at_fourth_order(self):
         # f' = pi^2 / sin^2(pi x) needs the seed's second derivative, O(h^4);
         # x are nodes of every grid, so each sees the same stencil positions
@@ -121,9 +135,8 @@ class TestIsospectral:
 
     def test_constant_shift_identity(self, grid2000):
         c = 7.3
-        shifted = Potential1D(lambda x: np.full_like(x, c), "box+c")
         pair0 = darboux_partner(BOX, grid2000)
-        pair_c = darboux_partner(shifted, grid2000)
+        pair_c = darboux_partner(lambda x: np.full_like(x, c), grid2000)
         rep0 = verify_isospectral(pair0, levels=3)
         rep_c = verify_isospectral(pair_c, levels=3)
         assert pair_c.energy == pytest.approx(pair0.energy + c, abs=1e-9)
@@ -198,3 +211,7 @@ class TestProductInvariant:
         _, vecs = eigh_tridiagonal(h1.diag, h1.off, select="i", select_range=(1, 1))
         _, rel_var = product_invariant_check(box_pair.chi0, vecs[:, 0], grid2000)
         assert rel_var > 1e-1
+
+    def test_rejects_samples_off_the_nodes(self, box_pair, grid2000):
+        with pytest.raises(ShapeError, match="grid nodes"):
+            product_invariant_check(box_pair.chi0, box_pair.chi0[1:], grid2000)

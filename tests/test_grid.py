@@ -13,8 +13,8 @@ from dynamolab import (
     inner_product,
     laplacian_l,
 )
-from dynamolab.darboux import Potential1D, schrodinger_tridiag
-from dynamolab.grid import flux_form
+from dynamolab.darboux import schrodinger_tridiag
+from dynamolab.grid import TridiagOp, flux_form
 from oracles import K_L1
 
 
@@ -41,13 +41,14 @@ class TestBuildGrid:
     def test_too_small_raises(self):
         with pytest.raises(ConfigurationError):
             build_grid(3)
+        with pytest.raises(ConfigurationError, match="at least one interior node"):
+            RadialGrid.uniform(0)
 
     def test_invariants(self):
         g = build_grid(57)
         d = np.diff(g.nodes)
         assert np.allclose(d, g.h)
         assert g.nodes[0] > 0 and g.nodes[-1] < 1
-        assert np.all(g.weights > 0)
 
     def test_immutable(self):
         g = build_grid(10)
@@ -148,10 +149,18 @@ class TestFluxForm:
         assert op.diag.tolist() == [(a_half[j] + a_half[j + 1]) / h2 + w[j] for j in range(9)]
         assert op.off.tolist() == [-a_half[j + 1] / h2 for j in range(8)]
         assert not op.diag.flags.writeable and not op.off.flags.writeable
-        v = Potential1D(v=lambda x: 5.0 * x - 7.0 * x**3)
+        def v(x):
+            return 5.0 * x - 7.0 * x**3
+
         schr = schrodinger_tridiag(g, v)
         assert schr.diag.tolist() == [2.0 / h2 + v(x) for x in g.nodes.tolist()]
         assert schr.off.tolist() == [-1.0 / h2] * 8
+
+    def test_rejects_wrong_shapes(self):
+        with pytest.raises(ShapeError, match="n-1"):
+            TridiagOp(diag=np.ones(4), off=np.ones(4))
+        with pytest.raises(ShapeError, match="operator size"):
+            TridiagOp(diag=np.ones(4), off=np.ones(3)).matvec(np.ones(5))
 
 
 class TestInnerProduct:

@@ -7,7 +7,7 @@ import pytest
 
 from dynamolab import AlphaProfile, ConfigurationError, DomainError, SolverError
 from dynamolab import mre
-from dynamolab.darboux import Potential1D, darboux_partner, partner_mode
+from dynamolab.darboux import darboux_partner, partner_mode
 from dynamolab.grid import build_grid
 from dynamolab.mre import (
     SHOOTING_WINDOW,
@@ -160,6 +160,8 @@ class TestLinearSolve:
             mre_linear_solve("B", *B_FLOW, 0.1, 1.0, init="taylor")
         with pytest.raises(ConfigurationError, match="2x2"):
             mre_linear_solve("U", *U_FLOW, 0.1, 1.0, init=(np.eye(3), np.eye(3)))
+        with pytest.raises(ConfigurationError, match="finite"):
+            mre_linear_solve("U", *U_FLOW, 0.1, 1.0, init=(np.full((2, 2), np.nan), np.eye(2)))
 
     def test_nonpositive_step(self):
         for step in (0.0, -1e-3):
@@ -264,7 +266,7 @@ class TestPropagatorEquivalence:
 
     def test_partner_mode_both_directions(self):
         grid = build_grid(2000)
-        pair = darboux_partner(Potential1D(lambda x: 3.0 * x * (1.0 - x), "bump"), grid)
+        pair = darboux_partner(lambda x: 3.0 * x * (1.0 - x), grid)
         ref = sequential_partner_mode(pair)
         chi1 = partner_mode(pair)
         err = np.abs(chi1 - ref[:, 0]) / np.max(np.abs(ref), axis=1)
@@ -482,3 +484,9 @@ class TestEigenfunctionEquivalence:
         bot[bot.shape[0] // 2] = 0.0
         corrupted = dataclasses.replace(sol, bot=bot)
         assert eigenfunction_equivalence(corrupted) > 1e-1
+
+    def test_two_node_trajectory_rejected(self):
+        sol = mre_linear_solve("U", *U_FLOW, 0.5, 0.501, step=1e-3, init=GENERIC_INIT)
+        assert sol.rs.size == 2
+        with pytest.raises(ConfigurationError, match="too short"):
+            eigenfunction_equivalence(sol)

@@ -389,6 +389,11 @@ class TestAsymptotics:
         with pytest.raises(DomainError, match="l0"):
             asymptotic_l_increment(0)
 
+    def test_non_finite_fit_raises(self):
+        # the fitted mismatch coefficients are all NaN at l0 = 999
+        with pytest.raises(SolverError, match="not finite"):
+            asymptotic_l_increment(999)
+
     def test_fitted_values_match_prediction(self):
         # mismatch coefficient is l1(l1-1) - l0(l0+1) = -2, 0, +4 for l0 = 1
         rec = asymptotic_l_increment(1)

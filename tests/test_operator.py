@@ -182,6 +182,11 @@ class TestAssemble:
         a[40, 5] += 1e-9
         assert pseudo_hermiticity_residual(a) == pytest.approx(1e-9, rel=1e-6)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+    def test_residual_needs_square_matrix_of_even_size(self, shape):
+        with pytest.raises(ShapeError, match="even size"):
+            pseudo_hermiticity_residual(np.ones(shape))
+
     def test_residual_detects_corrupted_entry(self, monkeypatch):
         # the entries table fills .matrix; its last entry is in the (2,2)
         # block, and its J-transposed partner is the matching subdiagonal

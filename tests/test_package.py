@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "ClassificationError", "ConfigurationError", "DarbouxPair", "DegeneratePencilError",
     "DegenerateQError", "DomainError", "DynamoLabError", "DynamoMatrix", "GaugeChoice",
     "GivenSeed", "JordanProbe", "MatrixODESolution", "NoGoReport", "PencilCoefficients",
-    "Potential1D", "RadialGrid", "ShapeError", "SingularSuperpotentialError", "SolverError",
+    "RadialGrid", "ShapeError", "SingularSuperpotentialError", "SolverError",
     "Spectrum", "StructureFunctions", "SweepConfig", "TrackingError", "TridiagOp",
     "assemble", "asymptotic_l_increment", "build_R", "build_grid", "builtin_pair_family",
     "classify_pairs", "darboux_partner", "degenerate_case_check", "dynamo_family", "eigen",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     # a new or removed public name has to show up here as a test edit
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert set(dynamolab.__all__) == PUBLIC_NAMES
 
 
@@ -36,7 +36,6 @@ def test_public_names_are_pinned():
 OPTIONAL_PARAMETERS = {
     "AlphaPair": {"e"},
     "GaugeChoice": {"deps", "eps", "gamma"},
-    "Potential1D": {"label"},
     "Spectrum": {"disk", "right_of"},
     "StructureFunctions": {"gauge"},
     "SweepConfig": {"l", "n", "track_count"},
@@ -70,7 +69,7 @@ def test_optional_parameters_are_pinned():
     assert set(OPTIONAL_PARAMETERS) <= set(callables)
     got = {name: optional_parameters(getattr(dynamolab, name)) for name in callables}
     assert got == {name: OPTIONAL_PARAMETERS.get(name, set()) for name in callables}
-    assert sum(map(len, got.values())) == 31
+    assert sum(map(len, got.values())) == 30
 
 
 def test_no_private_imports_between_modules():

@@ -20,6 +20,11 @@ class TestFamilies:
         assert p.d1(0.5) == pytest.approx(0.5)
         assert p.d2(0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]]], ids=["empty", "nested"])
+    def test_polynomial_needs_flat_non_empty_coefficients(self, coeffs):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            AlphaProfile.polynomial(coeffs)
+
     def test_exponential(self):
         p = AlphaProfile.exponential(2.0, -1.5)
         r = 0.3
@@ -40,6 +45,15 @@ class TestFamilies:
         rs = np.linspace(0.2, 1.0, 10)
         with pytest.raises(ConfigurationError):
             AlphaProfile.from_samples(rs, np.ones_like(rs))
+
+    @pytest.mark.parametrize(
+        "rs, values",
+        [(np.linspace(0, 1, 3), np.ones(3)), (np.linspace(0, 1, 5), np.ones(4)), (np.ones((4, 2)), np.ones((4, 2)))],
+        ids=["three-rows", "unequal", "two-d"],
+    )
+    def test_spline_needs_two_equal_columns(self, rs, values):
+        with pytest.raises(ConfigurationError, match="equal-length"):
+            AlphaProfile.from_samples(rs, values)
 
     def test_spline_requires_increasing_r(self):
         rs = np.array([0.0, 0.5, 0.4, 1.0])
@@ -128,7 +142,7 @@ class TestParse:
         p = parse_profile(f"spline:{path}")
         assert p(0.25) == pytest.approx(2.25, abs=1e-8)
 
-    @pytest.mark.parametrize("bad", ["gauss:1", "poly:", "const:x", "exp:1", "spline:/nonexistent/file"])
+    @pytest.mark.parametrize("bad", ["gauss:1", "poly:", "const:x", "exp:1", "spline:/nonexistent/file", None])
     def test_bad_literals(self, bad):
         with pytest.raises(ConfigurationError):
             parse_profile(bad)

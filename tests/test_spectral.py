@@ -151,6 +151,10 @@ class TestEigen:
         with pytest.raises(DomainError, match="finite"):
             jordan_probe(a, 1.0, np.ones(4))
 
+    def test_non_square_raw_matrix_rejected(self):
+        with pytest.raises(ShapeError, match="square"):
+            eigen(np.ones((2, 3)))
+
 
 class TestInverseIteration:
     def test_conjugate_pair_vectors_are_exact_conjugates(self):
@@ -535,6 +539,11 @@ class TestClassify:
                 assert abs(out.eigenvalues[i] - np.conj(out.eigenvalues[j])) <= 1e-8
                 paired += 1
         assert paired >= 2
+
+    def test_labels_need_classification(self):
+        spec = Spectrum(eigenvalues=np.array([1.0 + 0j]), eigenvectors=None, pair_index=None)
+        with pytest.raises(ClassificationError, match="not been classified"):
+            spec.labels()
 
     def test_unpaired_complex_raises(self):
         vals = np.array([1 + 2j, 1 - 2.00001j])
