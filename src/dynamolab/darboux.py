@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
 from .grid import RadialGrid, TridiagOp, central_difference, flux_form, smooth_fields
@@ -98,15 +99,7 @@ class LocalQuintic:
         # node index j sits at x = (j + 1) h; the stencil of [x_j, x_j+1] starts at j - 2
         k = np.clip(np.floor(u).astype(int) - 3, 0, self._coef[0].shape[0] - 1)
         s = u - (k + 3)
-        return tuple(_horner(c[k], s) for c in self._coef)
-
-
-def _horner(coef: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Evaluate polynomials with coefficients coef[..., m] of s**m at s."""
-    out = coef[..., -1]
-    for m in range(coef.shape[-1] - 2, -1, -1):
-        out = out * s + coef[..., m]
-    return out
+        return tuple(npoly.polyval(s, np.moveaxis(c[k], -1, 0), tensor=False) for c in self._coef)
 
 
 def _nodeless_or_raise(samples: np.ndarray) -> np.ndarray:

@@ -253,11 +253,12 @@ def mre_linear_solve(
 
     alpha is the system's profile (alpha0 for U, alpha1 for B), l its mode
     number and e the factorization constant; alpha need not be positive.
-    init is either an explicit (top0, bot0) pair of 2x2 arrays or the string
-    "series" (B-system only), which starts the singular small-r branch from
-    the profile's leading Taylor data.  Nodes where the bottom block reaches
-    COND_LOG_MAX get NaN affine values and a recorded warning; the linear
-    trajectory itself continues.
+    init is either an explicit (top0, bot0) pair of 2x2 arrays that stack to
+    rank 2 (the flow keeps that rank, and a lower one has no affine value) or
+    the string "series" (B-system only), which starts the singular small-r
+    branch from the profile's leading Taylor data.  Nodes where the bottom
+    block reaches COND_LOG_MAX get NaN affine values and a recorded warning;
+    the linear trajectory itself continues.
     """
     if which not in (U_SYSTEM, B_SYSTEM):
         raise ConfigurationError(f"unknown system {which!r} (expected 'U' or 'B')")
@@ -304,6 +305,8 @@ def mre_linear_solve(
             raise ConfigurationError("explicit initial data must be two 2x2 blocks")
         if not np.isfinite([top0, bot0]).all():
             raise ConfigurationError("explicit initial data must be finite")
+        if np.linalg.matrix_rank(np.concatenate([top0, bot0])) < 2:
+            raise ConfigurationError("explicit initial data must stack to a (4, 2) block of rank 2")
 
     sign = 1.0 if which == U_SYSTEM else -1.0
 

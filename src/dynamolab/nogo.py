@@ -31,7 +31,7 @@ defect of the assembled candidate operator as a numerical witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,50 +39,36 @@ from .errors import ConfigurationError, DegenerateQError, DomainError, SolverErr
 from .grid import build_grid, central_difference, smooth_fields
 from .mre import B_SYSTEM, IDENT2, inv2, kmat, mre_linear_solve
 from .operator import assemble, sharp
-from .profiles import AlphaProfile, derivative_mismatch
+from .profiles import AlphaProfile
 
 Q_FLOOR = 1e-10
 RHO_WINDOW = (0.1, 1.0)  # where rho is sampled: q has a removable zero at r = 0
+MIN_DISCRIMINATION = 10.0  # smallest wrong-candidate 1/r^2 fit over the l0 + 1 fit
 
 
 @dataclass(frozen=True)
 class GaugeChoice:
     """Residual gauge freedom of the intertwiner: constant gamma, function eps.
 
-    The consistency conditions force gamma' = 0, so gamma is a number; eps may
-    vary with r but must stay inside (-pi/2, pi/2) to keep tan eps finite.
-    The default gauge gamma = 0, eps == 0 makes all structure functions real.
-    deps must be the derivative of eps: ``derivative_mismatch`` checks it by
-    the rule AlphaProfile applies to its d1.
+    The consistency conditions force gamma' = 0, so gamma is a number; eps is
+    a profile (None means eps == 0) that must stay inside (-pi/2, pi/2) to
+    keep tan eps finite.  The default gauge gamma = 0, eps == 0 makes all
+    structure functions real.
     """
 
     gamma: float = 0.0
-    eps: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    deps: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    eps: Optional[AlphaProfile] = None
 
     def __post_init__(self) -> None:
-        if (self.eps is None) != (self.deps is None):
-            raise ConfigurationError("eps and deps must be supplied together")
-        if self.eps is not None:
-            rs = np.linspace(1e-3, 1.0, 512)
-            vals = np.asarray(self.eps(rs), dtype=float)
-            if not np.all(np.abs(vals) < np.pi / 2):  # also catches NaN
-                raise DomainError("gauge function eps must satisfy |eps| < pi/2 on (0,1]")
-            worst = derivative_mismatch(self.eps, self.deps, rs, vals, 1e-5)
-            if not worst <= 1e-8:  # NaN when deps is not finite
-                raise DomainError(f"gauge function deps is not the derivative of eps (worst rel. error {worst:.3e})")
+        if self.eps is not None and not np.all(np.abs(self.eps(np.linspace(1e-3, 1.0, 512))) < np.pi / 2):
+            raise DomainError("gauge function eps must satisfy |eps| < pi/2 on (0,1]")
 
-    def eps_vals(self, r: np.ndarray) -> np.ndarray:
+    def eps_at(self, r):
+        """(eps, eps') at r, both zero for the default gauge."""
         r = np.asarray(r, dtype=float)
         if self.eps is None:
-            return np.zeros_like(r)
-        return np.asarray(self.eps(r), dtype=float)
-
-    def deps_vals(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.deps is None:
-            return np.zeros_like(r)
-        return np.asarray(self.deps(r), dtype=float)
+            return np.zeros_like(r), np.zeros_like(r)
+        return np.asarray(self.eps(r), dtype=float), np.asarray(self.eps.d1(r), dtype=float)
 
 
 DEFAULT_GAUGE = GaugeChoice()
@@ -122,7 +108,7 @@ def build_R(pair: AlphaPair, gauge: GaugeChoice, r) -> np.ndarray:
     a1 = np.asarray(pair.alpha1(r), dtype=float)
     if np.any(a0 <= 0) or np.any(a1 <= 0):
         raise DomainError("build_R needs strictly positive profile values")
-    eps = gauge.eps_vals(r)
+    eps, _ = gauge.eps_at(r)
     phase = np.exp(1j * gauge.gamma)
     out = np.zeros(np.shape(r) + (2, 2), dtype=complex)
     out[..., 0, 0] = np.sqrt(a1 / a0)
@@ -153,10 +139,7 @@ class StructureFunctions:
     def f(self, r):
         r = np.asarray(r, dtype=float)
         p = self.pair
-        eps = self.gauge.eps_vals(r)
-        deps = self.gauge.deps_vals(r)
-        la0 = p.alpha0.d1(r) / p.alpha0(r)
-        return -(p.alpha1(r) / 2.0) * (la0 * (1.0 + 1j * np.tan(eps)) + 1j * deps / np.cos(eps) ** 2)
+        return p.alpha1(r) * (-0.5 * p.alpha0.d1(r) / p.alpha0(r) + 1j * self.b4(r))
 
     def nmat(self, r):
         r = np.asarray(r, dtype=float)
@@ -176,8 +159,7 @@ class StructureFunctions:
 
     def b4(self, r):
         r = np.asarray(r, dtype=float)
-        eps = self.gauge.eps_vals(r)
-        deps = self.gauge.deps_vals(r)
+        eps, deps = self.gauge.eps_at(r)
         la0 = self.pair.alpha0.d1(r) / self.pair.alpha0(r)
         return -0.5 * (la0 * np.tan(eps) + deps / np.cos(eps) ** 2)
 
@@ -357,7 +339,9 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
     The closed-form matching needs only integer arithmetic; the cross-check
     integrates the defining linear system for candidate l1 in
     {l0, l0+1, l0+2} and verifies that only l0+1 annihilates the fitted
-    1/r^2 mismatch coefficient.
+    1/r^2 mismatch coefficient.  Raises SolverError when a fit is not finite
+    or the fits no longer tell the candidates apart (discrimination ratio
+    below MIN_DISCRIMINATION, from l0 = 6 on at the default c1 and e).
     """
     if l0 < 1:
         raise DomainError("l0 must be >= 1")
@@ -371,6 +355,11 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
         raise SolverError(f"the 1/r^2 mismatch fit is not finite at l0={l0}")
     wrong = [fits[l0], fits[l0 + 2]]
     ratio = float(min(wrong) / max(fits[l0 + 1], 1e-300))
+    if not ratio >= MIN_DISCRIMINATION:
+        raise SolverError(
+            f"the 1/r^2 mismatch fit does not single out l1 = l0 + 1 at l0={l0} "
+            f"(discrimination ratio {ratio:.3g} < {MIN_DISCRIMINATION:g})"
+        )
     return AsymptoticRecord(
         l1=l1,
         fitted_c2=fits,

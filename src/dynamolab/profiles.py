@@ -32,20 +32,6 @@ _N_BOUND_SAMPLES = 1024
 _N_DERIV_SAMPLES = 32
 
 
-def derivative_mismatch(f, df, pts, vals, step) -> float:
-    """Worst error of df against the central difference of f at pts.
-
-    The error is relative to max(1, max|vals|, |df|): the difference
-    quotient's rounding and truncation errors grow with the size of f (vals
-    are its samples), not only with |f'|.  NaN when a derivative overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cd = (np.asarray(f(pts + step)) - np.asarray(f(pts - step))) / (2 * step)
-        d1 = np.asarray(df(pts), dtype=float)
-        scale = np.maximum(max(1.0, float(np.max(np.abs(vals)))), np.abs(d1))
-        return np.max(np.abs(cd - d1) / scale)
-
-
 @dataclass(frozen=True)
 class AlphaProfile:
     """Profile alpha(r) on [0,1] with analytic first and second derivatives."""
@@ -65,7 +51,12 @@ class AlphaProfile:
         tol = 1e-5 if self.family == "spline" else 1e-8
         step = 1e-4 if self.family == "spline" else 1e-5
         pts = np.random.default_rng(_CHECK_SEED).uniform(0.01, 0.99, _N_DERIV_SAMPLES)
-        worst = derivative_mismatch(self._f, self._d1, pts, vals, step)
+        cd = (np.asarray(self._f(pts + step)) - np.asarray(self._f(pts - step))) / (2 * step)
+        d1 = np.asarray(self._d1(pts), dtype=float)
+        # the difference quotient's rounding and truncation errors grow with the
+        # size of alpha, not only with |alpha'|
+        scale = np.maximum(max(1.0, float(np.max(np.abs(vals)))), np.abs(d1))
+        worst = np.max(np.abs(cd - d1) / scale)
         if not worst <= tol:  # NaN when a derivative overflows
             raise DomainError(
                 f"profile {self.label!r}: derivative evaluator inconsistent with "

@@ -637,12 +637,19 @@ class TestExitCodes:
                 "numerical failure: series initial data",
             ),
             (["certificate", "--l1", "1000", "--defect-n", "20"], 3, "numerical failure: the 1/r^2 mismatch fit"),
+            # at l0 = 8 the small-r fits no longer tell l1 = 9 from 8 or 10
+            (
+                ["certificate", "--l1", "9", "--defect-n", "20"],
+                3,
+                "numerical failure: the 1/r^2 mismatch fit does not single out",
+            ),
         ],
         ids=[
             "nogo", "sweep", "pencil-check", "mre-check",
             "pencil-1e-100", "pencil-1e-160", "pencil-1e-200", "pencil-1e-300", "pencil-1e-320",
             "mre-step-1e-300", "mre-step-past-cap", "nogo-d2-overflow", "nogo-q-overflow", "mre-window-starts",
             "sweep-message", "pencil-count-top-overflow", "mre-series-start-overflow", "certificate-l1-1000",
+            "certificate-l1-9",
         ],
     )
     def test_huge_values_give_the_exit_code_and_no_numpy_warning(self, tmp_path, capsys, argv, rc, message):

@@ -162,6 +162,11 @@ class TestLinearSolve:
             mre_linear_solve("U", *U_FLOW, 0.1, 1.0, init=(np.eye(3), np.eye(3)))
         with pytest.raises(ConfigurationError, match="finite"):
             mre_linear_solve("U", *U_FLOW, 0.1, 1.0, init=(np.full((2, 2), np.nan), np.eye(2)))
+        # the flow keeps the rank of the stacked start: no node would get an affine value
+        zero, rank_one = np.zeros((2, 2)), np.array([[1.0, 2.0], [0.0, 0.0]])
+        for init in [(zero, zero), (rank_one, 0.5 * rank_one)]:
+            with pytest.raises(ConfigurationError, match="rank 2"):
+                mre_linear_solve("U", *U_FLOW, 0.1, 1.0, step=1e-2, init=init)
 
     def test_nonpositive_step(self):
         for step in (0.0, -1e-3):

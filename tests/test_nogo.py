@@ -45,6 +45,11 @@ def pair_of(a0, a1, l0=1, l1=2, e=0.0):
     return AlphaPair(a0, a1, l0, l1, e)
 
 
+def gauge_profile(eps, deps):
+    """The gauge function eps with derivative deps, as a profile; a gauge never reads its d2."""
+    return AlphaProfile(family="gauge", label="gauge", _f=eps, _d1=deps, _d2=None)
+
+
 class TestPairAndGauge:
     def test_positive_profiles_required(self):
         with pytest.raises(DomainError):
@@ -60,14 +65,11 @@ class TestPairAndGauge:
             pair_of(ONE, EXP_R, e=e)
 
     def test_gauge_eps_bound(self):
-        # a NaN eps fails the |eps| < pi/2 check, not the derivative check after it
-        for value in (2.0, np.nan):
-            with pytest.raises(DomainError, match="pi/2"):
-                GaugeChoice(eps=lambda r: value * np.ones_like(np.asarray(r)), deps=lambda r: np.zeros_like(np.asarray(r)))
-
-    def test_gauge_needs_both_eps_and_deps(self):
-        with pytest.raises(ConfigurationError):
-            GaugeChoice(eps=lambda r: np.zeros_like(np.asarray(r)))
+        with pytest.raises(DomainError, match="pi/2"):
+            GaugeChoice(eps=AlphaProfile.constant(2.0))
+        # a NaN eps is no profile: its boundedness check fails first
+        with pytest.raises(DomainError, match="unbounded"):
+            GaugeChoice(eps=AlphaProfile.constant(np.nan))
 
     @pytest.mark.parametrize(
         "deps",
@@ -76,8 +78,16 @@ class TestPairAndGauge:
     )
     def test_gauge_deps_must_be_the_derivative_of_eps(self, deps):
         # with deps = 0, b4(0.5) of the active-gauge pair read -0.0315 for -0.1849
-        with pytest.raises(DomainError, match="deps"):
-            GaugeChoice(eps=lambda r: 0.3 * r, deps=deps)
+        with pytest.raises(DomainError, match="derivative evaluator inconsistent"):
+            GaugeChoice(eps=gauge_profile(lambda r: 0.3 * r, deps))
+
+    def test_gauge_takes_a_profile_literal(self):
+        pair = pair_of(AlphaProfile.polynomial([1.0, 0.3, 0.2]), EXP_R)
+        rs = np.linspace(0.1, 1.0, 7)
+        literal = StructureFunctions(pair, GaugeChoice(eps=parse_profile("poly:0,0.3")))
+        by_hand = StructureFunctions(pair, GaugeChoice(eps=gauge_profile(lambda r: 0.3 * r, lambda r: 0.3 + 0 * r)))
+        assert np.array_equal(literal.b4(rs), by_hand.b4(rs))
+        assert literal.b4(0.5) == pytest.approx(-0.1849, abs=1e-4)
 
 
 class TestBuildR:
@@ -99,8 +109,7 @@ class TestBuildR:
             c = float(rng.uniform(0.0, 0.9))
             gauge = GaugeChoice(
                 gamma=float(rng.uniform(0, 2 * np.pi)),
-                eps=lambda r, c=c: c * np.sin(3.0 * np.asarray(r)),
-                deps=lambda r, c=c: 3.0 * c * np.cos(3.0 * np.asarray(r)),
+                eps=gauge_profile(lambda r, c=c: c * np.sin(3.0 * r), lambda r, c=c: 3.0 * c * np.cos(3.0 * r)),
             )
             pair = pair_of(
                 AlphaProfile.polynomial([0.5 + rng.random(), 0.0, float(rng.uniform(0, 0.5))]),
@@ -158,19 +167,19 @@ class TestStructureFunctions:
         assert n[1, 1] == pytest.approx(-0.5)
 
     def test_active_gauge_b4_is_imaginary_part_of_f(self):
-        gauge = GaugeChoice(
-            eps=lambda r: 0.6 * np.sin(2.0 * np.asarray(r)),
-            deps=lambda r: 1.2 * np.cos(2.0 * np.asarray(r)),
-        )
+        gauge = GaugeChoice(eps=gauge_profile(lambda r: 0.6 * np.sin(2.0 * r), lambda r: 1.2 * np.cos(2.0 * r)))
         pair = pair_of(AlphaProfile.polynomial([1.0, 0.3, 0.2]), EXP_R)
         sf = StructureFunctions(pair, gauge)
         rs = np.linspace(0.1, 1.0, 17)
         assert np.allclose(sf.b4(rs), sf.f(rs).imag / pair.alpha1(rs), atol=1e-13)
         # the closed form for b4 in terms of the gauge functions
         la0 = pair.alpha0.d1(rs) / pair.alpha0(rs)
-        eps = gauge.eps_vals(rs)
-        expected = -0.5 * (la0 * np.tan(eps) + gauge.deps_vals(rs) / np.cos(eps) ** 2)
+        eps, deps = gauge.eps_at(rs)
+        expected = -0.5 * (la0 * np.tan(eps) + deps / np.cos(eps) ** 2)
         assert np.allclose(sf.b4(rs), expected, atol=1e-13)
+        # f in the gauge functions, not through b4
+        f = -(pair.alpha1(rs) / 2) * (la0 * (1 + 1j * np.tan(eps)) + 1j * deps / np.cos(eps) ** 2)
+        assert np.allclose(sf.f(rs), f, atol=1e-13)
 
 
 class TestB1:
@@ -393,6 +402,12 @@ class TestAsymptotics:
         # the fitted mismatch coefficients are all NaN at l0 = 999
         with pytest.raises(SolverError, match="not finite"):
             asymptotic_l_increment(999)
+
+    @pytest.mark.parametrize("l0", [6, 7, 10, 20])
+    def test_undiscriminating_fit_raises(self, l0):
+        # discrimination ratios 4.58, 0.69, 5.57 and 0.81: l1 = l0 + 1 is not confirmed
+        with pytest.raises(SolverError, match="does not single out"):
+            asymptotic_l_increment(l0)
 
     def test_fitted_values_match_prediction(self):
         # mismatch coefficient is l1(l1-1) - l0(l0+1) = -2, 0, +4 for l0 = 1

@@ -35,7 +35,7 @@ def test_public_names_are_pinned():
 # parameters and dataclass fields with a default, per public callable; the rest have none
 OPTIONAL_PARAMETERS = {
     "AlphaPair": {"e"},
-    "GaugeChoice": {"deps", "eps", "gamma"},
+    "GaugeChoice": {"eps", "gamma"},
     "Spectrum": {"disk", "right_of"},
     "StructureFunctions": {"gauge"},
     "SweepConfig": {"l", "n", "track_count"},
@@ -69,7 +69,7 @@ def test_optional_parameters_are_pinned():
     assert set(OPTIONAL_PARAMETERS) <= set(callables)
     got = {name: optional_parameters(getattr(dynamolab, name)) for name in callables}
     assert got == {name: OPTIONAL_PARAMETERS.get(name, set()) for name in callables}
-    assert sum(map(len, got.values())) == 30
+    assert sum(map(len, got.values())) == 29
 
 
 def test_no_private_imports_between_modules():
