@@ -142,18 +142,19 @@ def _cmd_pencil_check(args) -> int:
         stop = start + args.modes + 1 - len(lines)
         if spec.size < min(stop, m.size):  # a leading solve that holds too few
             spec = eigen(m, leading=stop, want_vectors=True)
-        for idx in range(start, min(stop, spec.size)):
-            lam, vec = spec.eigenvalues[idx], spec.eigenvectors[:, idx]
-            psi1 = vec[: grid.n]
-            if np.linalg.norm(psi1) <= 1e-8:
-                continue
+        vecs = spec.eigenvectors
+        keep = [i for i in range(start, min(stop, spec.size)) if np.linalg.norm(vecs[: grid.n, i]) > 1e-8]
+        if keep:  # one call of each pencil function for every kept eigenpair
+            lams, psi1 = spec.eigenvalues[keep], vecs[: grid.n, keep]
             c = pencil_coefficients(m, psi1)
-            scale = max(abs(c.a2 * lam**2), abs(c.a1 * lam), abs(c.a0), 1e-300)
-            pencil_res = abs(c.a2 * lam**2 + c.a1 * lam + c.a0) / scale
-            psi2 = vec[grid.n :]
-            rec = pencil_psi2(m, psi1, lam)
-            psi2_res = np.linalg.norm(rec - psi2) / max(np.linalg.norm(psi2), 1e-300)
-            row = (idx, lam.real, lam.imag, c.a0, c.a1, c.a2, c.discriminant, pencil_res, psi2_res)
+            rec = pencil_psi2(m, psi1, lams)
+        for j, idx in enumerate(keep):
+            lam, psi2 = lams[j], vecs[grid.n :, idx]
+            a0, a1, a2, disc = c.a0[j], c.a1[j], c.a2[j], c.discriminant[j]
+            scale = max(abs(a2 * lam**2), abs(a1 * lam), abs(a0), 1e-300)
+            pencil_res = abs(a2 * lam**2 + a1 * lam + a0) / scale
+            psi2_res = np.linalg.norm(rec[:, j] - psi2) / max(np.linalg.norm(psi2), 1e-300)
+            row = (idx, lam.real, lam.imag, a0, a1, a2, disc, pencil_res, psi2_res)
             lines.append(",".join(map(_fmt, row)))
         start = stop
     _write_lines(args.out, lines)

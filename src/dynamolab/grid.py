@@ -150,12 +150,19 @@ def smooth_fields(nodes: np.ndarray, support: tuple) -> np.ndarray:
     return w / np.max(np.abs(w), axis=1, keepdims=True)
 
 
-def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex:
-    """Flat-measure trapezoid inner product h sum_j conj(f_j) g_j, conjugate-linear in f."""
+def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex | np.ndarray:
+    """Flat-measure trapezoid inner product h sum_j conj(f_j) g_j, conjugate-linear in f.
+
+    Two length-n vectors give one complex number.  Arrays whose last axis has
+    length n give an array of the products of their broadcast rows; each row
+    is summed over a contiguous last axis, as one vector is, so it equals the
+    one-vector call bit for bit.
+    """
     f = np.asarray(f)
     g = np.asarray(g)
-    if f.shape != (grid.n,) or g.shape != (grid.n,):
+    if f.shape[-1:] != (grid.n,) or g.shape[-1:] != (grid.n,):
         raise ShapeError(
-            f"inner_product needs two length-{grid.n} vectors, got {f.shape} and {g.shape}"
+            f"inner_product needs two length-{grid.n} vectors or rows, got {f.shape} and {g.shape}"
         )
-    return complex(np.sum(grid.h * np.conj(f) * g))
+    sums = np.sum(np.multiply(grid.h * np.conj(f), g, order="C"), axis=-1)
+    return complex(sums) if sums.ndim == 0 else sums

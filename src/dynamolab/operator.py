@@ -152,33 +152,38 @@ class DynamoMatrix:
         factorization runs over the nodes without pivoting, vectorized over the
         shifts, in O(n) per shift.  Row i holds the determinant of the pivot
         U_i = D_i - E U_{i-1}^{-1} E; det(H - z) is the product of the rows.
-        Each node first scales U_{i-1} by 1/det, whose adjugate is then
-        U_{i-1}^{-1}, so every intermediate stays near the size of the pivots;
-        one real 4 x 5 product then gives U_i + z: its first four columns hold
-        -E adj(.) E with the adjugate's signs and swap folded in, and its last
-        the constant (lap_i, alpha_i, q_i, lap_i), against a row of ones.  A
-        zero pivot gives non-finite entries from there on.
+        Each node is four numpy calls.  One real 4 x 6 product gives U_i: its
+        first four columns hold -E adj(.) E with the adjugate's signs and swap
+        folded in, applied to U_{i-1} / det(U_{i-1}), whose adjugate is
+        U_{i-1}^{-1}; the fifth the constant (lap_i, alpha_i, lap_i, q_i)
+        against a row of ones; the sixth -1 on the diagonal against the row
+        of shifts.  One complex product and one difference give det(U_i), and
+        one division scales U_i for the next node, so every intermediate stays
+        near the size of the pivots.  U's entries are kept in the order 00,
+        01, 11, 10, so that det = U_00 U_11 - U_01 U_10 multiplies the first
+        two rows by the last two.  A zero pivot gives non-finite entries from
+        there on.
         """
         z = np.asarray(shifts, dtype=complex)
         l, g = self.lap.off, self.q_alpha.off
         ll, lg, gg, o = l * l, l * g, g * g, np.zeros_like(l)
-        k = np.array([[o, lg, o, -ll], [o, ll, o, o], [-lg, gg, ll, -lg], [-ll, lg, o, o]])
-        w = np.zeros((self.n, 4, 5))  # rows: U_i's entries 00, 01, 10, 11; columns: U_{i-1}'s, then 1
+        k = np.array([[o, lg, -ll, o], [o, ll, o, o], [-ll, lg, o, o], [-lg, gg, -lg, ll]])
+        w = np.zeros((self.n, 4, 6))  # rows: U_i's entries 00, 01, 11, 10; columns: U_{i-1}'s, then 1, z
         w[1:, :, :4] = np.moveaxis(k, -1, 0)
-        w[:, :, 4] = np.stack([self.lap.diag, self.alpha_nodes, self.q_alpha.diag, self.lap.diag], axis=1)
-        x = np.zeros((5, z.size), dtype=complex)  # U_{i-1} / det, then the row of ones
+        w[:, :, 4] = np.stack([self.lap.diag, self.alpha_nodes, self.lap.diag, self.q_alpha.diag], axis=1)
+        w[:, ::2, 5] = -1.0
+        x = np.zeros((6, z.size), dtype=complex)  # U_{i-1} / det, then the row of ones and the shifts
         x[4] = 1.0
+        x[5] = z
         u = np.empty((4, z.size), dtype=complex)
-        r = np.empty(z.size, dtype=complex)
+        products = np.empty((2, z.size), dtype=complex)
         dets = np.empty((self.n, z.size), dtype=complex)
         x_parts, u_parts = x.view(float), u.view(float)  # real and imaginary parts side by side
         for w_i, det in zip(w, dets):
             np.dot(w_i, x_parts, out=u_parts)
-            u[::3] -= z
-            np.multiply(u[0], u[3], out=det)
-            det -= np.multiply(u[1], u[2], out=r)
-            np.divide(1.0, det, out=r)
-            np.multiply(u, r, out=x[:4])
+            np.multiply(u[:2], u[2:], out=products)
+            np.subtract(products[0], products[1], out=det)
+            np.divide(u, det, out=x[:4])
         return dets
 
 
@@ -229,7 +234,7 @@ def pseudo_hermiticity_residual(m: DynamoMatrix | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PencilCoefficients:
-    """Real coefficients of the scalar quadratic a2 l^2 + a1 l + a0 for one u1."""
+    """Real coefficients of the scalar quadratic a2 l^2 + a1 l + a0 for one u1, or one array of k for a block."""
 
     a0: float
     a1: float
@@ -241,39 +246,54 @@ _IMAG_TOL = 1e-10
 
 
 def pencil_coefficients(m: DynamoMatrix, psi1: np.ndarray) -> PencilCoefficients:
-    """Evaluate the pencil functionals a_j = (A_j psi1, psi1) for a trial field psi1."""
+    """The pencil functionals a_j = (A_j psi1, psi1) of a trial field psi1, or of each column of an (n, k) block.
+
+    A block gives arrays of length k in every field, and column j's values
+    equal the one-column call's on psi1[:, j] bit for bit: that call is the
+    k = 1 case of the same code, and ``inner_product`` sums each row alike.
+    Every column must be nonzero (DomainError); a non-finite or non-real
+    form raises SolverError for the first column that has one.
+    """
     psi1 = np.asarray(psi1)
-    if psi1.shape != (m.n,):
-        raise ShapeError(f"psi1 must have length {m.n}, got shape {psi1.shape}")
-    if not np.any(np.abs(psi1) > 0):
-        raise DomainError("psi1 must be nonzero")
+    if psi1.ndim not in (1, 2) or psi1.shape[0] != m.n:
+        raise ShapeError(f"psi1 must have length {m.n}, or be an (n, k) block, got shape {psi1.shape}")
+    psi = psi1.reshape(m.n, -1)  # one column per field
+    if not np.any(np.abs(psi) > 0, axis=0).all():
+        raise DomainError("psi1 must be nonzero, in every column")
     if np.any(m.alpha_nodes == 0.0):
         raise DomainError(
             "alpha vanishes on a grid node; the quadratic pencil needs alpha != 0"
         )
     q1 = -m.lap
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
-        inv_a = 1.0 / m.alpha_nodes  # an infinite 1/alpha makes every a_j inf or NaN
-        a2_vec = inv_a * psi1
-        q1_psi = q1.matvec(psi1)
-        a1_vec = q1.matvec(inv_a * psi1) + inv_a * q1_psi
-        a0_vec = q1.matvec(inv_a * q1_psi) - m.q_alpha.matvec(psi1)
-        raws = [inner_product(m.grid, vec, psi1) for vec in (a0_vec, a1_vec, a2_vec)]
-    a0, a1, a2 = (raw.real for raw in raws)
-    disc = a1 * a1 - 4.0 * a0 * a2  # Python floats: an overflow gives inf, not a warning
-    if not np.all(np.isfinite(raws + [disc])):
-        raise SolverError(f"pencil functionals or discriminant not finite ({a0!r}, {a1!r}, {a2!r}; {disc!r})")
-    for raw in raws:
-        if abs(raw.imag) > _IMAG_TOL * max(abs(raw), 1e-300):
-            raise SolverError(
-                f"pencil functional has non-real value {raw!r}; "
-                "symmetric quadratic forms must be real to rounding"
-            )
-    return PencilCoefficients(a0=a0, a1=a1, a2=a2, discriminant=disc)
+        inv_a = 1.0 / m.alpha_nodes[:, None]  # an infinite 1/alpha makes every a_j inf or NaN
+        a2_vec = inv_a * psi
+        q1_psi = q1.matvec(psi)
+        a1_vec = q1.matvec(a2_vec) + inv_a * q1_psi
+        a0_vec = q1.matvec(inv_a * q1_psi) - m.q_alpha.matvec(psi)
+        raws = inner_product(m.grid, np.stack([a0_vec.T, a1_vec.T, a2_vec.T]), psi.T)  # (3, k)
+        a0, a1, a2 = raws.real
+        disc = a1 * a1 - 4.0 * a0 * a2
+        non_real = np.abs(raws.imag) > _IMAG_TOL * np.maximum(np.abs(raws), 1e-300)
+    finite = np.isfinite(raws).all(axis=0) & np.isfinite(disc)
+    bad = ~finite | non_real.any(axis=0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not finite[j]:
+            values = ", ".join(repr(float(a[j])) for a in (a0, a1, a2))
+            raise SolverError(f"pencil functionals or discriminant not finite ({values}; {float(disc[j])!r})")
+        raise SolverError(
+            f"pencil functional has non-real value {complex(raws[np.argmax(non_real[:, j]), j])!r}; "
+            "symmetric quadratic forms must be real to rounding"
+        )
+    fields = (a0, a1, a2, disc)
+    if psi1.ndim == 1:
+        fields = [float(f[0]) for f in fields]
+    return PencilCoefficients(*fields)
 
 
 def lambda_pm(c: PencilCoefficients) -> Tuple[complex, complex]:
-    """Both roots of the scalar quadratic; complex pair when the discriminant < 0."""
+    """Both roots of the scalar quadratic of one u1; complex pair when the discriminant < 0."""
     if c.a2 == 0.0:
         raise DegeneratePencilError("leading pencil coefficient a2 is zero")
     disc = c.discriminant
@@ -288,7 +308,11 @@ def lambda_pm(c: PencilCoefficients) -> Tuple[complex, complex]:
 
 
 def pencil_psi2(m: DynamoMatrix, psi1: np.ndarray, lam: complex) -> np.ndarray:
-    """Reconstruct the second component u2 = (1/alpha)(Q1 + lambda) u1."""
+    """Reconstruct the second component u2 = (1/alpha)(Q1 + lambda) u1; an (n, k) block of u1 takes k lambdas."""
     if np.any(m.alpha_nodes == 0.0):
         raise DomainError("alpha vanishes on a grid node; cannot reconstruct psi2")
-    return ((-m.lap).matvec(psi1) + lam * np.asarray(psi1)) / m.alpha_nodes
+    psi1, lam = np.asarray(psi1), np.asarray(lam)
+    if lam.shape != psi1.shape[1:]:
+        raise ShapeError(f"need one lambda per column of psi1, got shapes {lam.shape} and {psi1.shape}")
+    alpha = m.alpha_nodes if psi1.ndim == 1 else m.alpha_nodes[:, None]
+    return ((-m.lap).matvec(psi1) + lam * psi1) / alpha

@@ -106,12 +106,12 @@ _V0_SEED = 20020813  # fixed ARPACK start vector: repeated runs give identical b
 # far inside the farthest returned eigenvalue so rounding cannot reorder them.
 _DISK_MARGIN = 1e-10
 # The sampling rule of the argument-principle count (``_count_right``).
-_COUNT_SAMPLES = 256
+_COUNT_SAMPLES = 64
 _COUNT_DECADES = 16
 _COUNT_TAIL = 1e-3
 _PHASE_STEP = np.pi / 4
 _COUNT_ROUNDS = 24  # each round is one pass over the nodes
-_COUNT_MAX_SAMPLES = 4 * _COUNT_SAMPLES  # the pivots of every sample are held at once
+_COUNT_MAX_SAMPLES = 1024  # the pivots of every sample are held at once
 _COUNT_SLACK = 0.05
 
 
@@ -199,13 +199,15 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
     pi (N - 2 N_right) as y runs over the real line, half of it over y >= 0
     (H is real).  det(H - z) is the product of the block-LU pivot
     determinants (``DynamoMatrix._block_lu``), so the change is summed pivot
-    by pivot from y = 0 to Y over y = 0 and _COUNT_SAMPLES log-spaced points
-    spanning _COUNT_DECADES decades below Y, each pivot's step between two
-    samples taken into [-pi, pi] by adding or subtracting 2 pi where the
-    difference of the two args leaves it.  Y is large enough that the
-    phase left out beyond it is at most N (||H|| + |s|) / Y = _COUNT_TAIL.
-    Every interval where one pivot's phase moves by more than _PHASE_STEP is
-    bisected, for at most _COUNT_ROUNDS rounds and _COUNT_MAX_SAMPLES samples.
+    by pivot from y = 0 to Y over y = 0 and _COUNT_SAMPLES (64) log-spaced
+    points spanning _COUNT_DECADES decades below Y, one block-LU pass of 65
+    shifts, each pivot's step between two samples taken into [-pi, pi] by
+    adding or subtracting 2 pi where the difference of the two args leaves
+    it.  Y is large enough that the phase left out beyond it is at most
+    N (||H|| + |s|) / Y = _COUNT_TAIL.  Every interval where one pivot's
+    phase moves by more than _PHASE_STEP is bisected, one more pass per
+    round, for at most _COUNT_ROUNDS rounds and _COUNT_MAX_SAMPLES (1,024)
+    samples.
 
     This is a sampling rule, not a proof: a pivot whose phase turns by a
     whole multiple of 2 pi between two samples goes unseen.  (A bound on the

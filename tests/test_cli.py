@@ -185,7 +185,7 @@ class TestPencilCheckLeading:
         assert len(read_lines(tmp_path / "p.csv")) == 13
 
     @pytest.mark.parametrize("alpha", ["poly:1,0,0.5", "poly:1,0,0.9"])
-    def test_one_count_pass_of_257_shifts(self, tmp_path, monkeypatch, alpha):
+    def test_one_count_pass_of_65_shifts(self, tmp_path, monkeypatch, alpha):
         from dynamolab import DynamoMatrix
 
         true_block_lu, passes = DynamoMatrix._block_lu, []
@@ -197,7 +197,7 @@ class TestPencilCheckLeading:
         monkeypatch.setattr(DynamoMatrix, "_block_lu", counted)
         argv = ["pencil-check", "--alpha", alpha, "--l", "1", "--n", "300", "--out", str(tmp_path / "p.csv")]
         assert main(argv) == 0
-        assert passes == [257]  # y = 0 and the 256 log-spaced samples, with no bisection round
+        assert passes == [65]  # y = 0 and the 64 log-spaced samples, with no bisection round
 
     def test_rows_match_the_dense_path(self, tmp_path, monkeypatch):
         assert main(self.README + ["--out", str(tmp_path / "leading.csv")]) == 0

@@ -186,6 +186,16 @@ class TestInnerProduct:
         gg = np.ones(g.n)
         assert inner_product(g, f, gg) == pytest.approx((1 - 2j) * inner_product(g, gg, gg))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_equal_one_vector_calls_bit_for_bit(self, order):
+        g = build_grid(300)
+        rng = np.random.default_rng(3)
+        f = np.asarray(rng.standard_normal((5, g.n)) + 1j * rng.standard_normal((5, g.n)), order=order)
+        v = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        got = inner_product(g, f, v)
+        assert got.shape == (5,)
+        assert all(got[i] == inner_product(g, f[i], v) for i in range(5))
+
     def test_shape_mismatch(self):
         g = build_grid(10)
         with pytest.raises(ShapeError):

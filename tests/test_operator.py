@@ -12,6 +12,7 @@ from dynamolab import (
     SolverError,
     assemble,
     build_grid,
+    eigen,
     inner_product,
     lambda_pm,
     parse_profile,
@@ -218,6 +219,18 @@ class TestBlockLU:
         assert np.sum(np.log(np.abs(dets))) == pytest.approx(logdet, rel=1e-12)
         assert np.prod(dets / np.abs(dets)) == pytest.approx(sign, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", ["poly:1,0,0.5", "poly:10,-30"])
+    def test_pivots_on_a_count_line_multiply_to_det(self, alpha):
+        # the count's line between the 12th and 13th real parts, from y = 0 to the far samples, in one pass
+        m = assemble(build_grid(60), parse_profile(alpha), 1)
+        re = np.unique(np.linalg.eigvals(m.matrix).real)[::-1]
+        zs = 0.5 * (re[11] + re[12]) + 1j * np.array([0.0, 1e3, 1e12])
+        dets = m._block_lu(zs)
+        for z, col in zip(zs, dets.T):
+            sign, logdet = np.linalg.slogdet(m.matrix - z * np.eye(m.size))
+            assert np.sum(np.log(np.abs(col))) == pytest.approx(logdet, rel=1e-12)
+            assert np.prod(col / np.abs(col)) == pytest.approx(sign, abs=1e-12)
+
     @pytest.mark.parametrize("z", [-3.0, -50.0 + 7.0j, 2.0 + 1e4j])
     @pytest.mark.parametrize("alpha", ["poly:1,-3", "poly:10,-30", "const:1"])
     def test_each_pivot_is_a_ratio_of_leading_minors(self, alpha, z):
@@ -288,6 +301,34 @@ class TestPencil:
         g = build_grid(40)
         with pytest.raises(SolverError, match="not finite"):
             pencil_coefficients(assemble(g, AlphaProfile.constant(c), 1), first_dirichlet_mode(g)[1])
+
+    # poly:10,-30 has conjugate pairs among its leading values; the sums must not depend on the block's layout
+    @pytest.mark.parametrize("alpha", ["poly:1,0,0.5", "poly:10,-30"])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
+    def test_block_equals_one_column_calls_bit_for_bit(self, alpha, layout):
+        m = assemble(build_grid(100), parse_profile(alpha), 1)
+        spec = eigen(m, leading=12, want_vectors=True)
+        lams, psi1 = spec.eigenvalues[:12], layout(spec.eigenvectors[: m.n, :12])
+        block, rec = pencil_coefficients(m, psi1), pencil_psi2(m, psi1, lams)
+        for j in range(12):
+            one = pencil_coefficients(m, psi1[:, j])
+            got = (block.a0[j], block.a1[j], block.a2[j], block.discriminant[j])
+            assert got == (one.a0, one.a1, one.a2, one.discriminant)
+            assert np.array_equal(rec[:, j], pencil_psi2(m, psi1[:, j], lams[j]))
+
+    def test_block_column_faults_raise(self):
+        g = build_grid(40)
+        m = assemble(g, ONE, 1)
+        block = np.repeat(first_dirichlet_mode(g)[1][:, None], 4, axis=1).astype(complex)
+        block[:, 2] = 0.0
+        with pytest.raises(DomainError, match="nonzero"):
+            pencil_coefficients(m, block)
+        block[:, 2] = block[:, 0]
+        block[5, 2] = np.nan
+        with pytest.raises(SolverError, match="not finite"):
+            pencil_coefficients(m, block)
+        with pytest.raises(ShapeError, match="one lambda per column"):
+            pencil_psi2(m, block, np.ones(3))
 
     def test_psi2_reconstruction_constant_alpha(self):
         g = build_grid(300)

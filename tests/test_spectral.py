@@ -215,6 +215,16 @@ class TestLeadingEigen:
         for s in 0.5 * (re[:-1] + re[1:]):
             assert _count_right(m, s) == np.sum(vals.real > s), s
 
+    # profiles the sampling rule was not measured on: an exponential, and one that changes sign
+    @pytest.mark.parametrize("alpha, n", [("exp:1,0.8", 300), ("poly:1,-3", 200)])
+    def test_count_matches_dense_off_the_measured_cases(self, dense_cases, alpha, n):
+        from dynamolab.spectral import _count_right
+
+        m, vals = dense_cases(alpha, 1, n)
+        re = np.unique(vals.real)[::-1][:21]
+        for s in 0.5 * (re[:-1] + re[1:]):
+            assert _count_right(m, s) == np.sum(vals.real > s), s
+
     @pytest.mark.parametrize("side", [1e-4, -1e-4], ids=["right", "left"])
     def test_count_next_to_a_conjugate_pair(self, dense_cases, side):
         from dynamolab.spectral import _count_right
