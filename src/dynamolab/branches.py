@@ -29,7 +29,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BracketError, ConfigurationError, TrackingError
+from .errors import BracketError, ConfigurationError, DomainError, TrackingError
 from .grid import build_grid
 from .operator import DynamoMatrix, scaled_family
 from .profiles import AlphaProfile
@@ -271,14 +271,16 @@ def locate_ep(
 
     The pair is chosen nearest to lambda_ref when given, from a local solve
     that covers it (dense otherwise), or else as the closest mutual pair in
-    the full spectrum.  Returns the bracket midpoint and the mean of the
-    coalescing pair there.
+    the full spectrum; a non-finite lambda_ref raises DomainError.  Returns
+    the bracket midpoint and the mean of the coalescing pair there.
     """
     c_lo, c_hi = (float(bracket[0]), float(bracket[1]))
     if not (c_lo < c_hi):
         raise BracketError(f"bracket must be increasing, got {bracket!r}")
     if not tol_c > 0:  # NaN included
         raise BracketError("tol_c must be positive")
+    if lambda_ref is not None and not np.isfinite(lambda_ref):
+        raise DomainError(f"lambda_ref must be finite, got {lambda_ref!r}")
 
     def nearest_pair(vals: np.ndarray) -> np.ndarray:
         idx = np.argsort(np.abs(vals - lambda_ref), kind="stable")[:2]

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, ShapeError, SingularSuperpotentialError
+from .errors import ConfigurationError, DomainError, ShapeError, SingularSuperpotentialError
 from .grid import RadialGrid, TridiagOp, central_difference, flux_form, smooth_fields
 from .mre import rk4_linear
 
@@ -223,9 +223,8 @@ def factorization_residual(pair: DarbouxPair):
     """
     grid = pair.grid
     e = pair.energy
-    fx = np.asarray(pair.f(grid.nodes), dtype=float)
-    h0, h1 = pair.h0, pair.h1
-    norm_h0 = float(np.max(np.abs(h0.diag)) + 2.0 / grid.h**2)
+    fx = np.asarray(pair.f(grid.nodes), dtype=float)[:, None]
+    norm_h0 = float(np.max(np.abs(pair.h0.diag)) + 2.0 / grid.h**2)
 
     def apply_a(w):
         return central_difference(w, grid.h) + fx * w
@@ -233,13 +232,9 @@ def factorization_residual(pair: DarbouxPair):
     def apply_adag(w):
         return -central_difference(w, grid.h) + fx * w
 
-    res0 = 0.0
-    res1 = 0.0
-    for w in smooth_fields(grid.nodes, (0.0, 1.0)):
-        r0 = h0.matvec(w) - e * w - apply_adag(apply_a(w))
-        r1 = h1.matvec(w) - e * w - apply_a(apply_adag(w))
-        res0 = max(res0, float(np.max(np.abs(r0))))
-        res1 = max(res1, float(np.max(np.abs(r1))))
+    w = smooth_fields(grid.nodes, (0.0, 1.0)).T  # one column per field
+    res0 = float(np.max(np.abs(pair.h0.matvec(w) - e * w - apply_adag(apply_a(w)))))
+    res1 = float(np.max(np.abs(pair.h1.matvec(w) - e * w - apply_a(apply_adag(w)))))
     return res0 / norm_h0, res1 / norm_h0
 
 
@@ -270,7 +265,10 @@ _PRODUCT_WINDOW = (0.1, 0.9)  # clear of the ends, where chi1 = 1/chi0 blows up
 
 
 def product_invariant_check(chi0: np.ndarray, chi1: np.ndarray, grid: RadialGrid):
-    """Mean of chi0*chi1 over _PRODUCT_WINDOW and its maximum relative deviation."""
+    """Mean of chi0*chi1 over _PRODUCT_WINDOW and its maximum relative deviation.
+
+    A zero or non-finite mean has no relative deviation: it raises DomainError.
+    """
     chi0 = np.asarray(chi0, dtype=float)
     chi1 = np.asarray(chi1, dtype=float)
     if chi0.shape != (grid.n,) or chi1.shape != (grid.n,):
@@ -278,5 +276,7 @@ def product_invariant_check(chi0: np.ndarray, chi1: np.ndarray, grid: RadialGrid
     mask = (grid.nodes >= _PRODUCT_WINDOW[0]) & (grid.nodes <= _PRODUCT_WINDOW[1])
     prod = chi0[mask] * chi1[mask]
     c_mean = float(np.mean(prod))
+    if c_mean == 0.0 or not np.isfinite(c_mean):
+        raise DomainError(f"the mean product chi0*chi1 must be finite and nonzero, got {c_mean!r}")
     rel_var = float(np.max(np.abs(prod - c_mean)) / abs(c_mean))
     return c_mean, rel_var

@@ -87,8 +87,8 @@ def inv2(m: np.ndarray) -> np.ndarray:
         return out / det[..., None, None]
 
 
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched 2x2 product a @ b written out elementwise (matmul is slow on 2x2 stacks)."""
+def mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched 2x2 product a @ b written out elementwise (matmul is slow on 2x2 stacks, and BLAS rounds it by shape)."""
     return np.stack(
         [
             a[..., 0, 0, None] * b[..., 0, :] + a[..., 0, 1, None] * b[..., 1, :],
@@ -103,7 +103,7 @@ def _riccati_rhs(c, y, sign):
 
     c = (M, K^-1) and y carry their 2x2 entries on the two leading axes, so
     c[0][i, j] and y[i, j] are arrays over (windows, columns); y[..., 0] is
-    the trajectory U and y[..., 1:] its tangents dU.  Each product is _mul2's
+    the trajectory U and y[..., 1:] its tangents dU.  Each product is mul2's
     formula, operand order included, with the unit and zero entries of
     K^-1 = [[1, 0], [alpha, 1]] dropped, which changes at most the sign of
     a zero.
@@ -413,7 +413,7 @@ def riccati_residual(
         return _riccati_rhs(c, y, sign)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite start fails the check below
-        start = _mul2(sol.top[starts], inv2(sol.bot[starts]))
+        start = mul2(sol.top[starts], inv2(sol.bot[starts]))
     start[local == 0] = sol.affine[starts[local == 0]]
     tangents = np.broadcast_to(np.eye(4).reshape(2, 2, 1, 4), (2, 2, seg.size, 4))
     y0 = np.concatenate([np.moveaxis(start, 0, -1)[..., None], tangents], axis=-1)

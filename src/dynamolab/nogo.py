@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateQError, DomainError, SolverError
 from .grid import build_grid, central_difference, smooth_fields
-from .mre import B_SYSTEM, IDENT2, inv2, kmat, mre_linear_solve
+from .mre import B_SYSTEM, IDENT2, inv2, kmat, mre_linear_solve, mul2
 from .operator import assemble, sharp
 from .profiles import AlphaProfile
 
@@ -197,7 +197,7 @@ class StructureFunctions:
             b1p = -(up * q - u * qp) / (8.0 * q**2)
         if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b1p))):
             raise SolverError(f"b1 or b1' is not finite on a kept radius for {p.label}")
-        with np.errstate(divide="ignore"):  # b1 is finite at r = 0, rho is infinite there
+        with np.errstate(divide="ignore", over="ignore"):  # b1 is finite at r = 0, rho is infinite there
             cent = -2.0 * p.l1 / r**2
         rhs = cent + 2.0 * q * (b1 - la1) + a0**2 / 2.0 + qp - q**2
         return keep, r, q, b1, b1p, 2.0 * q / a1, 2.0 * b1p - rhs
@@ -236,9 +236,12 @@ class StructureFunctions:
         """The nogo table's columns r, q, b1, b2 and rho on the radii of r the q floor keeps.
 
         One evaluation of each profile term on all of r (see _chain); raises
-        DegenerateQError when the floor excludes every radius.
+        DegenerateQError when the floor excludes every radius, and SolverError
+        when rho is not finite on a kept radius (-2 l1/r^2 from r ~ 1e-154 down).
         """
         _, r, q, b1, _, b2, rho = self._chain(r)
+        if not np.all(np.isfinite(rho)):
+            raise SolverError(f"rho is not finite on a kept radius for {self.pair.label}")
         return r, q, b1, b2, rho
 
 
@@ -390,6 +393,29 @@ _DEFECT_SUPPORT = (0.1, 0.95)  # where the test fields live, clear of the singul
 _DEFECT_STEP = 2e-4  # RK4 step of the B-system trajectory
 
 
+def _relative_defect(h0, h1, e: float, r_sharp: np.ndarray, q_sharp: np.ndarray) -> float:
+    """Worst relative defect ||t1 - t2|| / (||t1|| + ||t2||), t1 = A (H0 - E) phi, t2 = (H1 - E) A phi.
+
+    A = -d/dr R + Q, with R and Q (n, 2, 2) samples on the nodes and d/dr the
+    central difference.  The eight fields phi pair the rows of ``smooth_fields``
+    on _DEFECT_SUPPORT into their two components and run as one (2n, 8) block.
+    """
+    n, h = h0.n, h0.grid.h
+    phi = smooth_fields(h0.grid.nodes, _DEFECT_SUPPORT).reshape(-1, 2 * n).T  # column i: rows 2i, 2i+1 as (u1, u2)
+
+    def apply_a(u: np.ndarray) -> np.ndarray:
+        um = u.reshape(2, n, -1).transpose(1, 0, 2)  # (n, 2, fields)
+        w = -central_difference(mul2(r_sharp, um), h) + mul2(q_sharp, um)
+        return w.transpose(1, 0, 2).reshape(2 * n, -1)
+
+    t1 = apply_a(h0.matvec(phi) - e * phi)
+    a_phi = apply_a(phi)
+    t2 = h1.matvec(a_phi) - e * a_phi
+    # one contiguous row per field: np.linalg.norm rounds by memory layout
+    rows = (np.ascontiguousarray(t.T) for t in (t1 - t2, t1, t2))
+    return float(max(np.linalg.norm(d) / (np.linalg.norm(a) + np.linalg.norm(b)) for d, a, b in zip(*rows)))
+
+
 def intertwining_defect(
     pair: AlphaPair,
     gauge: GaugeChoice = DEFAULT_GAUGE,
@@ -397,55 +423,26 @@ def intertwining_defect(
 ) -> DefectRecord:
     """Measure || A^#(H0 - E) phi - (H1 - E) A^# phi || on smooth test fields.
 
-    The eight fields phi pair the rows of ``smooth_fields`` on _DEFECT_SUPPORT
-    into their two components.  A^# = -i p R^# + Q^# with Q^# = B^# R^-1; B
+    A^# = -i p R^# + Q^# with Q^# = B^# R^-1, measured by _relative_defect; B
     comes from the B-system trajectory (series start near the origin), R from
-    its closed form.  The first-order part is realized by central differences
-    on the radial grid.  The defect is strictly positive for every admissible
+    its closed form.  The defect is strictly positive for every admissible
     pair: no B can satisfy all consistency conditions at once.
     """
     sol_b = mre_linear_solve(B_SYSTEM, pair.alpha1, pair.l1, pair.e, 1e-3, 1.0, step=_DEFECT_STEP, init="series")
     grid = build_grid(n)
     nodes = grid.nodes
-    h = grid.h
-    e_val = pair.e
 
     finite = np.isfinite(sol_b.affine[:, 0, 0])
     truncated = not np.all(finite[np.searchsorted(sol_b.rs, nodes[0]) :])
-    b_nodes = np.empty((nodes.size, 2, 2), dtype=complex)
-    rs_ok = sol_b.rs[finite]
-    for i in range(2):
-        for j in range(2):
-            comp = sol_b.affine[finite, i, j]
-            b_nodes[:, i, j] = np.interp(nodes, rs_ok, comp.real) + 1j * np.interp(
-                nodes, rs_ok, comp.imag
-            )
+    parts = sol_b.affine[finite].reshape(-1, 4).view(float)  # real and imaginary parts of the four entries
+    b_nodes = np.stack([np.interp(nodes, sol_b.rs[finite], c) for c in parts.T], axis=1).view(complex)
 
     r_mat = build_R(pair, gauge, nodes)
-    r_sharp = sharp(r_mat)
-    q_sharp = sharp(b_nodes) @ inv2(r_mat)
-
+    q_sharp = sharp(b_nodes.reshape(-1, 2, 2)) @ inv2(r_mat)
     h0 = assemble(grid, pair.alpha0, pair.l0)
     h1 = assemble(grid, pair.alpha1, pair.l1)
-
-    def apply_a_sharp(u: np.ndarray) -> np.ndarray:
-        um = np.stack([u[: grid.n], u[grid.n :]], axis=1)[..., None]
-        w = -central_difference((r_sharp @ um)[..., 0], h) + (q_sharp @ um)[..., 0]
-        return np.concatenate([w[:, 0], w[:, 1]])
-
-    rel = []
-    for phi in smooth_fields(nodes, _DEFECT_SUPPORT).reshape(-1, 2 * grid.n):  # rows 2i, 2i+1: (u1, u2)
-        phi = phi.astype(complex)
-        t1 = apply_a_sharp(h0.matvec(phi) - e_val * phi)
-        a_phi = apply_a_sharp(phi)
-        t2 = h1.matvec(a_phi) - e_val * a_phi
-        rel.append(np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2)))
-    defect = float(max(rel))
-    return DefectRecord(
-        defect=defect,
-        flagged=bool(defect < 10.0 * h**2),
-        truncated=truncated,
-    )
+    defect = _relative_defect(h0, h1, pair.e, sharp(r_mat), q_sharp)
+    return DefectRecord(defect=defect, flagged=bool(defect < 10.0 * grid.h**2), truncated=truncated)
 
 
 # --------------------------------------------------------------------------

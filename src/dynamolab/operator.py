@@ -143,7 +143,7 @@ class DynamoMatrix:
         lap = row_sums(self.lap)
         return float(max(np.max(lap + np.abs(self.alpha_nodes)), np.max(row_sums(self.q_alpha) + lap)))
 
-    def _block_lu(self, shifts) -> np.ndarray:
+    def pivot_determinants(self, shifts) -> np.ndarray:
         """Block LU of H - z for each shift z, node by node: the pivot determinants, shape (n, len(shifts)).
 
         Numbered node by node as (u1_i, u2_i), H - z is block tridiagonal:

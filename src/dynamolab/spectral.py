@@ -198,16 +198,16 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
     Along the line z = s + iy the phase of det(H - z) changes by
     pi (N - 2 N_right) as y runs over the real line, half of it over y >= 0
     (H is real).  det(H - z) is the product of the block-LU pivot
-    determinants (``DynamoMatrix._block_lu``), so the change is summed pivot
-    by pivot from y = 0 to Y over y = 0 and _COUNT_SAMPLES (64) log-spaced
-    points spanning _COUNT_DECADES decades below Y, one block-LU pass of 65
-    shifts, each pivot's step between two samples taken into [-pi, pi] by
-    adding or subtracting 2 pi where the difference of the two args leaves
-    it.  Y is large enough that the phase left out beyond it is at most
-    N (||H|| + |s|) / Y = _COUNT_TAIL.  Every interval where one pivot's
-    phase moves by more than _PHASE_STEP is bisected, one more pass per
-    round, for at most _COUNT_ROUNDS rounds and _COUNT_MAX_SAMPLES (1,024)
-    samples.
+    determinants (``DynamoMatrix.pivot_determinants``), so the change is
+    summed pivot by pivot from y = 0 to Y over y = 0 and _COUNT_SAMPLES
+    (64) log-spaced points spanning _COUNT_DECADES decades below Y, one
+    block-LU pass of 65 shifts, each pivot's step between two samples taken
+    into [-pi, pi] by adding or subtracting 2 pi where the difference of the
+    two args leaves it.  Y is large enough that the phase left out beyond it
+    is at most N (||H|| + |s|) / Y = _COUNT_TAIL.  Every interval where one
+    pivot's phase moves by more than _PHASE_STEP is bisected, one more pass
+    per round, for at most _COUNT_ROUNDS rounds and _COUNT_MAX_SAMPLES
+    (1,024) samples.
 
     This is a sampling rule, not a proof: a pivot whose phase turns by a
     whole multiple of 2 pi between two samples goes unseen.  (A bound on the
@@ -245,7 +245,7 @@ def _count_right(m: DynamoMatrix, s: float) -> Optional[int]:
 def _pivot_phases(m: DynamoMatrix, s: float, ys: np.ndarray) -> Optional[np.ndarray]:
     """arg of the (n, len(ys)) pivot determinants of H - (s + iy), from one pass; None if one is zero or not finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dets = m._block_lu(s + 1j * ys)
+        dets = m.pivot_determinants(s + 1j * ys)
     if not (np.isfinite(dets).all() and dets.all()):
         return None
     return np.angle(dets)
@@ -338,17 +338,19 @@ def eigen(
     With want_vectors as well each of them comes with its Ritz vector from the
     same ARPACK call.  Every other case, and a partial solve that cannot
     finish or be certified, gives the full dense spectrum, with every vector
-    when they are asked for.  A raw array with a non-finite entry raises
-    DomainError.
+    when they are asked for.  A raw array with a non-finite entry, and a
+    non-finite ``near`` point, raise DomainError.
     """
     if want_vectors and not isinstance(m, DynamoMatrix):
         raise ShapeError("eigenvectors need an assembled dynamo operator, not a raw array")
     if leading is not None and leading < 1:
         raise ShapeError(f"leading must be at least 1, got {leading}")
+    near = None if near is None else np.asarray(near, dtype=complex).ravel()
+    if near is not None and not np.isfinite(near).all():
+        raise DomainError(f"near points must be finite, got {near.tolist()!r}")
     partial = None
     if isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
         if near is not None and not want_vectors:
-            near = np.asarray(near, dtype=complex).ravel()
             if near.size == 0:
                 raise ShapeError("near must hold at least one point")
             partial = _local_eigen(m, near)
@@ -431,26 +433,22 @@ _JORDAN_RCOND = 1e-8
 def jordan_probe(m, lambda0: complex, psi: np.ndarray) -> JordanProbe:
     """Solve (M - lambda0) chi = psi by rank-revealing least squares.
 
-    Singular directions below _JORDAN_RCOND * sigma_max are projected out, so
-    chi is the minimum-norm solution restricted to the numerically well-posed
-    subspace; residuals are reported relative to ||psi||.
+    Singular directions at or below _JORDAN_RCOND * sigma_max are projected
+    out (LAPACK gelsd), so chi is the minimum-norm solution restricted to the
+    numerically well-posed subspace; residuals are reported relative to
+    ||psi||.  A non-finite lambda0 or psi raises DomainError.
     """
     a = _as_matrix(m).astype(complex)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (a.shape[0],):
         raise ShapeError(f"psi must have length {a.shape[0]}, got shape {psi.shape}")
+    if not (np.isfinite(lambda0) and np.isfinite(psi).all()):
+        raise DomainError(f"lambda0 and psi must be finite, got lambda0={lambda0!r}")
     norm_psi = np.linalg.norm(psi)
     if norm_psi == 0:
         raise ShapeError("psi must be nonzero")
     shifted = a - lambda0 * np.eye(a.shape[0])
     eig_res = float(np.linalg.norm(shifted @ psi) / norm_psi)
-    u, s, vh = np.linalg.svd(shifted)
-    keep = s > _JORDAN_RCOND * (s[0] if s[0] > 0 else 1.0)
-    coeff = (u.conj().T @ psi)[keep] / s[keep]
-    chi = vh.conj().T[:, keep] @ coeff
+    chi = np.linalg.lstsq(shifted, psi, rcond=_JORDAN_RCOND)[0]  # gelsd drops s <= rcond * s_max
     chain_res = float(np.linalg.norm(shifted @ chi - psi) / norm_psi)
-    return JordanProbe(
-        eigvec_residual=eig_res,
-        chain_residual=chain_res,
-        chain_vector=chi,
-    )
+    return JordanProbe(eigvec_residual=eig_res, chain_residual=chain_res, chain_vector=chi)

@@ -206,6 +206,19 @@ class TestLocateEP:
             with pytest.raises(BracketError, match="tol_c"):
                 locate_ep(synthetic_ep_family, (0.5, 1.5), tol_c)
 
+    @pytest.mark.parametrize("lambda_ref", [complex(np.nan), complex(-38.0, np.inf)], ids=["nan", "inf-imag"])
+    def test_non_finite_lambda_ref_rejected_before_any_solve(self, lambda_ref):
+        # a NaN reference made LAPACK print "illegal value", then a misleading bracket error came
+        built = []
+
+        def family(c):
+            built.append(c)
+            return synthetic_ep_family(c)
+
+        with pytest.raises(DomainError, match="lambda_ref"):
+            locate_ep(family, (0.5, 1.5), 1e-6, lambda_ref=lambda_ref)
+        assert built == []
+
     def test_closest_pair_among_three_eigenvalues(self):
         # a third eigenvalue at 5 leads the spectrum: the colliding pair is the
         # closest mutual pair, not the two leading values

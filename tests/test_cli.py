@@ -188,13 +188,13 @@ class TestPencilCheckLeading:
     def test_one_count_pass_of_65_shifts(self, tmp_path, monkeypatch, alpha):
         from dynamolab import DynamoMatrix
 
-        true_block_lu, passes = DynamoMatrix._block_lu, []
+        true_pivots, passes = DynamoMatrix.pivot_determinants, []
 
         def counted(self, shifts):
             passes.append(len(shifts))
-            return true_block_lu(self, shifts)
+            return true_pivots(self, shifts)
 
-        monkeypatch.setattr(DynamoMatrix, "_block_lu", counted)
+        monkeypatch.setattr(DynamoMatrix, "pivot_determinants", counted)
         argv = ["pencil-check", "--alpha", alpha, "--l", "1", "--n", "300", "--out", str(tmp_path / "p.csv")]
         assert main(argv) == 0
         assert passes == [65]  # y = 0 and the 64 log-spaced samples, with no bisection round
@@ -643,13 +643,24 @@ class TestExitCodes:
                 3,
                 "numerical failure: the 1/r^2 mismatch fit does not single out",
             ),
+            # -2 l1 / r^2 overflows at r = 1e-160 and divides by an underflowed r^2 = 0 at 1e-300
+            (
+                ["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--window", "1e-160,1", "--samples", "3"],
+                3,
+                "numerical failure: rho is not finite",
+            ),
+            (
+                ["nogo", "--alpha0", "exp:1,1", "--alpha1", "const:1", "--window", "1e-300,1", "--samples", "3"],
+                3,
+                "numerical failure: rho is not finite",
+            ),
         ],
         ids=[
             "nogo", "sweep", "pencil-check", "mre-check",
             "pencil-1e-100", "pencil-1e-160", "pencil-1e-200", "pencil-1e-300", "pencil-1e-320",
             "mre-step-1e-300", "mre-step-past-cap", "nogo-d2-overflow", "nogo-q-overflow", "mre-window-starts",
             "sweep-message", "pencil-count-top-overflow", "mre-series-start-overflow", "certificate-l1-1000",
-            "certificate-l1-9",
+            "certificate-l1-9", "nogo-centrifugal-overflow", "nogo-centrifugal-underflow",
         ],
     )
     def test_huge_values_give_the_exit_code_and_no_numpy_warning(self, tmp_path, capsys, argv, rc, message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from dynamolab import ConfigurationError, RadialGrid, ShapeError, SingularSuperpotentialError, build_grid
+from dynamolab import ConfigurationError, DomainError, RadialGrid, ShapeError, SingularSuperpotentialError, build_grid
 from dynamolab.darboux import (
     DarbouxPair,
     GivenSeed,
@@ -211,6 +211,11 @@ class TestProductInvariant:
         _, vecs = eigh_tridiagonal(h1.diag, h1.off, select="i", select_range=(1, 1))
         _, rel_var = product_invariant_check(box_pair.chi0, vecs[:, 0], grid2000)
         assert rel_var > 1e-1
+
+    @pytest.mark.parametrize("scale", [0.0, np.inf, np.nan])
+    def test_zero_or_non_finite_mean_rejected(self, box_pair, grid2000, scale):
+        with pytest.raises(DomainError, match="mean product"):
+            product_invariant_check(box_pair.chi0, scale * box_pair.chi0, grid2000)
 
     def test_rejects_samples_off_the_nodes(self, box_pair, grid2000):
         with pytest.raises(ShapeError, match="grid nodes"):

@@ -367,6 +367,19 @@ class TestShootingEquivalence:
         assert sol.rs.size - 1 < SHOOTING_WINDOW
         self.assert_matches_sequential(sol)
 
+    def test_no_checked_node_gives_nan(self):
+        sol = mre_linear_solve("U", *U_FLOW, 0.5, 0.505, step=1e-3, init=GENERIC_INIT)
+        sup, per_node = riccati_residual(sol, r_min=2.0)
+        assert np.isnan(sup)
+        assert np.isnan(per_node).all()
+
+    def test_unconverged_shooting_raises(self, monkeypatch):
+        # a negative tolerance is never met, and one short window caps the passes at 2
+        monkeypatch.setattr(mre, "SHOOTING_RTOL", -1.0)
+        sol = mre_linear_solve("U", *U_FLOW, 0.5, 0.505, step=1e-3, init=GENERIC_INIT)
+        with pytest.raises(SolverError, match="unconverged after 2 passes"):
+            riccati_residual(sol)
+
     def test_ill_conditioned_nodes_split_segments(self, monkeypatch):
         # E = -300 makes the real series trajectory oscillate; a condition
         # bound of 1e2 cuts it into segments of varying length
@@ -422,15 +435,15 @@ class TestShootingEquivalence:
 
 
 def mul2_riccati_rhs(c, y, sign):
-    """The Riccati right-hand side on (windows, columns, 2, 2) blocks, through _mul2."""
+    """The Riccati right-hand side on (windows, columns, 2, 2) blocks, through mul2."""
     m, kinv = c[:, None, 0], c[:, None, 1]
     u = y[:, :1]
-    uk = mre._mul2(u, kinv)
-    f = sign * (m - mre._mul2(uk, u))
+    uk = mre.mul2(u, kinv)
+    f = sign * (m - mre.mul2(uk, u))
     if y.shape[1] == 1:
         return f
     du = y[:, 1:]
-    df = -sign * (mre._mul2(du, mre._mul2(kinv, u)) + mre._mul2(uk, du))
+    df = -sign * (mre.mul2(du, mre.mul2(kinv, u)) + mre.mul2(uk, du))
     return np.concatenate([f, df], axis=1)
 
 

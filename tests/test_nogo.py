@@ -22,6 +22,7 @@ from dynamolab.nogo import (
     AlphaPair,
     GaugeChoice,
     StructureFunctions,
+    _relative_defect,
     asymptotic_l_increment,
     build_R,
     builtin_pair_family,
@@ -442,31 +443,23 @@ class TestIntertwiningDefect:
 
 
 def shape_invariance_defect(literal, l0, n):
-    """Worst relative defect of A H_l0 = H_(l0+1) A on the witness's fields.
+    """Worst relative defect of A H_l0 = H_(l0+1) A, through the certificate's own measure.
 
-    A = diag(a, a) with a = d/dr - (l0+1)/r.  For constant alpha,
-    H_l = K L_l + c sigma+ with constant K, and shape invariance of the radial
-    free operator, a L_l0 = L_(l0+1) a, makes A an exact intertwiner of the
-    operators: the grid defect is discretization error only.
+    A = diag(a, a) with a = d/dr - (l0+1)/r, that is R^# = -I and
+    Q^# = -(l0+1)/r I at E = 0.  For constant alpha, H_l = K L_l + c sigma+
+    with constant K, and shape invariance of the radial free operator,
+    a L_l0 = L_(l0+1) a, makes A an exact intertwiner of the operators: the
+    grid defect is discretization error only.
     """
     grid = build_grid(n)
-    r = grid.nodes
     alpha = parse_profile(literal)
     h0, h1 = assemble(grid, alpha, l0), assemble(grid, alpha, l0 + 1)
-
-    def apply_a(u):
-        w = u.reshape(2, n).T  # columns u1, u2
-        return (central_difference(w, grid.h) - ((l0 + 1) / r)[:, None] * w).T.reshape(-1)
-
-    rel = []
-    for phi in smooth_fields(r, _DEFECT_SUPPORT).reshape(-1, 2 * n):
-        t1, t2 = apply_a(h0.matvec(phi)), h1.matvec(apply_a(phi))
-        rel.append(np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2)))
-    return max(rel)
+    ident = np.broadcast_to(np.eye(2), (n, 2, 2))
+    return _relative_defect(h0, h1, 0.0, -ident, -((l0 + 1) / grid.nodes)[:, None, None] * ident)
 
 
 class TestZeroControl:
-    """The witness's fields and stencil read zero, up to O(h^2), on an exact intertwiner."""
+    """The witness's measure reads zero, up to O(h^2), on an exact intertwiner."""
 
     LADDER = (60, 120, 240, 480)
 
@@ -483,6 +476,27 @@ class TestZeroControl:
         assert min(d) > 1e-3
         for coarse, fine in zip(d, d[1:]):
             assert 0.8 <= coarse / fine <= 1.25
+
+    def test_block_measure_equals_the_field_loop(self):
+        # the reference: one complex field at a time, with matmul for the 2x2 products
+        grid = build_grid(60)
+        n, e = grid.n, 0.7
+        h0, h1 = assemble(grid, ONE, 1), assemble(grid, AlphaProfile.polynomial([1.0, 0.0, 0.5]), 2)
+        rng = np.random.default_rng(5)
+        r_sharp, q_sharp = (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)) for _ in range(2))
+
+        def apply_a(u):
+            um = np.stack([u[:n], u[n:]], axis=1)[..., None]
+            w = -central_difference((r_sharp @ um)[..., 0], grid.h) + (q_sharp @ um)[..., 0]
+            return np.concatenate([w[:, 0], w[:, 1]])
+
+        rel = []
+        for phi in smooth_fields(grid.nodes, _DEFECT_SUPPORT).reshape(-1, 2 * n).astype(complex):
+            t1 = apply_a(h0.matvec(phi) - e * phi)
+            a_phi = apply_a(phi)
+            t2 = h1.matvec(a_phi) - e * a_phi
+            rel.append(np.linalg.norm(t1 - t2) / (np.linalg.norm(t1) + np.linalg.norm(t2)))
+        assert _relative_defect(h0, h1, e, r_sharp, q_sharp) == max(rel)
 
     def test_certificate_witness_is_far_above_the_floor(self, report):
         # the certificate measures its witnesses at n = 240, l0 = 1

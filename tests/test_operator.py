@@ -214,7 +214,7 @@ class TestBlockLU:
     @pytest.mark.parametrize("z", [0.5, -20.0 + 5.0j, -300.0 - 40.0j])
     def test_pivot_determinants_multiply_to_det(self, z):
         m = assemble(build_grid(12), parse_profile("poly:10,-30"), 1)
-        dets = m._block_lu([z])[:, 0]
+        dets = m.pivot_determinants([z])[:, 0]
         sign, logdet = np.linalg.slogdet(m.matrix - z * np.eye(m.size))
         assert np.sum(np.log(np.abs(dets))) == pytest.approx(logdet, rel=1e-12)
         assert np.prod(dets / np.abs(dets)) == pytest.approx(sign, abs=1e-12)
@@ -225,7 +225,7 @@ class TestBlockLU:
         m = assemble(build_grid(60), parse_profile(alpha), 1)
         re = np.unique(np.linalg.eigvals(m.matrix).real)[::-1]
         zs = 0.5 * (re[11] + re[12]) + 1j * np.array([0.0, 1e3, 1e12])
-        dets = m._block_lu(zs)
+        dets = m.pivot_determinants(zs)
         for z, col in zip(zs, dets.T):
             sign, logdet = np.linalg.slogdet(m.matrix - z * np.eye(m.size))
             assert np.sum(np.log(np.abs(col))) == pytest.approx(logdet, rel=1e-12)
@@ -239,7 +239,7 @@ class TestBlockLU:
         a = (m.matrix - z * np.eye(m.size))[np.ix_(node, node)]
         minors = [1.0] + [np.linalg.det(a[: 2 * i, : 2 * i]) for i in range(1, m.n + 1)]
         want = np.array(minors[1:]) / np.array(minors[:-1])
-        dets = m._block_lu([z])[:, 0]
+        dets = m.pivot_determinants([z])[:, 0]
         assert np.all(np.abs(dets - want) <= 1e-12 * np.abs(want))
 
 
@@ -329,6 +329,16 @@ class TestPencil:
             pencil_coefficients(m, block)
         with pytest.raises(ShapeError, match="one lambda per column"):
             pencil_psi2(m, block, np.ones(3))
+
+    def test_non_real_functional_raises(self, monkeypatch):
+        # a symmetric form is real to rounding; an imaginary part of one is a fault upstream
+        from dynamolab import operator
+
+        true_inner = operator.inner_product
+        monkeypatch.setattr(operator, "inner_product", lambda grid, f, g: true_inner(grid, f, g) + 1j)
+        g = build_grid(40)
+        with pytest.raises(SolverError, match="non-real value"):
+            pencil_coefficients(assemble(g, ONE, 1), first_dirichlet_mode(g)[1])
 
     def test_psi2_reconstruction_constant_alpha(self):
         g = build_grid(300)

@@ -151,6 +151,14 @@ class TestEigen:
         with pytest.raises(DomainError, match="finite"):
             jordan_probe(a, 1.0, np.ones(4))
 
+    @pytest.mark.parametrize("point", [np.nan, np.inf, complex(-10.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+    def test_non_finite_near_point_rejected_before_any_solve(self, capfd, point):
+        # a NaN shift made LAPACK print "illegal value" to stdout, then the dense spectrum came back
+        m = assemble(build_grid(40), parse_profile("poly:1,0,0.5"), 1)
+        with pytest.raises(DomainError, match="near"):
+            eigen(m, near=[-10.0, point])
+        assert capfd.readouterr() == ("", "")
+
     def test_non_square_raw_matrix_rejected(self):
         with pytest.raises(ShapeError, match="square"):
             eigen(np.ones((2, 3)))
@@ -203,6 +211,26 @@ def dense_cases():
 
 class TestLeadingEigen:
     """eigen(m, leading=k): shift-invert ARPACK certified by an argument-principle count."""
+
+    def test_leading_cut_needs_a_value_left_of_the_count(self):
+        from dynamolab.spectral import _leading_cut
+
+        vals = np.array([3.0, 1.0 + 2.0j, 1.0 - 2.0j, 1.0])
+        assert _leading_cut(vals, 4) is None  # the count reaches the number of values
+        assert _leading_cut(vals, 2) is None  # every value after the second shares its real part
+        assert _leading_cut(vals, 1) == (1, 2.0)
+
+    def test_arpack_failure_gives_the_dense_spectrum(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def fail(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        m = assemble(build_grid(60), parse_profile("poly:1,0,0.5"), 1)
+        monkeypatch.setattr(sla, "eigs", fail)
+        spec = eigen(m, leading=12)
+        assert spec.right_of is None
+        assert spec.size == m.size
 
     @pytest.mark.parametrize("alpha, l, n", COUNT_CASES)
     def test_count_matches_dense_at_every_gap(self, dense_cases, alpha, l, n):
@@ -587,6 +615,14 @@ class TestJordanProbe:
             jordan_probe(m, 1.0, np.ones(3))
         with pytest.raises(ShapeError, match="nonzero"):
             jordan_probe(m, 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("lambda0, entry", [(np.nan, 1.0), (1.0, np.inf)], ids=["nan-lambda0", "inf-psi"])
+    def test_non_finite_input_rejected(self, lambda0, entry):
+        m = assemble(build_grid(40), parse_profile("poly:1,0,0.5"), 1)
+        psi = np.ones(m.size)
+        psi[3] = entry
+        with pytest.raises(DomainError, match="finite"):
+            jordan_probe(m, lambda0, psi)
 
     def test_diagonalizable_no_chain(self):
         m = np.diag([1.0, 2.0])
