@@ -126,6 +126,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _coupled_columns(spec, n: int, modes: int) -> np.ndarray:
+    """The first ``modes`` eigenvector columns whose u1 part (the first n rows) has norm above 1e-8."""
+    return np.flatnonzero(np.linalg.norm(spec.eigenvectors[:n], axis=0) > 1e-8)[:modes]
+
+
 def _cmd_pencil_check(args) -> int:
     if args.modes < 1:
         raise ConfigurationError("--modes must be at least 1")
@@ -135,28 +140,20 @@ def _cmd_pencil_check(args) -> int:
     if not m.alpha_nodes.all():  # before any eigensolve: the pencil divides by alpha
         raise DomainError("alpha vanishes on a grid node; the quadratic pencil needs alpha != 0")
     spec = eigen(m, leading=args.modes, want_vectors=True)
+    keep = _coupled_columns(spec, grid.n, args.modes)
+    if len(keep) < args.modes and spec.right_of is not None:  # a skipped column: the dense spectrum, once
+        spec = eigen(m, want_vectors=True)
+        keep = _coupled_columns(spec, grid.n, args.modes)
+    lams, psi1, psi2 = spec.eigenvalues[keep], spec.eigenvectors[: grid.n, keep], spec.eigenvectors[grid.n :, keep]
+    c, rec = pencil_coefficients(m, psi1), pencil_psi2(m, psi1, lams)
     lines = ["index,re_lambda,im_lambda,a0,a1,a2,discriminant,pencil_residual,psi2_residual"]
-    start = 0
-    while len(lines) <= args.modes and start < m.size:
-        # the next eigenpairs; a skipped one asks for more
-        stop = start + args.modes + 1 - len(lines)
-        if spec.size < min(stop, m.size):  # a leading solve that holds too few
-            spec = eigen(m, leading=stop, want_vectors=True)
-        vecs = spec.eigenvectors
-        keep = [i for i in range(start, min(stop, spec.size)) if np.linalg.norm(vecs[: grid.n, i]) > 1e-8]
-        if keep:  # one call of each pencil function for every kept eigenpair
-            lams, psi1 = spec.eigenvalues[keep], vecs[: grid.n, keep]
-            c = pencil_coefficients(m, psi1)
-            rec = pencil_psi2(m, psi1, lams)
-        for j, idx in enumerate(keep):
-            lam, psi2 = lams[j], vecs[grid.n :, idx]
-            a0, a1, a2, disc = c.a0[j], c.a1[j], c.a2[j], c.discriminant[j]
-            scale = max(abs(a2 * lam**2), abs(a1 * lam), abs(a0), 1e-300)
-            pencil_res = abs(a2 * lam**2 + a1 * lam + a0) / scale
-            psi2_res = np.linalg.norm(rec[:, j] - psi2) / max(np.linalg.norm(psi2), 1e-300)
-            row = (idx, lam.real, lam.imag, a0, a1, a2, disc, pencil_res, psi2_res)
-            lines.append(",".join(map(_fmt, row)))
-        start = stop
+    for j, idx in enumerate(keep):
+        lam, a0, a1, a2, disc = lams[j], c.a0[j], c.a1[j], c.a2[j], c.discriminant[j]
+        scale = max(abs(a2 * lam**2), abs(a1 * lam), abs(a0), 1e-300)
+        pencil_res = abs(a2 * lam**2 + a1 * lam + a0) / scale
+        psi2_res = np.linalg.norm(rec[:, j] - psi2[:, j]) / max(np.linalg.norm(psi2[:, j]), 1e-300)
+        row = (idx, lam.real, lam.imag, a0, a1, a2, disc, pencil_res, psi2_res)
+        lines.append(",".join(map(_fmt, row)))
     _write_lines(args.out, lines)
     return 0
 
@@ -197,20 +194,16 @@ def _cmd_nogo(args) -> int:
 def _cmd_mre_check(args) -> int:
     if args.stride < 1:
         raise ConfigurationError("--stride must be at least 1")
-    alpha0 = parse_profile(args.alpha0)
+    alpha0 = parse_profile(args.alpha0)  # both literals parse; the flow reads the named system's
     alpha1 = parse_profile(args.alpha1)
-    pair = AlphaPair(alpha0=alpha0, alpha1=alpha1, l0=args.l0, l1=args.l1, e=args.E)
     if args.init == "series":
         init, default_start, r_min = "series", 1e-3, 0.1
     else:
-        init = (
-            np.array([[0.3 + 0.1j, -0.2], [0.1, 0.4]], dtype=complex),
-            np.eye(2, dtype=complex),
-        )
+        init = (np.array([[0.3 + 0.1j, -0.2], [0.1, 0.4]], dtype=complex), np.eye(2, dtype=complex))
         default_start, r_min = 0.1, None
     r_start = default_start if args.r_start is None else args.r_start
-    alpha, l = (pair.alpha0, pair.l0) if args.system == "U" else (pair.alpha1, pair.l1)
-    sol = mre_linear_solve(args.system, alpha, l, pair.e, r_start, 1.0, step=args.step, init=init)
+    alpha, l = (alpha0, args.l0) if args.system == "U" else (alpha1, args.l1)
+    sol = mre_linear_solve(args.system, alpha, l, args.E, r_start, 1.0, step=args.step, init=init)
     for warning in sol.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     _, per_node = riccati_residual(sol, r_min=r_min)

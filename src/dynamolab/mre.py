@@ -247,18 +247,19 @@ def mre_linear_solve(
     r_start: float,
     r_end: float = 1.0,
     step: float = 1e-4,
-    init: Union[str, Tuple[np.ndarray, np.ndarray]] = "series",
+    *,
+    init: Union[str, Tuple[np.ndarray, np.ndarray]],
 ) -> MatrixODESolution:
     """Integrate one linearized system by fixed-step RK4 and form its affine coordinate.
 
     alpha is the system's profile (alpha0 for U, alpha1 for B), l its mode
     number and e the factorization constant; alpha need not be positive.
-    init is either an explicit (top0, bot0) pair of 2x2 arrays that stack to
-    rank 2 (the flow keeps that rank, and a lower one has no affine value) or
-    the string "series" (B-system only), which starts the singular small-r
-    branch from the profile's leading Taylor data.  Nodes where the bottom
-    block reaches COND_LOG_MAX get NaN affine values and a recorded warning;
-    the linear trajectory itself continues.
+    init, a required keyword, is either an explicit (top0, bot0) pair of 2x2
+    arrays that stack to rank 2 (the flow keeps that rank, and a lower one
+    has no affine value) or the string "series" (B-system only), which starts
+    the singular small-r branch from the profile's leading Taylor data.
+    Nodes where the bottom block reaches COND_LOG_MAX get NaN affine values
+    and a recorded warning; the linear trajectory itself continues.
     """
     if which not in (U_SYSTEM, B_SYSTEM):
         raise ConfigurationError(f"unknown system {which!r} (expected 'U' or 'B')")

@@ -426,7 +426,9 @@ def intertwining_defect(
     A^# = -i p R^# + Q^# with Q^# = B^# R^-1, measured by _relative_defect; B
     comes from the B-system trajectory (series start near the origin), R from
     its closed form.  The defect is strictly positive for every admissible
-    pair: no B can satisfy all consistency conditions at once.
+    pair: no B can satisfy all consistency conditions at once.  It does not
+    depend on the phase gamma, but it does on eps: B, on its gauge-free
+    series branch, does not follow eps, while R and so Q^# do.
     """
     sol_b = mre_linear_solve(B_SYSTEM, pair.alpha1, pair.l1, pair.e, 1e-3, 1.0, step=_DEFECT_STEP, init="series")
     grid = build_grid(n)

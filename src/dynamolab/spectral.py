@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ClassificationError, DomainError, ShapeError, SolverError
+from .errors import ClassificationError, ConfigurationError, DomainError, ShapeError, SolverError
 from .operator import DynamoMatrix
 
 REAL_TAG = -1
@@ -323,38 +323,41 @@ def eigen(
 ) -> Spectrum:
     """Spectrum of a dynamo matrix (or any square array), deterministically sorted.
 
-    The eigenvalues come from dgeev, values only.  With want_vectors an
-    assembled dynamo operator gets dgeev's unit eigenvectors too, one column
-    per sorted eigenvalue, each checked against the residual contract
-    ||H v - lambda v|| <= 1e-8 ||H||_inf (SolverError on a violation); a raw
-    array with want_vectors raises ShapeError.
+    One call makes one request.  By default every eigenvalue comes from
+    dgeev; with want_vectors an assembled dynamo operator gets dgeev's unit
+    eigenvectors too, one column per sorted eigenvalue, each checked against
+    the residual contract ||H v - lambda v|| <= 1e-8 ||H||_inf (SolverError
+    on a violation).  For an assembled dynamo operator with alpha not
+    identically zero, ``near`` gives the local shift-invert solve (the
+    eigenvalues nearest the points, ``disk`` set), and ``leading`` at least
+    that many leading eigenvalues by shift-invert ARPACK, certified by an
+    argument-principle count (``right_of`` set), when the Arnoldi vectors
+    fit, 4 (leading + 4) < N, and densely otherwise; with want_vectors each
+    comes with its Ritz vector from the same ARPACK call.  A raw array,
+    alpha == 0, and a partial solve that cannot finish or be certified give
+    the full dense spectrum, with every vector when they are asked for.
 
-    With ``near`` (and no vectors) an assembled dynamo operator with alpha not
-    identically zero gets the local shift-invert solve: the eigenvalues
-    nearest the points, with ``disk`` set.  With ``leading`` instead it gets
-    at least that many leading eigenvalues by shift-invert ARPACK, certified
-    by an argument-principle count, with ``right_of`` set, whenever the
-    Arnoldi vectors fit, 4 (leading + 4) < N; larger requests stay dense.
-    With want_vectors as well each of them comes with its Ritz vector from the
-    same ARPACK call.  Every other case, and a partial solve that cannot
-    finish or be certified, gives the full dense spectrum, with every vector
-    when they are asked for.  A raw array with a non-finite entry, and a
-    non-finite ``near`` point, raise DomainError.
+    ConfigurationError: ``near`` with ``leading`` or with want_vectors.
+    ShapeError: an empty ``near``, a ``leading`` below 1, want_vectors on a
+    raw array.  DomainError: a non-finite raw-array entry or ``near`` point.
     """
+    if near is not None and (leading is not None or want_vectors):
+        raise ConfigurationError("near takes neither leading nor want_vectors: one request per call")
     if want_vectors and not isinstance(m, DynamoMatrix):
         raise ShapeError("eigenvectors need an assembled dynamo operator, not a raw array")
     if leading is not None and leading < 1:
         raise ShapeError(f"leading must be at least 1, got {leading}")
-    near = None if near is None else np.asarray(near, dtype=complex).ravel()
-    if near is not None and not np.isfinite(near).all():
-        raise DomainError(f"near points must be finite, got {near.tolist()!r}")
+    if near is not None:
+        near = np.asarray(near, dtype=complex).ravel()
+        if near.size == 0:
+            raise ShapeError("near must hold at least one point")
+        if not np.isfinite(near).all():
+            raise DomainError(f"near points must be finite, got {near.tolist()!r}")
     partial = None
     if isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
-        if near is not None and not want_vectors:
-            if near.size == 0:
-                raise ShapeError("near must hold at least one point")
+        if near is not None:
             partial = _local_eigen(m, near)
-        elif near is None and leading is not None:
+        elif leading is not None:
             partial = _leading_eigen(m, leading, want_vectors)
     if partial is not None:
         return partial

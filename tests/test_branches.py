@@ -361,7 +361,9 @@ class TestLocalSolveOracle:
         assert local.size < full.size
         assert np.max(np.min(np.abs(inside[:, None] - local.eigenvalues[None, :]), axis=1)) <= 1e-9
         assert local.covers(near, 0.0) and not local.covers(near, radius)
-        assert eigen(m).disk is None and eigen(m, want_vectors=True, near=near).disk is None
+        assert eigen(m).disk is None
+        with pytest.raises(ConfigurationError, match="one request per call"):
+            eigen(m, want_vectors=True, near=near)
 
 
 class TestLocalSolveFallback:

@@ -249,7 +249,7 @@ class TestPencilCheckLeading:
         assert main(self.README + ["--out", str(tmp_path / "dense.csv")]) == 0
         assert (tmp_path / "bad.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
-    def test_skipped_row_widens_the_request(self, tmp_path, monkeypatch):
+    def test_skipped_row_asks_the_dense_spectrum(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
         import dynamolab.cli
@@ -258,7 +258,7 @@ class TestPencilCheckLeading:
 
         def counted_eigen(m, **kwargs):
             spec = true_eigen(m, **kwargs)
-            requests.append(("eigen", kwargs["leading"], spec.right_of is not None))
+            requests.append((kwargs.get("leading"), spec.right_of is not None))
             if len(requests) == 1:  # the first eigenvector looks decoupled, so its row is skipped
                 vecs = spec.eigenvectors.copy()
                 vecs[: m.n, 0] = 0.0
@@ -267,9 +267,23 @@ class TestPencilCheckLeading:
 
         monkeypatch.setattr(dynamolab.cli, "eigen", counted_eigen)
         assert main(self.README + ["--out", str(tmp_path / "p.csv")]) == 0
-        assert requests == [("eigen", 12, True), ("eigen", 13, True)]
-        lines = read_lines(tmp_path / "p.csv")
-        assert [ln.split(",")[0] for ln in lines[1:]] == [str(i) for i in range(1, 13)]
+        assert requests == [(12, True), (None, False)]  # the leading request, then the dense one
+        skipped = read_lines(tmp_path / "p.csv")
+        self.dense(monkeypatch)
+        assert main(self.README + ["--out", str(tmp_path / "dense.csv")]) == 0
+        assert [ln.split(",")[0] for ln in skipped[1:]] == [str(i) for i in range(12)]
+        assert skipped == read_lines(tmp_path / "dense.csv")
+
+    def test_genuine_decoupled_columns_are_skipped(self, tmp_path):
+        # at alpha = 1e-100 the eigenvalues are numerically double, and dgeev
+        # returns some eigenvectors with u1 = 0; 4 (4 + 4) >= 2n keeps it dense
+        out = tmp_path / "p.csv"
+        assert main(["pencil-check", "--alpha", "const:1e-100", "--n", "16", "--modes", "4", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in read_lines(out)[1:]]
+        index = [int(r[0]) for r in rows]
+        assert len(rows) == 4 and all(a < b for a, b in zip(index, index[1:]))
+        assert index[-1] > 3  # at least one column skipped
+        assert all(float(r[7]) <= 1e-6 for r in rows)
 
     def test_large_modes_go_dense(self, tmp_path, monkeypatch):
         import scipy.sparse.linalg
@@ -402,6 +416,30 @@ class TestMreCheck:
             argv += ["--r-start", r_start]
         assert main(argv) == 0
         assert read_lines(out)[1].split(",")[0] == first_r
+
+    # the named system's profile may have any sign; the other one is parsed but never read
+    @pytest.mark.parametrize("profile", ["poly:1,-3", "const:-2", "poly:1,0.2,0.3"])
+    @pytest.mark.parametrize("system", ["U", "B"])
+    def test_one_system_profile_of_any_sign(self, tmp_path, capsys, system, profile):
+        from dynamolab import mre_linear_solve, parse_profile, riccati_residual
+
+        unread = "const:-1"
+        alpha0, alpha1 = (profile, unread) if system == "U" else (unread, profile)
+        argv = ["mre-check", "--alpha0", alpha0, "--alpha1", alpha1, "--system", system]
+        if system == "U":
+            generic = (np.array([[0.3 + 0.1j, -0.2], [0.1, 0.4]], dtype=complex), np.eye(2, dtype=complex))
+            sol = mre_linear_solve("U", parse_profile(profile), 1, 0.0, 0.1, 1.0, init=generic)
+            sup, per_node = riccati_residual(sol)
+        else:
+            argv += ["--init", "series"]
+            sol = mre_linear_solve("B", parse_profile(profile), 2, 0.0, 1e-3, 1.0, init="series")
+            sup, per_node = riccati_residual(sol, r_min=0.1)
+        out = tmp_path / "mre.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sup <= 1e-10
+        rows = zip(sol.rs[::10].tolist(), per_node[::10].tolist(), sol.cond_log[::10].tolist())
+        assert read_lines(out) == ["r,riccati_residual,cond_log"] + [",".join(map(repr, row)) for row in rows]
 
     def test_large_energy_checks_every_row(self, tmp_path, capsys):
         # the bottom blocks reach a condition number of about 10^4.4 here,

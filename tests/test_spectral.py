@@ -4,6 +4,7 @@ import pytest
 from dynamolab import (
     AlphaProfile,
     ClassificationError,
+    ConfigurationError,
     DomainError,
     DynamoMatrix,
     ShapeError,
@@ -158,6 +159,30 @@ class TestEigen:
         with pytest.raises(DomainError, match="near"):
             eigen(m, near=[-10.0, point])
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "request_", [{"leading": 3}, {"want_vectors": True}, {"leading": 3, "want_vectors": True}],
+        ids=["leading", "vectors", "both"],
+    )
+    def test_near_with_another_request_refused(self, request_):
+        # each was answered as one of the two requests before, silently dropping the other
+        m = assemble(build_grid(40), parse_profile("poly:1,0,0.5"), 1)
+        with pytest.raises(ConfigurationError, match="one request per call"):
+            eigen(m, near=[-10.0], **request_)
+
+    @pytest.mark.parametrize("alpha", [None, "const:0", "poly:1,0,0.5"], ids=["raw", "alpha-zero", "dynamo"])
+    def test_empty_near_refused_on_every_input(self, alpha):
+        m = np.diag([1.0, 2.0, 3.0]) if alpha is None else assemble(build_grid(40), parse_profile(alpha), 1)
+        with pytest.raises(ShapeError, match="near"):
+            eigen(m, near=[])
+
+    @pytest.mark.parametrize("alpha", [None, "const:0"], ids=["raw", "alpha-zero"])
+    @pytest.mark.parametrize("request_", [{"near": [-10.0]}, {"leading": 3}], ids=["near", "leading"])
+    def test_raw_array_and_alpha_zero_answer_with_the_dense_spectrum(self, alpha, request_):
+        m = np.diag([1.0, 2.0, 3.0]) if alpha is None else assemble(build_grid(40), parse_profile(alpha), 1)
+        spec = eigen(m, **request_)
+        assert spec.disk is None and spec.right_of is None
+        assert np.array_equal(spec.eigenvalues, eigen(m).eigenvalues)
 
     def test_non_square_raw_matrix_rejected(self):
         with pytest.raises(ShapeError, match="square"):
