@@ -13,19 +13,7 @@ Subpackages map onto the main concerns:
 - cli:       command-line front end
 """
 
-from .errors import (
-    BracketError,
-    ClassificationError,
-    ConfigurationError,
-    DegeneratePencilError,
-    DegenerateQError,
-    DomainError,
-    DynamoLabError,
-    ShapeError,
-    SingularSuperpotentialError,
-    SolverError,
-    TrackingError,
-)
+from .errors import ConfigurationError, DynamoLabError, SolverError
 from .branches import BranchEvent, BranchTrace, SweepConfig, dynamo_family, locate_ep, sweep
 from .darboux import (
     DarbouxPair,
@@ -71,15 +59,10 @@ from .spectral import JordanProbe, Spectrum, classify_pairs, eigen, jordan_probe
 __all__ = [
     "AlphaPair",
     "AlphaProfile",
-    "BracketError",
     "BranchEvent",
     "BranchTrace",
-    "ClassificationError",
     "ConfigurationError",
     "DarbouxPair",
-    "DegeneratePencilError",
-    "DegenerateQError",
-    "DomainError",
     "DynamoLabError",
     "DynamoMatrix",
     "GaugeChoice",
@@ -89,13 +72,10 @@ __all__ = [
     "NoGoReport",
     "PencilCoefficients",
     "RadialGrid",
-    "ShapeError",
-    "SingularSuperpotentialError",
     "SolverError",
     "Spectrum",
     "StructureFunctions",
     "SweepConfig",
-    "TrackingError",
     "TridiagOp",
     "assemble",
     "asymptotic_l_increment",

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BracketError, ConfigurationError, DomainError, TrackingError
+from .errors import ConfigurationError, SolverError
 from .grid import build_grid
 from .operator import DynamoMatrix, scaled_family
 from .profiles import AlphaProfile
@@ -65,6 +65,8 @@ class SweepConfig:
             raise ConfigurationError(f"need finite c_min and c_max, got [{self.c_min}, {self.c_max}]")
         if not self.c_min < self.c_max:
             raise ConfigurationError(f"need c_min < c_max, got [{self.c_min}, {self.c_max}]")
+        if not np.isfinite(float(self.c_max) - float(self.c_min)):  # np.linspace would overflow
+            raise ConfigurationError(f"the width of [{self.c_min}, {self.c_max}] is not finite")
         if self.steps < 2:
             raise ConfigurationError(f"need at least 2 sweep steps, got {self.steps}")
         if self.track_count < 1:
@@ -162,7 +164,7 @@ def _advance(
             third = [abs(prev[k] - prev[i]) for k in range(len(prev)) if k not in (i, j)]
             third_gap = min(third) if third else np.inf
             if hausdorff > MOVE_GAP_RATIO * third_gap:
-                raise TrackingError(
+                raise SolverError(
                     f"branch matching unresolved on C-interval [{c_a!r}, {c_b!r}] "
                     f"after {MAX_REFINEMENTS} refinements (branch {i}, movement "
                     f"{movement[i]:.3e}, gap {gaps[i]:.3e})"
@@ -246,7 +248,7 @@ def _interval_events(c_a: float, c_b: float, a: np.ndarray, b: np.ndarray) -> li
         # order exchange, or two real branches entering contact at
         # the interval end (value-only matching relabels colliding
         # branches, so contact is the observable signature)
-        exchanged = da * db < 0
+        exchanged = (da < 0 < db) or (db < 0 < da)  # a product could overflow or underflow
         entering_contact = abs(db) <= contact_tol < abs(da)
         if exchanged or entering_contact:
             events.append(BranchEvent(c_a, c_b, (i, j), "Crossing"))
@@ -271,16 +273,18 @@ def locate_ep(
 
     The pair is chosen nearest to lambda_ref when given, from a local solve
     that covers it (dense otherwise), or else as the closest mutual pair in
-    the full spectrum; a non-finite lambda_ref raises DomainError.  Returns
-    the bracket midpoint and the mean of the coalescing pair there.
+    the full spectrum.  A bracket that is not increasing, a tol_c that is not
+    positive and a non-finite lambda_ref raise ConfigurationError before any
+    solve; a bracket that holds no transition raises SolverError.  Returns the
+    bracket midpoint and the mean of the coalescing pair there.
     """
     c_lo, c_hi = (float(bracket[0]), float(bracket[1]))
     if not (c_lo < c_hi):
-        raise BracketError(f"bracket must be increasing, got {bracket!r}")
+        raise ConfigurationError(f"bracket must be increasing, got {bracket!r}")
     if not tol_c > 0:  # NaN included
-        raise BracketError("tol_c must be positive")
+        raise ConfigurationError("tol_c must be positive")
     if lambda_ref is not None and not np.isfinite(lambda_ref):
-        raise DomainError(f"lambda_ref must be finite, got {lambda_ref!r}")
+        raise ConfigurationError(f"lambda_ref must be finite, got {lambda_ref!r}")
 
     def nearest_pair(vals: np.ndarray) -> np.ndarray:
         idx = np.argsort(np.abs(vals - lambda_ref), kind="stable")[:2]
@@ -302,7 +306,7 @@ def locate_ep(
     g_lo = indicator(c_lo)
     g_hi = indicator(c_hi)
     if g_lo == 0.0 or g_hi == 0.0 or (g_lo > 0) == (g_hi > 0):
-        raise BracketError(
+        raise SolverError(
             f"bracket ({c_lo}, {c_hi}) does not straddle a real/complex transition "
             f"(indicator {g_lo:.3e} and {g_hi:.3e})"
         )

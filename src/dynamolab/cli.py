@@ -25,7 +25,7 @@ import numpy as np
 
 from .branches import SweepConfig, sweep
 from .darboux import darboux_partner, verify_isospectral
-from .errors import ConfigurationError, DomainError, DynamoLabError, ShapeError
+from .errors import ConfigurationError, DynamoLabError, SolverError
 from .grid import build_grid
 from .mre import mre_linear_solve, riccati_residual
 from .nogo import AlphaPair, StructureFunctions, nogo_certificate
@@ -138,7 +138,7 @@ def _cmd_pencil_check(args) -> int:
     grid = build_grid(args.n)
     m = assemble(grid, alpha, args.l)
     if not m.alpha_nodes.all():  # before any eigensolve: the pencil divides by alpha
-        raise DomainError("alpha vanishes on a grid node; the quadratic pencil needs alpha != 0")
+        raise ConfigurationError("alpha vanishes on a grid node; the quadratic pencil needs alpha != 0")
     spec = eigen(m, leading=args.modes, want_vectors=True)
     keep = _coupled_columns(spec, grid.n, args.modes)
     if len(keep) < args.modes and spec.right_of is not None:  # a skipped column: the dense spectrum, once
@@ -149,9 +149,12 @@ def _cmd_pencil_check(args) -> int:
     lines = ["index,re_lambda,im_lambda,a0,a1,a2,discriminant,pencil_residual,psi2_residual"]
     for j, idx in enumerate(keep):
         lam, a0, a1, a2, disc = lams[j], c.a0[j], c.a1[j], c.a2[j], c.discriminant[j]
-        scale = max(abs(a2 * lam**2), abs(a1 * lam), abs(a0), 1e-300)
-        pencil_res = abs(a2 * lam**2 + a1 * lam + a0) / scale
-        psi2_res = np.linalg.norm(rec[:, j] - psi2[:, j]) / max(np.linalg.norm(psi2[:, j]), 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
+            scale = max(abs(a2 * lam**2), abs(a1 * lam), abs(a0), 1e-300)
+            pencil_res = abs(a2 * lam**2 + a1 * lam + a0) / scale
+            psi2_res = np.linalg.norm(rec[:, j] - psi2[:, j]) / max(np.linalg.norm(psi2[:, j]), 1e-300)
+        if not (np.isfinite(pencil_res) and np.isfinite(psi2_res)):
+            raise SolverError(f"pencil residuals of eigenvalue {idx} are not finite (lambda = {complex(lam)!r})")
         row = (idx, lam.real, lam.imag, a0, a1, a2, disc, pencil_res, psi2_res)
         lines.append(",".join(map(_fmt, row)))
     _write_lines(args.out, lines)
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, ShapeError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DynamoLabError as exc:

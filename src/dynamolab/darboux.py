@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, DomainError, ShapeError, SingularSuperpotentialError
+from .errors import ConfigurationError, SolverError
 from .grid import RadialGrid, TridiagOp, central_difference, flux_form, smooth_fields
 from .mre import rk4_linear
 
@@ -43,7 +43,7 @@ def schrodinger_tridiag(grid: RadialGrid, v: Callable[[np.ndarray], np.ndarray])
     """Second-order discretization of -d^2/dx^2 + V with Dirichlet ends."""
     vals = np.asarray(v(grid.nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise ShapeError("potential not finite on interior nodes")
+        raise ConfigurationError("potential not finite on interior nodes")
     return flux_form(grid, np.ones(grid.n + 1), vals)
 
 
@@ -81,7 +81,7 @@ class LocalQuintic:
     def __init__(self, grid: RadialGrid, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (grid.n,):
-            raise ShapeError(f"need {grid.n} samples on the grid nodes, got shape {samples.shape}")
+            raise ConfigurationError(f"need {grid.n} samples on the grid nodes, got shape {samples.shape}")
         if grid.n < _QUINTIC_NODES.size:
             raise ConfigurationError(f"a local quintic needs at least 6 nodes, got n={grid.n}")
         self._h = grid.h
@@ -107,7 +107,7 @@ def _nodeless_or_raise(samples: np.ndarray) -> np.ndarray:
     s = np.sign(samples[np.argmax(np.abs(samples))])
     fixed = s * samples
     if np.min(fixed) <= 0.0:
-        raise SingularSuperpotentialError(
+        raise SolverError(
             "seed function has a node on (0,1); the superpotential would be singular"
         )
     return fixed
@@ -267,16 +267,16 @@ _PRODUCT_WINDOW = (0.1, 0.9)  # clear of the ends, where chi1 = 1/chi0 blows up
 def product_invariant_check(chi0: np.ndarray, chi1: np.ndarray, grid: RadialGrid):
     """Mean of chi0*chi1 over _PRODUCT_WINDOW and its maximum relative deviation.
 
-    A zero or non-finite mean has no relative deviation: it raises DomainError.
+    A zero or non-finite mean has no relative deviation: it raises ConfigurationError.
     """
     chi0 = np.asarray(chi0, dtype=float)
     chi1 = np.asarray(chi1, dtype=float)
     if chi0.shape != (grid.n,) or chi1.shape != (grid.n,):
-        raise ShapeError("chi0/chi1 must be sampled on the grid nodes")
+        raise ConfigurationError("chi0/chi1 must be sampled on the grid nodes")
     mask = (grid.nodes >= _PRODUCT_WINDOW[0]) & (grid.nodes <= _PRODUCT_WINDOW[1])
     prod = chi0[mask] * chi1[mask]
     c_mean = float(np.mean(prod))
     if c_mean == 0.0 or not np.isfinite(c_mean):
-        raise DomainError(f"the mean product chi0*chi1 must be finite and nonzero, got {c_mean!r}")
+        raise ConfigurationError(f"the mean product chi0*chi1 must be finite and nonzero, got {c_mean!r}")
     rel_var = float(np.max(np.abs(prod - c_mean)) / abs(c_mean))
     return c_mean, rel_var

@@ -1,9 +1,10 @@
 """Exception taxonomy shared by all dynamolab modules.
 
-Configuration errors are raised before any numerics run (bad sizes, bad
-literals, unmet preconditions that a caller could have checked); numerical
-errors signal that a computation was attempted and failed or produced
-something outside its contract.
+Two leaves, one per failure exit code of the CLI.  Invalid input raises
+ConfigurationError (exit 2): bad sizes, shapes or literals, inputs outside an
+operation's domain, and unmet preconditions a caller could have checked.  A
+computation that was attempted and failed, or produced something outside its
+contract, raises SolverError (exit 3).
 """
 
 
@@ -12,40 +13,8 @@ class DynamoLabError(Exception):
 
 
 class ConfigurationError(DynamoLabError):
-    """Invalid run configuration (sizes, literals, parameter combinations)."""
-
-
-class DomainError(DynamoLabError):
-    """Input outside the mathematical domain of an operation (l = 0, alpha <= 0, ...)."""
-
-
-class ShapeError(DynamoLabError):
-    """Array arguments with incompatible shapes."""
+    """Invalid input: the CLI exits 2."""
 
 
 class SolverError(DynamoLabError):
-    """A numerical solver failed to converge or violated its residual contract."""
-
-
-class ClassificationError(DynamoLabError):
-    """Spectrum classification found an unpaired complex eigenvalue."""
-
-
-class DegeneratePencilError(DynamoLabError):
-    """Quadratic pencil with vanishing leading coefficient."""
-
-
-class TrackingError(DynamoLabError):
-    """Branch matching could not be resolved even after step refinement."""
-
-
-class BracketError(DynamoLabError):
-    """Bisection bracket does not straddle a real/complex transition."""
-
-
-class SingularSuperpotentialError(DynamoLabError):
-    """Darboux seed function has a node inside the domain."""
-
-
-class DegenerateQError(DynamoLabError):
-    """Profile log-derivative difference q vanishes where a formula needs 1/q."""
+    """A computation failed or violated its contract: the CLI exits 3."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -76,7 +76,7 @@ class TridiagOp:
 
     def __post_init__(self) -> None:
         if self.off.shape[0] != self.diag.shape[0] - 1:
-            raise ShapeError("the off-diagonal must have length n-1")
+            raise ConfigurationError("the off-diagonal must have length n-1")
 
     @property
     def n(self) -> int:
@@ -85,7 +85,7 @@ class TridiagOp:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         if v.shape[0] != self.n:
-            raise ShapeError(f"vector length {v.shape[0]} != operator size {self.n}")
+            raise ConfigurationError(f"vector length {v.shape[0]} != operator size {self.n}")
         diag, off = self.diag, self.off
         if v.ndim == 2:  # applied column by column
             diag, off = diag[:, None], off[:, None]
@@ -119,7 +119,7 @@ def laplacian_l(grid: RadialGrid, l: int) -> TridiagOp:
     need different boundary treatment anyway.
     """
     if l < 1:
-        raise DomainError(f"angular mode number must satisfy l >= 1, got l={l}")
+        raise ConfigurationError(f"angular mode number must satisfy l >= 1, got l={l}")
     return -flux_form(grid, np.ones(grid.n + 1), l * (l + 1) / grid.nodes ** 2)
 
 
@@ -161,7 +161,7 @@ def inner_product(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> complex | n
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape[-1:] != (grid.n,) or g.shape[-1:] != (grid.n,):
-        raise ShapeError(
+        raise ConfigurationError(
             f"inner_product needs two length-{grid.n} vectors or rows, got {f.shape} and {g.shape}"
         )
     sums = np.sum(np.multiply(grid.h * np.conj(f), g, order="C"), axis=-1)

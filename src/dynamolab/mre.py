@@ -39,7 +39,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SolverError
+from .errors import ConfigurationError, SolverError
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
 IDENT2 = np.eye(2)
@@ -266,13 +266,13 @@ def mre_linear_solve(
     if not 0 < step < np.inf:
         raise ConfigurationError(f"step must be finite and positive, got {step}")
     if r_start < 1e-3:
-        raise DomainError(f"r_start must be >= 1e-3 (singular origin), got {r_start}")
+        raise ConfigurationError(f"r_start must be >= 1e-3 (singular origin), got {r_start}")
     if not r_start < r_end <= 1.0:
-        raise DomainError(f"need r_start < r_end <= 1, got [{r_start}, {r_end}]")
+        raise ConfigurationError(f"need r_start < r_end <= 1, got [{r_start}, {r_end}]")
     if l < 1:  # the series start divides by 2 - 4l
-        raise DomainError(f"mode number must satisfy l >= 1, got {l}")
+        raise ConfigurationError(f"mode number must satisfy l >= 1, got {l}")
     if not np.isfinite(e):
-        raise DomainError(f"factorization constant E must be finite, got {e}")
+        raise ConfigurationError(f"factorization constant E must be finite, got {e}")
 
     span = (r_end - r_start) / step
     if span > _MAX_STEPS:  # before any array is sized by it
@@ -286,7 +286,10 @@ def mre_linear_solve(
         a = np.asarray(alpha(r), dtype=float)
         return np.stack([mmat(a, l, e, r), kmat_inv(a)], axis=1)
 
-    coef_nodes, coef_mids = coef(rs), coef(mids)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the finiteness check
+        coef_nodes, coef_mids = coef(rs), coef(mids)
+    if not (np.isfinite(coef_nodes).all() and np.isfinite(coef_mids).all()):
+        raise ConfigurationError(f"flow coefficients M and K^-1 overflow or are not finite (l={l}, E={e!r})")
 
     if isinstance(init, str):
         if init != "series":

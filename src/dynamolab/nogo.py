@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateQError, DomainError, SolverError
+from .errors import ConfigurationError, SolverError
 from .grid import build_grid, central_difference, smooth_fields
 from .mre import B_SYSTEM, IDENT2, inv2, kmat, mre_linear_solve, mul2
 from .operator import assemble, sharp
@@ -61,7 +61,7 @@ class GaugeChoice:
 
     def __post_init__(self) -> None:
         if self.eps is not None and not np.all(np.abs(self.eps(np.linspace(1e-3, 1.0, 512))) < np.pi / 2):
-            raise DomainError("gauge function eps must satisfy |eps| < pi/2 on (0,1]")
+            raise ConfigurationError("gauge function eps must satisfy |eps| < pi/2 on (0,1]")
 
     def eps_at(self, r):
         """(eps, eps') at r, both zero for the default gauge."""
@@ -86,9 +86,9 @@ class AlphaPair:
 
     def __post_init__(self) -> None:
         if self.l0 < 1 or self.l1 < 1:
-            raise DomainError(f"mode numbers must satisfy l >= 1, got l0={self.l0}, l1={self.l1}")
+            raise ConfigurationError(f"mode numbers must satisfy l >= 1, got l0={self.l0}, l1={self.l1}")
         if not np.isfinite(self.e):
-            raise DomainError(f"factorization constant E must be finite, got {self.e}")
+            raise ConfigurationError(f"factorization constant E must be finite, got {self.e}")
         self.alpha0.require_positive()
         self.alpha1.require_positive()
 
@@ -107,7 +107,7 @@ def build_R(pair: AlphaPair, gauge: GaugeChoice, r) -> np.ndarray:
     a0 = np.asarray(pair.alpha0(r), dtype=float)
     a1 = np.asarray(pair.alpha1(r), dtype=float)
     if np.any(a0 <= 0) or np.any(a1 <= 0):
-        raise DomainError("build_R needs strictly positive profile values")
+        raise ConfigurationError("build_R needs strictly positive profile values")
     eps, _ = gauge.eps_at(r)
     phase = np.exp(1j * gauge.gamma)
     out = np.zeros(np.shape(r) + (2, 2), dtype=complex)
@@ -168,9 +168,9 @@ class StructureFunctions:
 
         alpha0, alpha1 and their first two derivatives are evaluated once, on
         all of r, and the chain b1 -> b1' -> b2 -> rho runs on the kept radii,
-        so no floored radius is divided by.  Raises DegenerateQError when the
-        floor excludes every radius, and SolverError when b1 or b1' overflows
-        on a kept radius.
+        so no floored radius is divided by.  Raises SolverError when the
+        floor excludes every radius or when b1 or b1' overflows on a kept
+        radius.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         p = self.pair
@@ -180,7 +180,7 @@ class StructureFunctions:
             q = 0.5 * (d1a0 / a0 - d1a1 / a1)
         keep = ~(np.abs(q) < Q_FLOOR)  # a NaN q is kept, and fails the b1 check
         if not np.any(keep):
-            raise DegenerateQError(
+            raise SolverError(
                 f"q vanishes on the whole window for {p.label} (proportional "
                 "profiles); the closed form b1 has no admissible evaluation point"
             )
@@ -212,7 +212,7 @@ class StructureFunctions:
     def b1(self, r):
         """The closed form of b1 at r, NaN where the q floor excludes a radius.
 
-        Raises DegenerateQError only when the floor excludes every radius.
+        Raises SolverError as _chain does.
         """
         return self._column(r, 3)
 
@@ -228,7 +228,7 @@ class StructureFunctions:
         rho == 0 would be required for a consistent intertwiner; the closed
         form of b1 makes that impossible because only the explicit -2 l1/r^2
         term knows about l1.  NaN where the q floor excludes a radius; raises
-        DegenerateQError only when the floor excludes every radius.
+        SolverError as _chain does.
         """
         return self._column(r, 6)
 
@@ -236,8 +236,8 @@ class StructureFunctions:
         """The nogo table's columns r, q, b1, b2 and rho on the radii of r the q floor keeps.
 
         One evaluation of each profile term on all of r (see _chain); raises
-        DegenerateQError when the floor excludes every radius, and SolverError
-        when rho is not finite on a kept radius (-2 l1/r^2 from r ~ 1e-154 down).
+        SolverError as _chain does, and when rho is not finite on a kept
+        radius (-2 l1/r^2 from r ~ 1e-154 down).
         """
         _, r, q, b1, _, b2, rho = self._chain(r)
         if not np.all(np.isfinite(rho)):
@@ -272,7 +272,7 @@ def degenerate_case_check(pair: AlphaPair) -> DegenerateCaseRecord:
     ratio = a1 / a0
     kappa = float(np.mean(ratio))
     if np.max(np.abs(ratio - kappa)) > 1e-8 * max(abs(kappa), 1.0):
-        raise DomainError(
+        raise ConfigurationError(
             "degenerate_case_check needs proportional profiles alpha1 = kappa*alpha0"
         )
     forced = a1 + a0**2 / a1
@@ -347,9 +347,9 @@ def asymptotic_l_increment(l0: int, c1: float = 1.0, e: float = 0.0) -> Asymptot
     below MIN_DISCRIMINATION, from l0 = 6 on at the default c1 and e).
     """
     if l0 < 1:
-        raise DomainError("l0 must be >= 1")
+        raise ConfigurationError("l0 must be >= 1")
     if c1 == 0.0:
-        raise DomainError("leading profile coefficient c1 must not vanish")
+        raise ConfigurationError("leading profile coefficient c1 must not vanish")
     # l1 (l1 - 1) - l0 (l0 + 1) = (l1 - l0 - 1)(l1 + l0), and l1 + l0 > 0
     l1 = l0 + 1
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fit fails the check below

@@ -38,7 +38,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DegeneratePencilError, DomainError, ShapeError, SolverError
+from .errors import ConfigurationError, SolverError
 from .grid import RadialGrid, TridiagOp, _freeze, flux_form, inner_product, laplacian_l
 
 
@@ -49,7 +49,7 @@ def sharp(c: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(c)
     if c.shape[-2:] != (2, 2):
-        raise ShapeError(f"sharp is defined for (..., 2, 2) arrays, got shape {c.shape}")
+        raise ConfigurationError(f"sharp is defined for (..., 2, 2) arrays, got shape {c.shape}")
     out = np.empty_like(c)
     out[..., 0, 0] = np.conj(c[..., 1, 1])
     out[..., 0, 1] = np.conj(c[..., 0, 1])
@@ -125,7 +125,7 @@ class DynamoMatrix:
         """H v for a real or complex vector of length 2n, or each column of a (2n, k) array, without forming H."""
         v = np.asarray(v)
         if v.ndim not in (1, 2) or v.shape[0] != self.size:
-            raise ShapeError(f"vector must have length {self.size}, got shape {v.shape}")
+            raise ConfigurationError(f"vector must have length {self.size}, got shape {v.shape}")
         u1, u2 = v[: self.n], v[self.n :]
         alpha = self.alpha_nodes if v.ndim == 1 else self.alpha_nodes[:, None]
         top = self.lap.matvec(u1) + alpha * u2
@@ -191,8 +191,9 @@ def scaled_family(grid: RadialGrid, alpha, l: int) -> Callable[[float], DynamoMa
     """C -> the dynamo operator of the scaled profile C * alpha; alpha may be any bounded real profile.
 
     lap_l, l(l+1)/r^2 and alpha's samples at the half nodes and the nodes are
-    formed once, and each C scales the samples.  Each H(C) raises DomainError
-    when one of its entries is not finite, so no solver sees one.
+    formed once, and each C scales the samples.  Each H(C) raises
+    ConfigurationError when one of its entries is not finite, so no solver
+    sees one.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the finiteness check
         lap = laplacian_l(grid, l)
@@ -206,7 +207,7 @@ def scaled_family(grid: RadialGrid, alpha, l: int) -> Callable[[float], DynamoMa
             c_nodes = _freeze(c * a_nodes)
             q_a = flux_form(grid, c * a_half, c_nodes * centrifugal)
         if not np.isfinite(np.concatenate([lap.diag, lap.off, q_a.diag, q_a.off, c_nodes])).all():
-            raise DomainError(f"operator entries overflow or are not finite (l={l}, n={grid.n})")
+            raise ConfigurationError(f"operator entries overflow or are not finite (l={l}, n={grid.n})")
         return DynamoMatrix(grid=grid, lap=lap, q_alpha=q_a, alpha_nodes=c_nodes)
 
     return family
@@ -222,7 +223,7 @@ def pseudo_hermiticity_residual(m: DynamoMatrix | np.ndarray) -> float:
     a = m.matrix if isinstance(m, DynamoMatrix) else np.asarray(m)
     size = a.shape[0]
     if a.shape != (size, size) or size % 2:
-        raise ShapeError("pseudo_hermiticity_residual needs a square matrix of even size")
+        raise ConfigurationError("pseudo_hermiticity_residual needs a square matrix of even size")
     n = size // 2
     jmtj = np.empty_like(a)
     jmtj[:n, :n] = a[n:, n:].T
@@ -251,17 +252,17 @@ def pencil_coefficients(m: DynamoMatrix, psi1: np.ndarray) -> PencilCoefficients
     A block gives arrays of length k in every field, and column j's values
     equal the one-column call's on psi1[:, j] bit for bit: that call is the
     k = 1 case of the same code, and ``inner_product`` sums each row alike.
-    Every column must be nonzero (DomainError); a non-finite or non-real
+    Every column must be nonzero (ConfigurationError); a non-finite or non-real
     form raises SolverError for the first column that has one.
     """
     psi1 = np.asarray(psi1)
     if psi1.ndim not in (1, 2) or psi1.shape[0] != m.n:
-        raise ShapeError(f"psi1 must have length {m.n}, or be an (n, k) block, got shape {psi1.shape}")
+        raise ConfigurationError(f"psi1 must have length {m.n}, or be an (n, k) block, got shape {psi1.shape}")
     psi = psi1.reshape(m.n, -1)  # one column per field
     if not np.any(np.abs(psi) > 0, axis=0).all():
-        raise DomainError("psi1 must be nonzero, in every column")
+        raise ConfigurationError("psi1 must be nonzero, in every column")
     if np.any(m.alpha_nodes == 0.0):
-        raise DomainError(
+        raise ConfigurationError(
             "alpha vanishes on a grid node; the quadratic pencil needs alpha != 0"
         )
     q1 = -m.lap
@@ -295,7 +296,7 @@ def pencil_coefficients(m: DynamoMatrix, psi1: np.ndarray) -> PencilCoefficients
 def lambda_pm(c: PencilCoefficients) -> Tuple[complex, complex]:
     """Both roots of the scalar quadratic of one u1; complex pair when the discriminant < 0."""
     if c.a2 == 0.0:
-        raise DegeneratePencilError("leading pencil coefficient a2 is zero")
+        raise SolverError("leading pencil coefficient a2 is zero")
     disc = c.discriminant
     if disc >= 0.0:
         root = np.sqrt(disc)
@@ -310,9 +311,9 @@ def lambda_pm(c: PencilCoefficients) -> Tuple[complex, complex]:
 def pencil_psi2(m: DynamoMatrix, psi1: np.ndarray, lam: complex) -> np.ndarray:
     """Reconstruct the second component u2 = (1/alpha)(Q1 + lambda) u1; an (n, k) block of u1 takes k lambdas."""
     if np.any(m.alpha_nodes == 0.0):
-        raise DomainError("alpha vanishes on a grid node; cannot reconstruct psi2")
+        raise ConfigurationError("alpha vanishes on a grid node; cannot reconstruct psi2")
     psi1, lam = np.asarray(psi1), np.asarray(lam)
     if lam.shape != psi1.shape[1:]:
-        raise ShapeError(f"need one lambda per column of psi1, got shapes {lam.shape} and {psi1.shape}")
+        raise ConfigurationError(f"need one lambda per column of psi1, got shapes {lam.shape} and {psi1.shape}")
     alpha = m.alpha_nodes if psi1.ndim == 1 else m.alpha_nodes[:, None]
     return ((-m.lap).matvec(psi1) + lam * psi1) / alpha

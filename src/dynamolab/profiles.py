@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 _CHECK_SEED = 173503
 _N_BOUND_SAMPLES = 1024
@@ -47,7 +47,7 @@ class AlphaProfile:
         rs = np.linspace(0.0, 1.0, _N_BOUND_SAMPLES)
         vals = np.asarray(self._f(rs), dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise DomainError(f"profile {self.label!r} is unbounded on [0,1]")
+            raise ConfigurationError(f"profile {self.label!r} is unbounded on [0,1]")
         tol = 1e-5 if self.family == "spline" else 1e-8
         step = 1e-4 if self.family == "spline" else 1e-5
         pts = np.random.default_rng(_CHECK_SEED).uniform(0.01, 0.99, _N_DERIV_SAMPLES)
@@ -58,7 +58,7 @@ class AlphaProfile:
         scale = np.maximum(max(1.0, float(np.max(np.abs(vals)))), np.abs(d1))
         worst = np.max(np.abs(cd - d1) / scale)
         if not worst <= tol:  # NaN when a derivative overflows
-            raise DomainError(
+            raise ConfigurationError(
                 f"profile {self.label!r}: derivative evaluator inconsistent with "
                 f"central differences (worst rel. error {worst:.3e})"
             )
@@ -79,7 +79,7 @@ class AlphaProfile:
 
     def require_positive(self) -> "AlphaProfile":
         if not self._positive:
-            raise DomainError(f"profile {self.label!r} must be strictly positive on [0,1]")
+            raise ConfigurationError(f"profile {self.label!r} must be strictly positive on [0,1]")
         return self
 
     def scaled(self, c: float) -> "AlphaProfile":
@@ -155,10 +155,14 @@ class AlphaProfile:
     @staticmethod
     def spline(path) -> "AlphaProfile":
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():  # a directory, such as the "." of a bare "spline:", is no table
             raise ConfigurationError(f"spline profile file not found: {p}")
+        try:
+            text = p.read_text()
+        except OSError as exc:  # unreadable, or gone since the check
+            raise ConfigurationError(f"spline profile file {p} cannot be read: {exc}") from exc
         rows = []
-        for line in p.read_text().splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ClassificationError, ConfigurationError, DomainError, ShapeError, SolverError
+from .errors import ConfigurationError, SolverError
 from .operator import DynamoMatrix
 
 REAL_TAG = -1
@@ -75,7 +75,7 @@ class Spectrum:
 
     def labels(self) -> list[str]:
         if self.pair_index is None:
-            raise ClassificationError("spectrum has not been classified yet")
+            raise ConfigurationError("spectrum has not been classified yet")
         return ["Real" if k == REAL_TAG else "Pair" for k in self.pair_index]
 
     def covers(self, points, reach: float) -> bool:
@@ -93,9 +93,9 @@ def _as_matrix(m) -> np.ndarray:
         return m.matrix
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigurationError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
+        raise ConfigurationError("matrix entries must be finite")
     return a
 
 
@@ -337,22 +337,22 @@ def eigen(
     alpha == 0, and a partial solve that cannot finish or be certified give
     the full dense spectrum, with every vector when they are asked for.
 
-    ConfigurationError: ``near`` with ``leading`` or with want_vectors.
-    ShapeError: an empty ``near``, a ``leading`` below 1, want_vectors on a
-    raw array.  DomainError: a non-finite raw-array entry or ``near`` point.
+    ConfigurationError: ``near`` with ``leading`` or with want_vectors, an
+    empty or non-finite ``near``, a ``leading`` below 1, want_vectors on a
+    raw array, a non-finite raw-array entry.
     """
     if near is not None and (leading is not None or want_vectors):
         raise ConfigurationError("near takes neither leading nor want_vectors: one request per call")
     if want_vectors and not isinstance(m, DynamoMatrix):
-        raise ShapeError("eigenvectors need an assembled dynamo operator, not a raw array")
+        raise ConfigurationError("eigenvectors need an assembled dynamo operator, not a raw array")
     if leading is not None and leading < 1:
-        raise ShapeError(f"leading must be at least 1, got {leading}")
+        raise ConfigurationError(f"leading must be at least 1, got {leading}")
     if near is not None:
         near = np.asarray(near, dtype=complex).ravel()
         if near.size == 0:
-            raise ShapeError("near must hold at least one point")
+            raise ConfigurationError("near must hold at least one point")
         if not np.isfinite(near).all():
-            raise DomainError(f"near points must be finite, got {near.tolist()!r}")
+            raise ConfigurationError(f"near points must be finite, got {near.tolist()!r}")
     partial = None
     if isinstance(m, DynamoMatrix) and np.any(m.alpha_nodes):
         if near is not None:
@@ -391,8 +391,8 @@ def classify_pairs(spec: Spectrum) -> Spectrum:
 
     Greedy nearest-conjugate matching with ties broken by smallest index; an
     eigenvalue with |Im| > PAIR_TOL and no partner within PAIR_TOL raises
-    ClassificationError (impossible for exactly real matrices, whose dgeev
-    pairs are exact conjugates).
+    SolverError (impossible for exactly real matrices, whose dgeev pairs are
+    exact conjugates).
     """
     vals = spec.eigenvalues
     tags = np.full(vals.shape[0], REAL_TAG, dtype=int)
@@ -405,7 +405,7 @@ def classify_pairs(spec: Spectrum) -> Spectrum:
         d = np.where(is_open, np.hypot(diff.real, diff.imag), np.inf)  # hypot rounds like abs()
         best = int(np.argmin(d))  # the first minimum: ties go to the smallest index
         if not d[best] <= PAIR_TOL:
-            raise ClassificationError(
+            raise SolverError(
                 f"unpaired complex eigenvalue {vals[i]!r} "
                 f"(nearest conjugate distance {d[best]:.3e}, PAIR_TOL {PAIR_TOL:.3e})"
             )
@@ -439,17 +439,17 @@ def jordan_probe(m, lambda0: complex, psi: np.ndarray) -> JordanProbe:
     Singular directions at or below _JORDAN_RCOND * sigma_max are projected
     out (LAPACK gelsd), so chi is the minimum-norm solution restricted to the
     numerically well-posed subspace; residuals are reported relative to
-    ||psi||.  A non-finite lambda0 or psi raises DomainError.
+    ||psi||.  A non-finite lambda0 or psi raises ConfigurationError.
     """
     a = _as_matrix(m).astype(complex)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (a.shape[0],):
-        raise ShapeError(f"psi must have length {a.shape[0]}, got shape {psi.shape}")
+        raise ConfigurationError(f"psi must have length {a.shape[0]}, got shape {psi.shape}")
     if not (np.isfinite(lambda0) and np.isfinite(psi).all()):
-        raise DomainError(f"lambda0 and psi must be finite, got lambda0={lambda0!r}")
+        raise ConfigurationError(f"lambda0 and psi must be finite, got lambda0={lambda0!r}")
     norm_psi = np.linalg.norm(psi)
     if norm_psi == 0:
-        raise ShapeError("psi must be nonzero")
+        raise ConfigurationError("psi must be nonzero")
     shifted = a - lambda0 * np.eye(a.shape[0])
     eig_res = float(np.linalg.norm(shifted @ psi) / norm_psi)
     chi = np.linalg.lstsq(shifted, psi, rcond=_JORDAN_RCOND)[0]  # gelsd drops s <= rcond * s_max

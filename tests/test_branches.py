@@ -3,10 +3,8 @@ import pytest
 
 from dynamolab import (
     AlphaProfile,
-    BracketError,
     ConfigurationError,
-    DomainError,
-    TrackingError,
+    SolverError,
     assemble,
     build_grid,
     eigen,
@@ -165,7 +163,7 @@ class TestSweepSynthetic:
             return np.diag([100.0 + shift, 0.0 + shift, -100.0 + shift])
 
         cfg = SweepConfig(base=ONE, c_min=0.0, c_max=3.0, steps=4, track_count=3)
-        with pytest.raises(TrackingError):
+        with pytest.raises(SolverError, match="branch matching unresolved"):
             sweep(cfg, family=jump_family)
 
     def test_config_validation(self):
@@ -196,14 +194,14 @@ class TestLocateEP:
         assert abs(c1 - c2) <= 2e-8
 
     def test_no_transition_raises(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(SolverError, match="does not straddle"):
             locate_ep(synthetic_ep_family, (0.1, 0.5), 1e-6)
 
     def test_bad_bracket_or_tolerance_rejected(self):
-        with pytest.raises(BracketError, match="increasing"):
+        with pytest.raises(ConfigurationError, match="increasing"):
             locate_ep(synthetic_ep_family, (1.5, 0.5), 1e-6)
         for tol_c in (0.0, -1e-6, float("nan")):
-            with pytest.raises(BracketError, match="tol_c"):
+            with pytest.raises(ConfigurationError, match="tol_c"):
                 locate_ep(synthetic_ep_family, (0.5, 1.5), tol_c)
 
     @pytest.mark.parametrize("lambda_ref", [complex(np.nan), complex(-38.0, np.inf)], ids=["nan", "inf-imag"])
@@ -215,7 +213,7 @@ class TestLocateEP:
             built.append(c)
             return synthetic_ep_family(c)
 
-        with pytest.raises(DomainError, match="lambda_ref"):
+        with pytest.raises(ConfigurationError, match="lambda_ref"):
             locate_ep(family, (0.5, 1.5), 1e-6, lambda_ref=lambda_ref)
         assert built == []
 
@@ -430,7 +428,7 @@ class TestFamilyFromSamples:
         family = dynamo_family(ONE, 1, 16)
         family(1e300)
         for c in (1e308, -1e308, np.inf, np.nan):
-            with pytest.raises(DomainError, match="not finite"):
+            with pytest.raises(ConfigurationError, match="not finite"):
                 family(c)
         family(2.0)  # the shared samples are untouched
 
@@ -598,6 +596,13 @@ def random_interval(rng):
         b += cplx
     perm = rng.permutation(len(a))
     return np.array(a, dtype=complex)[perm], np.array(b, dtype=complex)[perm]
+
+
+def test_interval_events_compare_signs_not_products():
+    # da * db would overflow here (a RuntimeWarning, an error in this suite)
+    a = np.array([1e200, -1e200], dtype=complex)
+    assert _interval_events(0.0, 1.0, a, -a) == [BranchEvent(0.0, 1.0, (0, 1), "Crossing")]
+    assert _interval_events(0.0, 1.0, a, a) == []
 
 
 def test_interval_events_match_the_pairing_loop():

@@ -577,8 +577,10 @@ class TestExitCodes:
             ("spline", "0 1\n0.5 1 2\n1 1\n", 2, "expected two columns"),
             ("spline", "# r alpha\n\n   \n", 2, "is empty"),
             ("spline", "# r alpha\n0 1\n\n0.25 1.25\n# mid\n0.75 1.75\n  \n1 2\n", 0, ""),
+            # an empty path names the working directory, which is no table
+            ("spline:", None, 2, "configuration error: spline profile file not found: ."),
         ],
-        ids=["inf", "nan", "three-columns", "only-comments", "comments-between-rows"],
+        ids=["inf", "nan", "three-columns", "only-comments", "comments-between-rows", "directory"],
     )
     def test_profile_literal(self, tmp_path, capsys, literal, text, rc, expected):
         if text is not None:
@@ -587,7 +589,9 @@ class TestExitCodes:
             literal = f"spline:{table}"
         out = tmp_path / "x.csv"
         assert main(["spectrum", "--alpha", literal, "--n", "16", "--out", str(out)]) == rc
-        assert expected in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert expected in err
+        assert len(err.splitlines()) == (1 if rc else 0)
         assert out.exists() == (rc == 0)
 
     def test_nogo_full_window_accepted(self, tmp_path):
@@ -639,7 +643,16 @@ class TestExitCodes:
         [
             (["nogo", "--alpha0", "poly:1,0,1e200", "--alpha1", "const:1", "--samples", "8"], 3, "numerical failure: "),
             (["sweep", "--alpha", "const:1", "--scale", "0,inf,5"], 2, "configuration error: "),
+            (["sweep", "--alpha", "const:1", "--scale=-1e308,1e308,3", "--n", "10"], 2, "configuration error: the width"),
+            # two branches 2.4e201 apart exchange no order: their gaps' product would overflow
+            (["sweep", "--alpha", "poly:1e200,0,1e200", "--scale", "0,2,3", "--n", "10", "--track", "2"], 0, ""),
             (["pencil-check", "--alpha", "const:1e200", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
+            # lambda ~ 2.8e155 squares past the largest float, although a2 lambda^2 ~ 7.7e152 is finite
+            (
+                ["pencil-check", "--alpha", "const:1e154", "--n", "12", "--modes", "3"],
+                3,
+                "numerical failure: pencil residuals of eigenvalue 0 are not finite",
+            ),
             (
                 ["mre-check", "--alpha0", "const:1e200", "--alpha1", "const:1", "--step", "0.01"],
                 0,
@@ -651,6 +664,11 @@ class TestExitCodes:
             (["pencil-check", "--alpha", "const:1e-300", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
             (["pencil-check", "--alpha", "const:1e-320", "--n", "40", "--modes", "2"], 3, "numerical failure: "),
             (["mre-check", "--alpha0", "const:1", "--alpha1", "const:1", "--step", "1e-300"], 2, "configuration error: "),
+            (
+                ["mre-check", "--alpha0", "const:1e308", "--alpha1", "const:1e308", "--step", "1e-2"],
+                2,
+                "configuration error: flow coefficients M and K^-1 overflow",
+            ),
             # 0.9 / 4.4e-6 is just past the 2 * 10**5 steps of one trajectory
             (["mre-check", "--alpha0", "const:1", "--alpha1", "const:1", "--step", "4.4e-6"], 2, "configuration error: "),
             (["nogo", "--alpha0", "exp:1,700", "--alpha1", "const:1", "--samples", "4"], 3, "numerical failure: "),
@@ -694,9 +712,10 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "nogo", "sweep", "pencil-check", "mre-check",
-            "pencil-1e-100", "pencil-1e-160", "pencil-1e-200", "pencil-1e-300", "pencil-1e-320",
-            "mre-step-1e-300", "mre-step-past-cap", "nogo-d2-overflow", "nogo-q-overflow", "mre-window-starts",
+            "nogo", "sweep", "sweep-width", "sweep-gap-product", "pencil-check", "pencil-lambda-squared",
+            "mre-check", "pencil-1e-100", "pencil-1e-160", "pencil-1e-200", "pencil-1e-300", "pencil-1e-320",
+            "mre-step-1e-300", "mre-table", "mre-step-past-cap", "nogo-d2-overflow", "nogo-q-overflow",
+            "mre-window-starts",
             "sweep-message", "pencil-count-top-overflow", "mre-series-start-overflow", "certificate-l1-1000",
             "certificate-l1-9", "nogo-centrifugal-overflow", "nogo-centrifugal-underflow",
         ],
@@ -708,6 +727,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "np.float64" not in err
+        assert len(err.splitlines()) == (1 if message else 0), err
         assert out.exists() == (rc == 0)
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dynamolab import AlphaProfile, ConfigurationError, DomainError, SolverError
+from dynamolab import AlphaProfile, ConfigurationError, SolverError
 from dynamolab import mre
 from dynamolab.darboux import darboux_partner, partner_mode
 from dynamolab.grid import build_grid
@@ -188,17 +188,17 @@ class TestLinearSolve:
         assert peak <= 1.5 * returned
 
     def test_bad_interval(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="r_start must be >= 1e-3"):
             mre_linear_solve("U", *U_FLOW, 1e-4, 1.0, init=GENERIC_INIT)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="need r_start < r_end"):
             mre_linear_solve("U", *U_FLOW, 0.5, 0.2, init=GENERIC_INIT)
 
     def test_mode_number_and_e_checked(self):
         # the series start divides by 2 - 4l, and no AlphaPair checks them first
-        with pytest.raises(DomainError, match="l >= 1"):
+        with pytest.raises(ConfigurationError, match="l >= 1"):
             mre_linear_solve("U", PAIR.alpha0, 0, 0.0, 0.1, 1.0, init=GENERIC_INIT)
         for e in (np.nan, np.inf):
-            with pytest.raises(DomainError, match="finite"):
+            with pytest.raises(ConfigurationError, match="finite"):
                 mre_linear_solve("B", PAIR.alpha1, 2, e, 1e-3, 1.0, init="series")
 
     def test_series_start_leading_structure(self):

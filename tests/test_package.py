@@ -1,4 +1,5 @@
 import ast
+import builtins
 import dataclasses
 import inspect
 import os
@@ -10,12 +11,10 @@ import dynamolab
 
 
 PUBLIC_NAMES = {
-    "AlphaPair", "AlphaProfile", "BracketError", "BranchEvent", "BranchTrace",
-    "ClassificationError", "ConfigurationError", "DarbouxPair", "DegeneratePencilError",
-    "DegenerateQError", "DomainError", "DynamoLabError", "DynamoMatrix", "GaugeChoice",
-    "GivenSeed", "JordanProbe", "MatrixODESolution", "NoGoReport", "PencilCoefficients",
-    "RadialGrid", "ShapeError", "SingularSuperpotentialError", "SolverError",
-    "Spectrum", "StructureFunctions", "SweepConfig", "TrackingError", "TridiagOp",
+    "AlphaPair", "AlphaProfile", "BranchEvent", "BranchTrace", "ConfigurationError",
+    "DarbouxPair", "DynamoLabError", "DynamoMatrix", "GaugeChoice", "GivenSeed",
+    "JordanProbe", "MatrixODESolution", "NoGoReport", "PencilCoefficients", "RadialGrid",
+    "SolverError", "Spectrum", "StructureFunctions", "SweepConfig", "TridiagOp",
     "assemble", "asymptotic_l_increment", "build_R", "build_grid", "builtin_pair_family",
     "classify_pairs", "darboux_partner", "degenerate_case_check", "dynamo_family", "eigen",
     "eigenfunction_equivalence", "factorization_residual", "inner_product",
@@ -28,8 +27,26 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     # a new or removed public name has to show up here as a test edit
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 50
     assert set(dynamolab.__all__) == PUBLIC_NAMES
+
+
+def test_two_error_classes_for_the_two_failure_exit_codes():
+    # ConfigurationError is exit 2 and SolverError exit 3; no module raises another class of its own
+    package = Path(dynamolab.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert defined == ["DynamoLabError", "ConfigurationError", "SolverError"]
+    raised = {
+        (path.name, exc.id)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        if isinstance(exc, ast.Name) and not hasattr(builtins, exc.id)
+    }
+    assert raised, "the scan found no raise"
+    assert {name for _, name in raised} == {"ConfigurationError", "SolverError"}, sorted(raised)
 
 
 # parameters and dataclass fields with a default, per public callable; the rest have none

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dynamolab import AlphaProfile, ConfigurationError, DomainError, parse_profile
+from dynamolab import AlphaProfile, ConfigurationError, parse_profile
 
 
 class TestFamilies:
@@ -61,7 +61,7 @@ class TestFamilies:
             AlphaProfile.from_samples(rs, np.ones_like(rs))
 
     def test_inconsistent_derivative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="derivative evaluator inconsistent"):
             AlphaProfile(
                 family="poly",
                 label="broken",
@@ -71,7 +71,9 @@ class TestFamilies:
             )
 
     def test_unbounded_rejected(self):
-        with pytest.raises(DomainError):
+        # the pole at 0.5 falls between the 1024 bound samples, so the
+        # derivative check is the one that rejects it
+        with pytest.raises(ConfigurationError, match="derivative evaluator inconsistent"):
             AlphaProfile(
                 family="poly",
                 label="pole",
@@ -86,7 +88,7 @@ class TestFamilies:
         # which must not pass for "within tolerance"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="derivative"):
+            with pytest.raises(ConfigurationError, match="derivative"):
                 parse_profile(literal)
 
     def test_large_profiles_accepted(self):
@@ -103,7 +105,7 @@ class TestPositivity:
         AlphaProfile.polynomial([1.0, 0.0, 1.0]).require_positive()
 
     def test_sign_changing_profile_fails(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="strictly positive"):
             AlphaProfile.polynomial([1.0, -4.0]).require_positive()
 
     def test_sign_changing_allowed_without_requirement(self):
@@ -142,7 +144,18 @@ class TestParse:
         p = parse_profile(f"spline:{path}")
         assert p(0.25) == pytest.approx(2.25, abs=1e-8)
 
-    @pytest.mark.parametrize("bad", ["gauss:1", "poly:", "const:x", "exp:1", "spline:/nonexistent/file", None])
+    def test_unreadable_spline_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "prof.csv"
+        path.write_text("0 1\n1 1\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(path), "read_text", refuse)
+        with pytest.raises(ConfigurationError, match="cannot be read"):
+            parse_profile(f"spline:{path}")
+
+    @pytest.mark.parametrize("bad", ["gauss:1", "poly:", "const:x", "exp:1", "spline:/nonexistent/file", "spline:", None])
     def test_bad_literals(self, bad):
         with pytest.raises(ConfigurationError):
             parse_profile(bad)
